@@ -9,6 +9,7 @@ failure, 4 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ _PHI_FLOOR = 1e-20
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
+    """The one mapping from an experiment config to the solver's settings."""
     return SolverConfig(
         gamma=cfg.gamma, epsilon=cfg.epsilon, N=cfg.N, T_final=cfg.T_final,
         cfl_safety=cfg.cfl_safety, n_floor=cfg.n_floor,
@@ -53,7 +55,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
     n0, J0 = _initial_arrays(cfg, D, x)
     n0 = project_neutral(n0, D, dx)
 
-    traj = run(scfg, D, n0, J0)
+    try:
+        traj = run(scfg, D, n0, J0)
+    except BlowupError as exc:
+        # the snapshots taken before the blowup are the partial output
+        if exc.trajectory is not None:
+            ensure_dir(out_dir)
+            write_snapshots(f"{out_dir}/snapshots.ndjson", exc.trajectory)
+            print(f"partial snapshots in {out_dir}/snapshots.ndjson", file=sys.stderr)
+        raise
     stat = solve_stationary(D, m, cfg.N)
 
     M = cfg.region_M
@@ -160,16 +170,11 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     n0, J0 = _initial_arrays(cfg, D, x)
     n0 = project_neutral(n0, D, dx)
 
+    base = _solver_config(cfg)
     tgrid = np.linspace(0.0, cfg.T_final, 401)
     resampled = []
     for eps in eps_values:
-        scfg = SolverConfig(
-            gamma=cfg.gamma, epsilon=eps, N=cfg.N, T_final=cfg.T_final,
-            cfl_safety=cfg.cfl_safety, n_floor=cfg.n_floor,
-            output_stride=cfg.output_stride, scheme=cfg.scheme,
-            boundary=cfg.boundary, relaxation=cfg.relaxation,
-        )
-        traj = run(scfg, D, n0, J0)
+        traj = run(dataclasses.replace(base, epsilon=eps), D, n0, J0)
         times = traj.times
         narr = np.array([s.n for s in traj.states])
         Jarr = np.array([s.J for s in traj.states])

@@ -34,6 +34,22 @@ boundary = float
 checks = region, density, entropy, lyapunov, mass
 """
 
+# the density of this run reaches vacuum near x = 0.09 by t = 0.55
+VACUUM = """
+[model]
+gamma = 2.0
+[doping]
+profile = sine:1:0.5:1
+[initial]
+n0 = sine:1:0.99:1
+[solver]
+epsilon = 1e-4
+N = 200
+T_final = 2
+boundary = float
+n_floor = {floor}
+"""
+
 
 @pytest.fixture()
 def eq_config(tmp_path):
@@ -127,6 +143,21 @@ def test_blowup_maps_to_exit_2(eq_config, monkeypatch, tmp_path, capsys):
     assert "blowup" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("floor, message", [("0", "vacuum at cell"),
+                                            ("1e-3", "clamping exceeded budget")])
+def test_blowup_exits_2_and_writes_partial_snapshots(tmp_path, capsys, floor, message):
+    p = tmp_path / "vacuum.ini"
+    p.write_text(VACUUM.format(floor=floor))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="mollifier"):
+        code = cli.main(["run", str(p), "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    lines = (out / "snapshots.ndjson").read_text().splitlines()
+    assert json.loads(lines[0])["t"] == 0
+    assert not (out / "series.csv").exists()
+
+
 def test_bracket_failure_maps_to_exit_3(eq_config, monkeypatch, tmp_path, capsys):
     def fail(*a, **kw):
         raise BracketError("no sign change", -1.0, -2.0)
@@ -172,6 +203,20 @@ def test_sweep_eps_small_case(tmp_path):
     assert len(rows) == 3
     d = [float(r.split(",")[2]) for r in rows[1:]]
     assert d[0] > d[1]
+
+
+def test_sweep_eps_ends_at_T_final(tmp_path):
+    # at N = 100 the eps = 0.04 run's last regular step stops 3.7e-14 short
+    # of T_final; run must land on T_final or the resampling onto [0, T]
+    # refuses the grid point T
+    p = tmp_path / "sine.ini"
+    p.write_text(SINE_SMALL)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="mollifier"):
+        code = cli.main(["sweep-eps", str(p), "--eps", "0.04,0.02,0.01,0.005",
+                         "--out-dir", str(out), "--quiet"])
+    assert code == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
 def test_mms_constant_subcommand(eq_config, tmp_path, capsys):

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import cumulative_trapezoid, quad
 
 import semihydro as sh
-from semihydro import solver
+from semihydro import gas, solver
 from semihydro.solver import BlowupError, SolverConfig, State
 
 D1 = sh.DopingProfile.constant(1.0)
@@ -171,6 +174,29 @@ def test_clamp_budget_blowup_carries_partial_trajectory():
     assert exc.value.time > 0.0
 
 
+def test_vacuum_without_floor_raises_blowup():
+    # with n_floor = 0 nothing keeps the density positive; reaching n <= 0
+    # is a blowup that names the cell, not a ValueError from the gas relations
+    cfg = _cfg(epsilon=1e-4, N=200, T_final=2.0, boundary="float", n_floor=0.0)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 201)
+    n0 = sh.project_neutral(1.0 + 0.99 * np.sin(2.0 * np.pi * x), D, 1.0 / 200)
+    with pytest.warns(UserWarning, match="mollifier"), \
+            pytest.raises(BlowupError, match="vacuum at cell") as exc:
+        solver.run(cfg, D, n0, np.zeros(201))
+    assert exc.value.trajectory is not None
+    assert exc.value.time > 0.0
+
+
+def test_run_ends_exactly_at_T_final():
+    # a plain CFL step would end this run 8.4e-14 short of T_final
+    cfg = _cfg(N=200, T_final=5.0, output_stride=10**9)
+    traj = solver.run(cfg, D1, np.ones(201), np.zeros(201))
+    assert traj.step_times[-1] == 5.0
+    assert traj.states[-1].t == 5.0
+    assert np.all(np.diff(traj.step_times) > 0.0)
+
+
 def test_nan_forcing_raises_blowup():
     cfg = _cfg(T_final=1.0)
     bad = (lambda x, t: np.full_like(x, np.nan), lambda x, t: np.zeros_like(x))
@@ -261,3 +287,129 @@ def test_mms_rusanov_first_order():
     rep = solver.mms_convergence(cfg, [50, 100, 200])
     assert rep.monotone
     assert 0.8 <= rep.order <= 1.6
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the step against a plain reference copy of it: E by
+# scipy's cumulative_trapezoid, the mass by np.trapezoid, the max speed over
+# |lam1| and |lam2|, and each stencil as one expression.
+
+def _plain_rhs(n, J, E, t, m, cfg, x, dx, forcing):
+    eps = cfg.epsilon
+    if cfg.scheme == "central":
+        f2 = J * J / n + gas.pressure(m, n)
+        div_n = (J[2:] - J[:-2]) / (2.0 * dx)
+        div_J = (f2[2:] - f2[:-2]) / (2.0 * dx)
+    else:
+        radius = np.abs(J / n) + m.theta * n**m.theta
+        a = np.maximum(radius[:-1], radius[1:])
+        f2 = J * J / n + gas.pressure(m, n)
+        hat1 = 0.5 * (J[:-1] + J[1:]) - 0.5 * a * (n[1:] - n[:-1])
+        hat2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * a * (J[1:] - J[:-1])
+        div_n = (hat1[1:] - hat1[:-1]) / dx
+        div_J = (hat2[1:] - hat2[:-1]) / dx
+    lap_n = (n[2:] - 2.0 * n[1:-1] + n[:-2]) / (dx * dx)
+    lap_J = (J[2:] - 2.0 * J[1:-1] + J[:-2]) / (dx * dx)
+    grad_n = (n[2:] - n[:-2]) / (2.0 * dx)
+    rhs_n = -div_n + eps * lap_n
+    rhs_J = (-div_J + eps * lap_J + n[1:-1] * E[1:-1] - 2.0 * eps * grad_n)
+    if forcing is not None:
+        f_n, f_J = forcing
+        rhs_n = rhs_n + f_n(x[1:-1], t)
+        rhs_J = rhs_J + f_J(x[1:-1], t)
+    return rhs_n, rhs_J
+
+
+def _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
+    E = cumulative_trapezoid(n - d_grid, dx=dx, initial=0.0)
+    rhs_n, rhs_J = _plain_rhs(n, J, E, t, m, cfg, x, dx, forcing)
+    nn = n.copy()
+    JJ = J.copy()
+    nn[1:-1] = n[1:-1] + dt * rhs_n
+    if cfg.relaxation == "explicit":
+        JJ[1:-1] = J[1:-1] + dt * (rhs_J - J[1:-1])
+    else:
+        JJ[1:-1] = np.exp(-dt) * (J[1:-1] + dt * rhs_J)
+    if cfg.boundary == "dirichlet":
+        nn[0], nn[-1] = bvals
+    else:
+        nn[0], nn[-1] = nn[1], nn[-2]
+    JJ[0] = 0.0
+    JJ[-1] = 0.0
+    clamped = int(np.sum(nn < cfg.floor))
+    if clamped:
+        nn = np.maximum(nn, cfg.floor)
+    return nn, JJ, clamped
+
+
+def _plain_dt(m, n, J, cfg, dx):
+    lam1, lam2 = gas.eigenvalues(m, n, J)
+    speed = float(max(np.max(np.abs(lam1)), np.max(np.abs(lam2))))
+    return cfg.cfl_safety * min(dx / speed, dx * dx / (2.0 * cfg.epsilon), 1.0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _march_both(cfg, D, n, J, forcing=None, steps=40):
+    """Step the lean and the plain step side by side from the same state."""
+    m = cfg.model()
+    x = np.linspace(0.0, 1.0, cfg.N + 1)
+    dx = 1.0 / cfg.N
+    d_grid = D(x)
+    bvals = (float(n[0]), float(n[-1]))
+    t = 0.0
+    total_clamped = 0
+    for _ in range(steps):
+        dt = solver._dt(m, n, J, cfg, dx)
+        assert _same_bits(dt, _plain_dt(m, n, J, cfg, dx))
+        lean = solver._advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing)
+        plain = _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing)
+        assert _same_bits(lean[0], plain[0]) and _same_bits(lean[1], plain[1])
+        assert lean[2] == plain[2]
+        assert _same_bits(solver._mass(lean[0], dx), float(np.trapezoid(plain[0], dx=dx)))
+        n, J = lean[:2]
+        t += dt
+        total_clamped += lean[2]
+    return total_clamped
+
+
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+@pytest.mark.parametrize("relaxation", ["explicit", "exp"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "float"])
+def test_step_matches_plain_step_bit_for_bit(scheme, relaxation, boundary):
+    cfg = _cfg(N=64, epsilon=2e-3, scheme=scheme, relaxation=relaxation,
+               boundary=boundary)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 65)
+    n = D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x))
+    J = 0.3 * np.sin(np.pi * x) ** 2
+    _march_both(cfg, D, n, J)
+
+
+def test_step_matches_plain_step_while_clamping():
+    # a floor above part of the density clamps cells on every step
+    cfg = _cfg(N=64, n_floor=0.6, boundary="float")
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 65)
+    assert _march_both(cfg, D, D(x), np.zeros(65), steps=10) > 0
+
+
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+def test_step_matches_plain_step_with_mms_forcing(scheme):
+    cfg = _cfg(N=64, epsilon=0.02, scheme=scheme)
+    n_star, J_star = solver.manufactured_solution()
+    x = np.linspace(0.0, 1.0, 65)
+    forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon)
+    _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=hnp.arrays(np.float64, st.integers(1, 300),
+                    elements=st.floats(-1e6, 1e6, allow_nan=False)),
+       dx=st.floats(1e-6, 1.0))
+def test_efield_helper_is_cumulative_trapezoid(y, dx):
+    assert _same_bits(solver._efield(y, dx),
+                      cumulative_trapezoid(y, dx=dx, initial=0.0))
