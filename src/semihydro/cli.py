@@ -3,7 +3,7 @@ verification.
 
 Subcommands: run, stationary, sweep-eps, mms. Exit codes: 0 all enabled
 checks passed, 1 a check failed, 2 solver blowup, 3 steady-state bracket
-failure, 4 configuration error.
+failure, 4 configuration error or diagnostic refusal.
 """
 
 from __future__ import annotations
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
+        return 4
+    except diag.DiagnosticRefusal as exc:
+        print(f"diagnostic refused: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,10 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
+from .field import _efield
 from .gas import (GasModel, mechanical_energy, pressure, pressure_derivative,
                   relative_entropy, to_invariants, weak_entropy_pair)
+
+
+class DiagnosticRefusal(ValueError):
+    """A diagnostic declined a trajectory it cannot judge: too short, too
+    sparsely sampled, or too few samples in the fit window."""
 
 
 def choose_M(n0, J0, D, m: GasModel, dx: float) -> float:
@@ -189,7 +194,7 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
     """
     times = traj.times
     if len(times) < 3 or times[-1] <= 0.0:
-        raise ValueError("trajectory too short for the entropy residual")
+        raise DiagnosticRefusal("trajectory too short for the entropy residual")
     T = float(times[-1])
     nx_c, nt_c = centers
     rx = 1.0 / (nx_c + 1)
@@ -197,7 +202,7 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
     spacing = float(np.max(np.diff(times)))
     if spacing > rt / 4.0:
         needed = max(1, int(traj.config.output_stride * (rt / 4.0) / spacing))
-        raise ValueError(
+        raise DiagnosticRefusal(
             f"snapshot spacing {spacing:.3g} too coarse for bump half-width "
             f"{rt:.3g}; reduce output_stride to about {needed}"
         )
@@ -396,7 +401,7 @@ def fit_decay_rate(times, phi, window: tuple) -> DecayReport:
         t_w = t_w[: cut[0]]
         p_w = p_w[: cut[0]]
     if len(t_w) < 10:
-        raise ValueError(f"decay fit needs at least 10 samples, got {len(t_w)}")
+        raise DiagnosticRefusal(f"decay fit needs at least 10 samples, got {len(t_w)}")
     logp = np.log(p_w)
     slope, intercept = np.polyfit(t_w, logp, 1)
     fitted = slope * t_w + intercept
@@ -447,4 +452,4 @@ def y_field(state, stat) -> np.ndarray:
 
 def y_from_density(state, stat) -> np.ndarray:
     dx = stat.x[1] - stat.x[0]
-    return cumulative_trapezoid(-(state.n - stat.N_tilde), dx=dx, initial=0.0)
+    return _efield(-(state.n - stat.N_tilde), dx)

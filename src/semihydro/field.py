@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 _SAMPLES = 2001  # dense sampling used to certify the positivity bounds
 
@@ -119,13 +118,29 @@ def _doping_on_grid(n: np.ndarray, D) -> np.ndarray:
     return d
 
 
+def _efield(y, dx: float):
+    """E(x_i) = trapezoid integral of y from x = 0, with E(0) = 0.
+
+    This is scipy's cumulative_trapezoid(y, dx=dx, initial=0.0) written
+    out: the same formula, so the same bits, at half the call cost.
+    """
+    out = np.empty_like(y)
+    out[0] = 0.0
+    s = out[1:]
+    np.add(y[1:], y[:-1], out=s)
+    s *= dx
+    s /= 2.0                                            # dx * (y[1:] + y[:-1]) / 2.0
+    np.cumsum(s, out=s)
+    return out
+
+
 def field_from_density(n, D, dx: float) -> np.ndarray:
     """E(x_i) as the cumulative trapezoid integral of (n - D); E(0) = 0."""
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("density contains non-finite values")
     d = _doping_on_grid(n, D)
-    return cumulative_trapezoid(n - d, dx=dx, initial=0.0)
+    return _efield(n - d, dx)
 
 
 def neutrality_defect(n, D, dx: float) -> float:

@@ -32,11 +32,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-# the E helper below reproduces cumulative_trapezoid bit for bit; the name
-# stays importable here for the tests and the benchmark's tracer
+# field._efield reproduces cumulative_trapezoid bit for bit; the name stays
+# importable here for the tests and the benchmark's tracer
 from scipy.integrate import cumulative_trapezoid  # noqa: F401
 
-from .field import DopingProfile, project_neutral
+from .field import DopingProfile, _efield, project_neutral
 from .gas import GasModel, eigenvalues, pressure
 
 
@@ -169,22 +169,6 @@ def mollify_initial(n0, J0, epsilon: float, dx: float):
         return np.convolve(padded, kernel, mode="valid")
 
     return smooth(n0 + epsilon), smooth(J0)
-
-
-def _efield(y, dx: float):
-    """E(x_i) = trapezoid integral of y from x = 0, with E(0) = 0.
-
-    This is scipy's cumulative_trapezoid(y, dx=dx, initial=0.0) written
-    out: the same formula, so the same bits, at half the call cost.
-    """
-    out = np.empty_like(y)
-    out[0] = 0.0
-    s = out[1:]
-    np.add(y[1:], y[:-1], out=s)
-    s *= dx
-    s /= 2.0                                            # dx * (y[1:] + y[:-1]) / 2.0
-    np.cumsum(s, out=s)
-    return out
 
 
 def _mass(n, dx: float) -> float:

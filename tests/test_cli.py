@@ -110,6 +110,19 @@ def test_run_enabled_decay_with_short_horizon_refuses(tmp_path, capsys):
     assert "at least 10 samples" in capsys.readouterr().err
 
 
+def test_run_with_sparse_snapshots_is_a_diagnostic_refusal(tmp_path, capsys):
+    # the entropy check needs several snapshots per bump; a refusal names
+    # itself instead of posing as a config error, and keeps exit code 4
+    p = tmp_path / "sparse.ini"
+    p.write_text(SINE_SMALL.replace("boundary = float", "boundary = float\noutput_stride = 200")
+                 .replace("region, density, entropy, lyapunov, mass", "entropy"))
+    code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("diagnostic refused: snapshot spacing")
+    assert "config error" not in err
+
+
 def test_run_fails_with_tiny_region_m(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text(EQUILIBRIUM + "\n[diagnostics]\nregion_M = 0.5\n")
