@@ -10,7 +10,7 @@ from .solver import (BlowupError, SolverConfig, State, Trajectory, cfl_dt,
                      manufactured_forcing, manufactured_solution,
                      mms_convergence, mollify_initial, run, step)
 from .stationary import (BracketError, DivergentTrial, InfeasibleTrial,
-                         NewtonError, StationaryProfile, shoot, solve_stationary,
+                         NewtonError, StationaryProfile, solve_stationary,
                          solve_viscous_stationary)
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "manufactured_forcing", "manufactured_solution", "mms_convergence",
     "mollify_initial", "run", "step",
     "BracketError", "DivergentTrial", "InfeasibleTrial", "NewtonError",
-    "StationaryProfile", "shoot", "solve_stationary", "solve_viscous_stationary",
+    "StationaryProfile", "solve_stationary", "solve_viscous_stationary",
 ]
 
 __version__ = "0.1.0"

@@ -68,7 +68,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
 
     M = cfg.region_M
     if M is None:
-        M = diag.choose_M(traj.states[0].n, traj.states[0].J, D, m, dx)
+        M = diag.choose_M(traj.n[0], traj.J[0], D, m, dx)
     region = diag.invariant_region_check(traj, m, M)
     density = diag.density_bound_check(traj, m, M)
 
@@ -105,7 +105,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
                          "note": str(exc)}
             decay_passed = True
 
-    max_n = max(float(np.max(s.n)) for s in traj.states)
+    max_n = float(traj.n.max())
     Lambda = D.d_hi + max_n + cfg.lambda_margin
     lyap = diag.lyapunov(traj, stat, m, Lambda)
     mass = diag.mass_series(traj)
@@ -175,13 +175,13 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     resampled = []
     for eps in eps_values:
         traj = run(dataclasses.replace(base, epsilon=eps), D, n0, J0)
-        times = traj.times
-        narr = np.array([s.n for s in traj.states])
-        Jarr = np.array([s.J for s in traj.states])
-        resampled.append((interp1d(times, narr, axis=0)(tgrid),
-                          interp1d(times, Jarr, axis=0)(tgrid)))
+        # the snapshot times increase, so the interpolants can use the
+        # trajectory's arrays as they are instead of sorted copies
+        resampled.append(tuple(interp1d(traj.times, f, axis=0, copy=False,
+                                        assume_sorted=True)(tgrid) for f in (traj.n, traj.J)))
         if verbose and not quiet:
             print(f"eps = {eps:g}: {traj.n_steps} steps")
+        del traj  # free the snapshots before the next run
 
     dists = []
     for (na, Ja), (nb, Jb) in zip(resampled, resampled[1:]):

@@ -7,6 +7,7 @@ every error it finds, not just the first.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,8 @@ def parse_initial_spec(text: str):
     parts = text.split(":")
     kind = parts[0]
     try:
+        if kind in ("constant", "sine") and not all(math.isfinite(float(p)) for p in parts[1:]):
+            raise ValueError(f"non-finite parameter in initial spec {text!r}")
         if kind == "constant" and len(parts) == 2:
             v = float(parts[1])
             return lambda x: np.full_like(np.asarray(x, dtype=float), v)
@@ -84,6 +87,8 @@ def parse_initial_spec(text: str):
                 raise ValueError(f"cannot read table {parts[1]!r}: {exc}") from exc
             if data.shape[1] != 2 or data.shape[0] < 2:
                 raise ValueError(f"table {parts[1]!r} must have two columns and >= 2 rows")
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"table {parts[1]!r} holds a non-finite number")
             xs, vs = data[:, 0], data[:, 1]
             if np.any(np.diff(xs) <= 0.0) or xs[0] > 0.0 or xs[-1] < 1.0:
                 raise ValueError(f"table {parts[1]!r} x column must increase and cover [0, 1]")
@@ -105,7 +110,8 @@ def parse_config(text: str) -> ExperimentConfig:
     is unknown, malformed, missing, or out of range.
     """
     errors: list[str] = []
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value (say a directory name) is literal
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keep key case: N and T_final are spelled as written
     try:
         cp.read_string(text)
@@ -132,10 +138,14 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"missing required key {key!r} in [{section}]")
             return default
         try:
-            return conv(raw)
+            value = conv(raw)
         except ValueError:
             errors.append(f"[{section}] {key} = {raw!r} is not a valid {conv.__name__}")
             return default
+        if not math.isfinite(value):
+            errors.append(f"[{section}] {key} = {raw!r} is not finite")
+            return default
+        return value
 
     gamma = number("model", "gamma", float, required=True)
     if gamma is not None and not 1.0 < gamma <= 3.0:
@@ -196,8 +206,9 @@ def parse_config(text: str) -> ExperimentConfig:
     fit_window = (2.0, 18.0)
     try:
         lo, hi = (float(v) for v in window_raw.split(","))
-        if lo >= hi:
-            errors.append(f"[diagnostics] fit_window must be lo,hi with lo < hi, got {window_raw!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            errors.append(f"[diagnostics] fit_window must be finite lo,hi with lo < hi, "
+                          f"got {window_raw!r}")
         else:
             fit_window = (lo, hi)
     except ValueError:
@@ -214,6 +225,9 @@ def parse_config(text: str) -> ExperimentConfig:
             region_M = float(region_M_raw)
         except ValueError:
             errors.append(f"[diagnostics] region_M must be auto or a number, got {region_M_raw!r}")
+        else:
+            if not math.isfinite(region_M):
+                errors.append(f"[diagnostics] region_M = {region_M_raw!r} is not finite")
 
     tol_factor = number("diagnostics", "entropy_tol_factor", float, 10.0)
     if tol_factor is not None and tol_factor <= 0.0:

@@ -2,7 +2,8 @@
 
 Every function here is read-only over a computed Trajectory (and, where
 relevant, a StationaryProfile on the same grid) and returns a small report
-object with a `to_record()` dict for serialization.
+object with a `to_record()` dict for serialization. The snapshots are
+(K, N+1) arrays, so each check is an array expression over all of them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _efield
 from .gas import (GasModel, mechanical_energy, pressure, pressure_derivative,
                   relative_entropy, to_invariants, weak_entropy_pair)
 
@@ -77,25 +77,18 @@ def invariant_region_check(traj, m: GasModel, M: float,
     if tol is None:
         tol = 1e-6 + 10.0 * dx * dx
     x = np.linspace(0.0, 1.0, traj.config.N + 1)
-    wbars, zbars = [], []
-    indeterminate = 0
-    first_violation = None
-    for s in traj.states:
-        ok = s.n > 0.0
-        indeterminate += int(np.sum(~ok))
-        if not np.any(ok):
-            wbars.append(np.nan)
-            zbars.append(np.nan)
-            continue
-        w, z = to_invariants(m, s.n[ok], s.J[ok])
-        wb = float(np.max(w - (M + x[ok])))
-        zb = float(np.min(z + (M - x[ok])))
-        wbars.append(wb)
-        zbars.append(zb)
-        if first_violation is None and (wb > tol or zb < -tol):
-            first_violation = float(s.t)
-    wbars = np.array(wbars)
-    zbars = np.array(zbars)
+    ok = traj.n > 0.0
+    indeterminate = int(np.count_nonzero(~ok))
+    # indeterminate cells get a stand-in density and drop out of the
+    # margins; a snapshot with no determinate cell has NaN margins
+    w, z = to_invariants(m, np.where(ok, traj.n, 1.0), traj.J)
+    wbars = np.max(np.where(ok, w - (M + x), -np.inf), axis=-1)
+    zbars = np.min(np.where(ok, z + (M - x), np.inf), axis=-1)
+    empty = ~ok.any(axis=-1)
+    wbars[empty] = np.nan
+    zbars[empty] = np.nan
+    violations = np.flatnonzero((wbars > tol) | (zbars < -tol))
+    first_violation = float(traj.times[violations[0]]) if violations.size else None
     max_wbar = float(np.nanmax(wbars))
     min_zbar = float(np.nanmin(zbars))
     passed = max_wbar <= tol and min_zbar >= -tol
@@ -127,13 +120,10 @@ def density_bound_check(traj, m: GasModel, M: float,
     """max n <= ((3/2) M)**(1/theta) and |J| <= C n with C the largest
     observed invariant magnitude."""
     bound = (1.5 * M) ** (1.0 / m.theta)
-    max_n = max(float(np.max(s.n)) for s in traj.states)
-    C = 0.0
-    for s in traj.states:
-        w, z = to_invariants(m, s.n, s.J)
-        C = max(C, float(np.max(np.abs(w))), float(np.max(np.abs(z))))
-    current_ok = all(bool(np.all(np.abs(s.J) <= C * s.n + 1e-12))
-                     for s in traj.states)
+    max_n = float(np.max(traj.n))
+    w, z = to_invariants(m, traj.n, traj.J)
+    C = max(0.0, float(np.max(np.abs(w))), float(np.max(np.abs(z))))
+    current_ok = bool(np.all(np.abs(traj.J) <= C * traj.n + 1e-12))
     passed = max_n <= bound + tol and current_ok
     return DensityBoundReport(max_n, bound, C, current_ok, passed)
 
@@ -209,19 +199,16 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
 
     dx = traj.dx
     x = np.linspace(0.0, 1.0, traj.config.N + 1)
-    eta_rows, q_rows, src_rows = [], [], []
-    for s in traj.states:
-        if pair == "mechanical":
-            eta, q, eta_J = mechanical_energy(m, s.n, s.J)
-        else:
-            g, dg = pair
-            eta, q, eta_J = weak_entropy_pair(m, s.n, s.J, g, dg)
-        eta_rows.append(eta)
-        q_rows.append(q)
-        src_rows.append(eta_J * (s.n * s.E - s.J))
-    eta = np.array(eta_rows)
-    q = np.array(q_rows)
-    src = np.array(src_rows)
+    if pair == "mechanical":
+        eta, q, eta_J = mechanical_energy(m, traj.n, traj.J)
+    else:
+        # row by row: the quadrature's temporaries carry a node axis, which
+        # over all snapshots at once would take hundreds of MB
+        g, dg = pair
+        eta, q, eta_J = (np.empty_like(traj.n) for _ in range(3))
+        for k, (n, J) in enumerate(zip(traj.n, traj.J)):
+            eta[k], q[k], eta_J[k] = weak_entropy_pair(m, n, J, g, dg)
+    src = eta_J * (traj.n * traj.E - traj.J)
 
     residuals = np.empty((nx_c, nt_c))
     for i in range(nx_c):
@@ -321,7 +308,7 @@ def lyapunov(traj, stat, m: GasModel, Lambda: float,
     default tolerance is 1e-8 * L(0) plus a tiny absolute guard so the
     count is meaningful when the run starts at the steady state.
     """
-    max_n = max(float(np.max(s.n)) for s in traj.states)
+    max_n = float(np.max(traj.n))
     required = traj.doping.d_hi + max_n + 1.0
     if Lambda <= required:
         raise ValueError(
@@ -330,14 +317,11 @@ def lyapunov(traj, stat, m: GasModel, Lambda: float,
         )
     if stat.N_tilde.size != traj.config.N + 1:
         raise ValueError("stationary profile grid does not match the trajectory")
-    dx = traj.dx
-    L = np.empty(len(traj.states))
-    for k, s in enumerate(traj.states):
-        eta_s = relative_entropy(m, s.n, s.J, stat.N_tilde, stat.J_tilde)
-        y = -(s.E - stat.E_tilde)
-        y_t = s.J - stat.J_tilde
-        integrand = Lambda * eta_s + Lambda * y * y / 2.0 + y * y_t + y * y / 2.0
-        L[k] = np.trapezoid(integrand, dx=dx)
+    eta_s = relative_entropy(m, traj.n, traj.J, stat.N_tilde, stat.J_tilde)
+    y = -(traj.E - stat.E_tilde)
+    y_t = traj.J - stat.J_tilde
+    integrand = Lambda * eta_s + Lambda * y * y / 2.0 + y * y_t + y * y / 2.0
+    L = np.trapezoid(integrand, dx=traj.dx, axis=-1)
     if increase_tol is None:
         increase_tol = 1e-8 * float(L[0]) + 1e-24
     dL = np.diff(L)
@@ -346,18 +330,21 @@ def lyapunov(traj, stat, m: GasModel, Lambda: float,
     return LyapunovReport(traj.times, L, Lambda, increase_tol, increases, max_inc)
 
 
-def decay_functional(state, stat) -> float:
-    """Phi = integral((n - N_tilde)^2 + (E - E_tilde)^2 + (J - J_tilde)^2)."""
-    if stat.N_tilde.size != state.n.size:
+def decay_functional(state, stat):
+    """Phi = integral((n - N_tilde)^2 + (E - E_tilde)^2 + (J - J_tilde)^2).
+
+    A float for a State; for a Trajectory, one Phi per snapshot.
+    """
+    if stat.N_tilde.size != state.n.shape[-1]:
         raise ValueError("stationary profile grid does not match the state")
     dx = stat.x[1] - stat.x[0]
     integrand = ((state.n - stat.N_tilde) ** 2
                  + (state.E - stat.E_tilde) ** 2 + (state.J - stat.J_tilde) ** 2)
-    return float(np.trapezoid(integrand, dx=dx))
+    return np.trapezoid(integrand, dx=dx, axis=-1)
 
 
 def phi_series(traj, stat) -> np.ndarray:
-    return np.array([decay_functional(s, stat) for s in traj.states])
+    return decay_functional(traj, stat)
 
 
 @dataclass
@@ -442,14 +429,3 @@ def mass_series(traj) -> MassReport:
     scale = drift / (0.05 * eps * T) if T > 0.0 else 0.0
     return MassReport(traj.step_times, traj.mass, drift, scale)
 
-
-def y_field(state, stat) -> np.ndarray:
-    """The antiderivative variable y = -(E - E_tilde); equals the running
-    integral of -(n - N_tilde) whenever both fields share the E(0) = 0
-    gauge."""
-    return -(state.E - stat.E_tilde)
-
-
-def y_from_density(state, stat) -> np.ndarray:
-    dx = stat.x[1] - stat.x[0]
-    return _efield(-(state.n - stat.N_tilde), dx)

@@ -33,6 +33,8 @@ class DopingProfile:
 
     @staticmethod
     def _certify(kind: str, params: tuple, values: np.ndarray) -> "DopingProfile":
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"doping profile must be finite on [0,1], params = {params}")
         lo = float(np.min(values))
         hi = float(np.max(values))
         if lo <= 0.0:
@@ -119,18 +121,19 @@ def _doping_on_grid(n: np.ndarray, D) -> np.ndarray:
 
 
 def _efield(y, dx: float):
-    """E(x_i) = trapezoid integral of y from x = 0, with E(0) = 0.
+    """E(x_i) = trapezoid integral of y from x = 0, with E(0) = 0, along
+    the last axis (one row per snapshot for a 2-D y).
 
-    This is scipy's cumulative_trapezoid(y, dx=dx, initial=0.0) written
-    out: the same formula, so the same bits, at half the call cost.
+    This is scipy's cumulative_trapezoid(y, dx=dx, initial=0.0, axis=-1)
+    written out: the same formula, so the same bits, at half the call cost.
     """
     out = np.empty_like(y)
-    out[0] = 0.0
-    s = out[1:]
-    np.add(y[1:], y[:-1], out=s)
+    out[..., 0] = 0.0
+    s = out[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=s)
     s *= dx
     s /= 2.0                                            # dx * (y[1:] + y[:-1]) / 2.0
-    np.cumsum(s, out=s)
+    np.cumsum(s, axis=-1, out=s)
     return out
 
 

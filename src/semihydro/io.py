@@ -23,25 +23,25 @@ def fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _json_value(v) -> str:
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json_value(x) for x in v) + "]"
-    return fmt(v)
-
-
 def record_json(d: dict) -> str:
-    """One flat dict as a JSON object with deterministic float text."""
-    return "{" + ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in d.items()) + "}"
+    """One flat dict of scalars and strings as a JSON object with
+    deterministic float text."""
+    items = (f"{json.dumps(k)}:{json.dumps(v) if isinstance(v, str) else fmt(v)}"
+             for k, v in d.items())
+    return "{" + ",".join(items) + "}"
+
+
+def _json_floats(row) -> str:
+    """A float array as a JSON list, each entry as fmt renders it."""
+    return "[" + ",".join(map("%.17g".__mod__, row.tolist())) + "]"
 
 
 def write_snapshots(path: str, traj) -> None:
     """NDJSON, one object per snapshot: t and the n, J, E node arrays."""
     with open(path, "w") as fh:
-        for s in traj.states:
-            fh.write(record_json({"t": s.t, "n": s.n, "J": s.J, "E": s.E}))
-            fh.write("\n")
+        for t, n, J, E in zip(traj.times.tolist(), traj.n, traj.J, traj.E):
+            fh.write(f'{{"t":{fmt(t)},"n":{_json_floats(n)},"J":{_json_floats(J)},'
+                     f'"E":{_json_floats(E)}}}\n')
 
 
 def write_series_csv(path: str, header: list, columns: list) -> None:

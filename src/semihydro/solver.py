@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -65,16 +66,16 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         GasModel(self.gamma)  # range check
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.N < 16:
             raise ValueError(f"N must be at least 16, got {self.N}")
-        if self.T_final < 0.0:
-            raise ValueError(f"T_final must be nonnegative, got {self.T_final}")
+        if not 0.0 <= self.T_final < inf:
+            raise ValueError(f"T_final must be nonnegative and finite, got {self.T_final}")
         if not 0.0 < self.cfl_safety <= 0.9:
             raise ValueError(f"cfl_safety must lie in (0, 0.9], got {self.cfl_safety}")
-        if self.n_floor is not None and self.n_floor < 0.0:
-            raise ValueError(f"n_floor must be nonnegative, got {self.n_floor}")
+        if self.n_floor is not None and not 0.0 <= self.n_floor < inf:
+            raise ValueError(f"n_floor must be nonnegative and finite, got {self.n_floor}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if self.scheme not in ("central", "rusanov"):
@@ -107,7 +108,13 @@ class State:
 
 @dataclass
 class Trajectory:
-    states: list
+    """A run's snapshots as arrays, one row per snapshot: times has shape
+    (K,), and n, J and E each have shape (K, N+1)."""
+
+    times: np.ndarray
+    n: np.ndarray
+    J: np.ndarray
+    E: np.ndarray
     step_times: np.ndarray      # time after every step, length n_steps + 1
     mass: np.ndarray            # trapezoid mass after every step
     clamp_counts: np.ndarray    # cells clamped to the floor, per step
@@ -118,12 +125,8 @@ class Trajectory:
     def __repr__(self) -> str:
         c = self.config
         return (f"Trajectory(N={c.N}, gamma={c.gamma}, epsilon={c.epsilon}, "
-                f"snapshots={len(self.states)}, steps={self.n_steps}, "
+                f"snapshots={self.times.size}, steps={self.n_steps}, "
                 f"t_final={self.step_times[-1]:.6g})")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
     @property
     def dx(self) -> float:
@@ -341,8 +344,9 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     J[0] = 0.0
     J[-1] = 0.0
 
-    # n and J are never changed in place: each step returns fresh arrays
-    states = [State(0.0, n, J, _efield(n - d_grid, dx))]
+    # n and J are never changed in place: each step returns fresh arrays,
+    # so the snapshot rows (t, n, J) can hold them as they are
+    rows = [(0.0, n, J)]
     step_times = [0.0]
     mass = [_mass(n, dx)]
     clamps = []
@@ -361,7 +365,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
             n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, x, dx,
                                      bvals, forcing)
         except BlowupError as exc:
-            exc.trajectory = _package(states, step_times, mass, clamps, cfg, D, bvals)
+            exc.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
             raise
         t = T if last else t + dt
         k += 1
@@ -376,17 +380,29 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
                 f"positivity clamping exceeded budget ({total_clamped} cells "
                 f"over {k} steps)", int(np.argmin(n)), t,
             )
-            err.trajectory = _package(states, step_times, mass, clamps, cfg, D, bvals)
+            err.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
             raise err
         if last or k % cfg.output_stride == 0:
-            states.append(State(t, n, J, _efield(n - d_grid, dx)))
+            rows.append((t, n, J))
 
-    return _package(states, step_times, mass, clamps, cfg, D, bvals)
+    return _package(rows, step_times, mass, clamps, cfg, D, bvals)
 
 
-def _package(states, step_times, mass, clamps, cfg, D, bvals) -> Trajectory:
+def _package(rows, step_times, mass, clamps, cfg, D, bvals) -> Trajectory:
+    """Stack the snapshot rows and compute E for all of them in one call.
+
+    The rows are released as each field is stacked, so no snapshot is
+    held twice.
+    """
+    times, n, J = zip(*rows)
+    rows.clear()
+    n = np.array(n)
+    J = np.array(J)
     return Trajectory(
-        states=states,
+        times=np.array(times),
+        n=n,
+        J=J,
+        E=_efield(n - D(np.linspace(0.0, 1.0, cfg.N + 1)), 1.0 / cfg.N),
         step_times=np.array(step_times),
         mass=np.array(mass),
         clamp_counts=np.array(clamps, dtype=int),
@@ -498,8 +514,8 @@ def mms_convergence(cfg: SolverConfig, resolutions, solution: str = "standard") 
         x = np.linspace(0.0, 1.0, N + 1)
         traj = run(sub, D, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
                    mollify=False)
-        fin = traj.states[-1]
-        err2 = (fin.n - n_star(x, fin.t)) ** 2 + (fin.J - J_star(x, fin.t)) ** 2
+        t = traj.times[-1]
+        err2 = (traj.n[-1] - n_star(x, t)) ** 2 + (traj.J[-1] - J_star(x, t)) ** 2
         errors.append(float(np.sqrt(np.trapezoid(err2, dx=1.0 / N))))
 
     exact = all(e < 1e-13 for e in errors)

@@ -33,11 +33,11 @@ from .solver import _rhs
 
 
 class InfeasibleTrial(Exception):
-    """Raised by shoot when the trial density collapses toward vacuum."""
+    """Raised by _integrate when the trial density collapses toward vacuum."""
 
 
 class DivergentTrial(Exception):
-    """Raised by shoot when the trial density blows up instead of collapsing."""
+    """Raised by _integrate when the trial density blows up instead of collapsing."""
 
 
 class NewtonError(Exception):
@@ -147,21 +147,6 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
         Nt[i + 1] = y1
         Et[i + 1] = y2
     return Nt, Et
-
-
-def shoot(N0: float, D, m, N: int):
-    """Integrate one trial from N(0) = N0; return (profile, signed E(1)).
-
-    Raises InfeasibleTrial if the density collapses (trial too small) and
-    DivergentTrial if it runs away (trial too large).
-    """
-    if N0 <= 0.0:
-        raise ValueError(f"trial boundary density must be positive, got {N0}")
-    d2 = D(np.linspace(0.0, 1.0, 2 * N + 1))
-    Nt, Et = _integrate(N0, d2, m, N, D.d_lo / 10.0, 1e6 * max(1.0, D.d_hi))
-    res = float(Et[-1])
-    prof = StationaryProfile(np.linspace(0.0, 1.0, N + 1), Nt, Et, abs(res), 1)
-    return prof, res
 
 
 def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:

@@ -149,7 +149,7 @@ def test_criterion_04_lyapunov_monotonicity(scenario, viscous):
     for gamma in GAMMAS:
         traj, _, _ = scenario[gamma]
         m = sh.GasModel(gamma)
-        max_n = max(float(np.max(s.n)) for s in traj.states)
+        max_n = float(np.max(traj.n))
         Lambda = DSINE.d_hi + max_n + 1.5
         rep = diag.lyapunov(traj, viscous[gamma], m, Lambda)
         ok_g = rep.increases == 0
@@ -216,11 +216,8 @@ def test_criterion_07_viscosity_convergence_trend():
         cfg = SolverConfig(gamma=2.0, epsilon=eps, N=400, T_final=20.0,
                            output_stride=25, boundary="float")
         traj = sh.run(cfg, DSINE, n0, np.zeros(401))
-        times = traj.times
-        narr = np.array([s.n for s in traj.states])
-        Jarr = np.array([s.J for s in traj.states])
-        fields.append((interp1d(times, narr, axis=0)(tgrid),
-                       interp1d(times, Jarr, axis=0)(tgrid)))
+        fields.append((interp1d(traj.times, traj.n, axis=0)(tgrid),
+                       interp1d(traj.times, traj.J, axis=0)(tgrid)))
     dists = []
     for (na, Ja), (nb, Jb) in zip(fields, fields[1:]):
         space = np.trapezoid(np.abs(na - nb) + np.abs(Ja - Jb), dx=1.0 / 400, axis=1)

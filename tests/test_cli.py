@@ -1,9 +1,16 @@
 """End-to-end command-line harness tests: exit codes, files, determinism."""
 
 import json
+import os
+import struct
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semihydro import cli, io
 from semihydro.solver import BlowupError
@@ -260,9 +267,62 @@ def test_fmt_round_trips_floats():
 
 
 def test_record_json_shapes():
-    line = io.record_json({"a": 1.5, "b": [1.0, 2.0], "c": "s", "d": None})
+    line = io.record_json({"a": 1.5, "b": 7, "c": "s", "d": None, "e": True})
     obj = json.loads(line)
-    assert obj == {"a": 1.5, "b": [1.0, 2.0], "c": "s", "d": None}
+    assert obj == {"a": 1.5, "b": 7, "c": "s", "d": None, "e": True}
+
+
+def _bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(1.7976931348623157e308)
+def test_fmt_round_trips_every_finite_float(v):
+    assert _bits(float(io.fmt(v))) == _bits(v)
+    assert _bits(float(io.fmt(np.float64(v)))) == _bits(v)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _snapshot_arrays(draw):
+    K = draw(st.integers(1, 4))
+    nodes = draw(st.integers(1, 6))
+    rows = hnp.arrays(np.float64, (K, nodes), elements=_FINITE)
+    return SimpleNamespace(times=draw(hnp.arrays(np.float64, K, elements=_FINITE)),
+                           n=draw(rows), J=draw(rows), E=draw(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snapshot_arrays())
+def test_snapshot_lines_load_back_to_the_arrays(traj):
+    # integral text such as "-0" or "3" must read back as a float, so json
+    # parses integers with float; then every value returns bit for bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snapshots.ndjson")
+        io.write_snapshots(path, traj)
+        with open(path) as fh:
+            lines = [json.loads(line, parse_int=float) for line in fh]
+    assert [list(rec) for rec in lines] == [["t", "n", "J", "E"]] * traj.times.size
+    for name in ("n", "J", "E"):
+        back = np.array([rec[name] for rec in lines], dtype=float)
+        assert back.tobytes() == getattr(traj, name).tobytes()
+    assert np.array([rec["t"] for rec in lines]).tobytes() == traj.times.tobytes()
+
+
+def test_percent_in_a_config_value_is_literal(tmp_path):
+    # configparser interpolation would read "50%" as a broken reference
+    out = tmp_path / "out" / "50%"
+    p = tmp_path / "pct.ini"
+    p.write_text(EQUILIBRIUM + f"[output]\ndir = {out}\n")
+    assert cli.main(["run", str(p), "--quiet"]) == 0
+    assert (out / "reports.ndjson").exists()
 
 
 def test_series_csv_rejects_ragged_columns(tmp_path):

@@ -1,12 +1,16 @@
-"""Config parsing: full-field round trip and error accumulation."""
+"""Config parsing: full-field round trip, error accumulation, and a
+property test that any text parses or raises ConfigError."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from semihydro.config import (CHECK_NAMES, ConfigError, parse_config,
-                              parse_initial_spec)
+from semihydro.config import (_KNOWN_KEYS, CHECK_NAMES, ConfigError,
+                              ExperimentConfig, parse_config, parse_initial_spec)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -187,3 +191,71 @@ def test_shipped_configs_parse():
         assert cfg.gamma == 2.0
         assert cfg.epsilon > 0.0
         assert cfg.T_final > 0.0
+
+
+def _with_key(section: str, key: str, value: str, text: str = MINIMAL) -> str:
+    """The config text with `key = value` set in [section]."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    if f"[{section}]" not in lines:
+        lines.append(f"[{section}]")
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "epsilon", "nan"),
+    ("solver", "T_final", "nan"),
+    ("solver", "T_final", "inf"),
+    ("solver", "n_floor", "inf"),
+    ("diagnostics", "lambda_margin", "nan"),
+    ("diagnostics", "entropy_tol_factor", "inf"),
+    ("diagnostics", "region_M", "nan"),
+    ("diagnostics", "fit_window", "2, inf"),
+    ("doping", "profile", "constant:nan"),
+    ("doping", "profile", "sine:1:nan:1"),
+    ("doping", "profile", "constant:inf"),
+    ("initial", "n0", "sine:1:0.5:-inf"),
+])
+def test_non_finite_numbers_are_rejected(section, key, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_with_key(section, key, value))
+    assert len(exc.value.errors) == 1
+    assert key in exc.value.errors[0] and "finite" in exc.value.errors[0]
+
+
+_PAIRS = sorted((s, k) for s, keys in _KNOWN_KEYS.items() for k in keys)
+_KEYS = sorted(k for _, k in _PAIRS)
+_NUMBER = st.one_of(st.floats().map(repr), st.integers().map(str))
+_VALUE = st.one_of(
+    st.text(max_size=20), _NUMBER,
+    st.builds(":".join, st.lists(st.one_of(st.sampled_from(["constant", "sine"]), _NUMBER),
+                                 min_size=1, max_size=4)),
+    st.builds("{}, {}".format, _NUMBER, _NUMBER))
+_LINE = st.one_of(
+    st.sampled_from([f"[{s}]" for s in sorted(_KNOWN_KEYS)]),
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _VALUE),
+    st.text(max_size=30))
+
+
+def _edited_minimal(edits) -> str:
+    """MINIMAL with a few keys set to drawn values."""
+    text = MINIMAL
+    for (section, key), value in edits:
+        text = _with_key(section, key, value, text)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LINE, max_size=30).map("\n".join),
+                 st.lists(st.tuples(st.sampled_from(_PAIRS), _VALUE), max_size=4)
+                 .map(_edited_minimal)))
+def test_parse_config_returns_or_raises_config_error(text):
+    assume("table" not in text)  # a table spec would read a file
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    for v in (cfg.gamma, cfg.epsilon, cfg.T_final, cfg.cfl_safety, cfg.lambda_margin,
+              cfg.entropy_tol_factor, *cfg.fit_window):
+        assert math.isfinite(v)

@@ -53,7 +53,7 @@ def test_invariant_region_margins(eq_traj):
     assert rep.passed
     assert rep.first_violation_time is None
     assert rep.indeterminate_cells == 0
-    assert rep.per_snapshot_wbar.size == len(eq_traj.states)
+    assert rep.per_snapshot_wbar.size == eq_traj.times.size
     rec = rep.to_record()
     assert rec["name"] == "invariant_region" and rec["passed"] is True
 
@@ -147,7 +147,7 @@ def test_lyapunov_rejects_grid_mismatch(eq_traj):
 
 
 def test_lyapunov_decreases_off_equilibrium(sine_traj, sine_stat):
-    max_n = max(float(np.max(s.n)) for s in sine_traj.states)
+    max_n = float(np.max(sine_traj.n))
     rep = diag.lyapunov(sine_traj, sine_stat, M2, DSINE.d_hi + max_n + 1.5)
     assert rep.L[0] > 0.0
     assert rep.L[-1] < rep.L[0]
@@ -167,7 +167,7 @@ def test_decay_functional_synthetic_value():
 
 def test_phi_series_decreases(sine_traj, sine_stat):
     phi = diag.phi_series(sine_traj, sine_stat)
-    assert phi.size == len(sine_traj.states)
+    assert phi.size == sine_traj.times.size
     assert phi[-1] < phi[0]
 
 
@@ -212,13 +212,3 @@ def test_mass_series(eq_traj):
     assert rep.mass.size == eq_traj.n_steps + 1
     assert rep.to_record()["name"] == "mass"
 
-
-def test_y_field_consistency(eq_traj, eq_stat, sine_traj, sine_stat):
-    s = eq_traj.states[-1]
-    assert np.allclose(diag.y_field(s, eq_stat),
-                       diag.y_from_density(s, eq_stat), atol=1e-12)
-    s = sine_traj.states[-1]
-    # E_tilde is RK4-integrated, y_from_density uses the trapezoid rule;
-    # difference is pure quadrature error
-    assert np.allclose(diag.y_field(s, sine_stat),
-                       diag.y_from_density(s, sine_stat), atol=1e-4)

@@ -41,6 +41,10 @@ def test_config_validation():
         _cfg(relaxation="implicit")
     with pytest.raises(ValueError, match="output_stride"):
         _cfg(output_stride=0)
+    for key in ("epsilon", "T_final", "n_floor"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{key} must be .* finite"):
+                _cfg(**{key: bad})
     cfg = _cfg()
     assert cfg.floor == 5e-4
     assert _cfg(n_floor=1e-6).floor == 1e-6
@@ -100,9 +104,8 @@ def test_single_step_preserves_equilibrium():
 def test_run_holds_equilibrium(relaxation):
     cfg = _cfg(T_final=0.5, output_stride=20, relaxation=relaxation)
     traj = solver.run(cfg, D1, np.ones(101), np.zeros(101))
-    fin = traj.states[-1]
-    assert np.max(np.abs(fin.n - 1.0)) < 1e-14
-    assert np.max(np.abs(fin.J)) < 1e-14
+    assert np.max(np.abs(traj.n[-1] - 1.0)) < 1e-14
+    assert np.max(np.abs(traj.J[-1])) < 1e-14
     assert np.max(np.abs(traj.mass - traj.mass[0])) < 1e-14
 
 
@@ -112,7 +115,8 @@ def test_run_bookkeeping():
     assert traj.mass.size == traj.n_steps + 1
     assert traj.clamp_counts.size == traj.n_steps
     assert abs(traj.step_times[-1] - 0.25) < 1e-12
-    assert traj.states[-1].t == traj.step_times[-1]
+    assert traj.times[-1] == traj.step_times[-1]
+    assert traj.n.shape == traj.J.shape == traj.E.shape == (traj.times.size, 101)
     assert traj.dx == 1.0 / 100
     assert traj.dt_mean > 0.0
     assert np.all(np.diff(traj.step_times) > 0.0)
@@ -127,7 +131,8 @@ def test_zero_horizon_run():
     traj = solver.run(cfg, D1, np.ones(101), np.zeros(101))
     assert traj.n_steps == 0
     assert traj.dt_mean == 0.0
-    assert len(traj.states) == 1
+    assert traj.times.tolist() == [0.0]
+    assert traj.n.shape == traj.J.shape == traj.E.shape == (1, 101)
 
 
 def test_run_is_deterministic():
@@ -136,10 +141,10 @@ def test_run_is_deterministic():
     x = np.linspace(0.0, 1.0, 101)
     a = solver.run(cfg, D, D(x), np.zeros(101))
     b = solver.run(cfg, D, D(x), np.zeros(101))
-    fa, fb = a.states[-1], b.states[-1]
-    assert np.array_equal(fa.n, fb.n)
-    assert np.array_equal(fa.J, fb.J)
-    assert np.array_equal(fa.E, fb.E)
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.n, b.n)
+    assert np.array_equal(a.J, b.J)
+    assert np.array_equal(a.E, b.E)
 
 
 def test_float_boundary_copies_neighbors():
@@ -147,10 +152,10 @@ def test_float_boundary_copies_neighbors():
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 101)
     traj = solver.run(cfg, D, D(x), np.zeros(101))
-    fin = traj.states[-1]
-    assert fin.n[0] == fin.n[1]
-    assert fin.n[-1] == fin.n[-2]
-    assert fin.J[0] == 0.0 and fin.J[-1] == 0.0
+    n, J = traj.n[-1], traj.J[-1]
+    assert n[0] == n[1]
+    assert n[-1] == n[-2]
+    assert J[0] == 0.0 and J[-1] == 0.0
 
 
 def test_dirichlet_boundary_pins_mollified_values():
@@ -158,9 +163,8 @@ def test_dirichlet_boundary_pins_mollified_values():
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 101)
     traj = solver.run(cfg, D, D(x), np.zeros(101))
-    fin = traj.states[-1]
-    assert fin.n[0] == traj.boundary_values[0]
-    assert fin.n[-1] == traj.boundary_values[1]
+    assert traj.n[-1, 0] == traj.boundary_values[0]
+    assert traj.n[-1, -1] == traj.boundary_values[1]
 
 
 def test_clamp_budget_blowup_carries_partial_trajectory():
@@ -170,7 +174,7 @@ def test_clamp_budget_blowup_carries_partial_trajectory():
         solver.run(cfg, D1, np.full(101, 1e-6), np.zeros(101), mollify=False)
     traj = exc.value.trajectory
     assert traj is not None
-    assert len(traj.states) >= 1
+    assert traj.times.size >= 1 and traj.n.shape == (traj.times.size, 101)
     assert exc.value.time > 0.0
 
 
@@ -193,7 +197,7 @@ def test_run_ends_exactly_at_T_final():
     cfg = _cfg(N=200, T_final=5.0, output_stride=10**9)
     traj = solver.run(cfg, D1, np.ones(201), np.zeros(201))
     assert traj.step_times[-1] == 5.0
-    assert traj.states[-1].t == 5.0
+    assert traj.times[-1] == 5.0
     assert np.all(np.diff(traj.step_times) > 0.0)
 
 
@@ -210,8 +214,8 @@ def test_rusanov_scheme_runs_and_dissipates():
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 101)
     traj = solver.run(cfg, D, D(x), np.zeros(101))
-    assert np.all(np.isfinite(traj.states[-1].n))
-    assert np.min(traj.states[-1].n) > 0.0
+    assert np.all(np.isfinite(traj.n[-1]))
+    assert np.min(traj.n[-1]) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +411,12 @@ def test_step_matches_plain_step_with_mms_forcing(scheme):
 
 
 @settings(max_examples=200, deadline=None)
-@given(y=hnp.arrays(np.float64, st.integers(1, 300),
+@given(y=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=300),
                     elements=st.floats(-1e6, 1e6, allow_nan=False)),
        dx=st.floats(1e-6, 1.0))
 def test_efield_helper_is_cumulative_trapezoid(y, dx):
-    assert _same_bits(solver._efield(y, dx),
-                      cumulative_trapezoid(y, dx=dx, initial=0.0))
+    # a 2-D y holds one row per snapshot; E runs along the last axis
+    expected = cumulative_trapezoid(y, dx=dx, initial=0.0, axis=-1)
+    assert _same_bits(solver._efield(y, dx), expected)
+    for row, e in zip(np.atleast_2d(y), np.atleast_2d(expected)):
+        assert _same_bits(solver._efield(row, dx), e)

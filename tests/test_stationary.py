@@ -9,7 +9,7 @@ import semihydro as sh
 from semihydro import stationary
 from semihydro.solver import SolverConfig
 from semihydro.stationary import (BracketError, DivergentTrial, InfeasibleTrial,
-                                  shoot, solve_stationary, solve_viscous_stationary)
+                                  solve_stationary, solve_viscous_stationary)
 
 SINE = sh.DopingProfile.sine(1.0, 0.5, 1.0)
 
@@ -52,25 +52,28 @@ def test_profile_grid_and_bounds():
     assert np.all(prof.N_tilde <= SINE.d_hi + 1e-6)
 
 
-def test_shoot_residual_monotone_in_boundary_density():
+def _trial(N0, m, N=200):
+    """One shooting trial from N(0) = N0 with solve_stationary's limits."""
+    d2 = SINE(np.linspace(0.0, 1.0, 2 * N + 1))
+    return stationary._integrate(N0, d2, m, N, SINE.d_lo / 10.0, 1e6 * SINE.d_hi)
+
+
+def test_integrate_residual_monotone_in_boundary_density():
     m = sh.GasModel(2.0)
-    res = []
-    for N0 in np.linspace(0.92, 1.6, 8):
-        _, r = shoot(N0, SINE, m, 200)
-        res.append(r)
+    res = [_trial(N0, m)[1][-1] for N0 in np.linspace(0.92, 1.6, 8)]
     assert np.all(np.diff(res) > 0.0)
     # and the residual changes sign inside the window
     assert res[0] < 0.0 < res[-1]
 
 
-def test_shoot_failure_modes():
+def test_integrate_failure_modes():
     m = sh.GasModel(1.5)
     with pytest.raises(InfeasibleTrial):
-        shoot(0.06, SINE, m, 200)
+        _trial(0.06, m)
     with pytest.raises(DivergentTrial):
-        shoot(5.0, SINE, m, 200)
-    with pytest.raises(ValueError, match="positive"):
-        shoot(-1.0, SINE, m, 200)
+        _trial(5.0, m)
+    with pytest.raises(InfeasibleTrial):
+        _trial(-1.0, m)
 
 
 def test_bracket_error_reports_residuals():
@@ -125,10 +128,9 @@ def test_viscous_state_is_a_fixed_point_of_the_step():
     traj = sh.run(cfg, SINE, prof.N_tilde, prof.J_tilde, mollify=False)
     assert traj.n_steps == 1
     dt = traj.step_times[-1]
-    fin = traj.states[-1]
     # the float closure's mass leak is the only motion: a uniform shift
-    assert np.max(np.abs(fin.n - prof.N_tilde - prof.leak_rate * dt)) <= 1e-12
-    assert np.max(np.abs(fin.J - prof.J_tilde)) <= 1e-12
+    assert np.max(np.abs(traj.n[-1] - prof.N_tilde - prof.leak_rate * dt)) <= 1e-12
+    assert np.max(np.abs(traj.J[-1] - prof.J_tilde)) <= 1e-12
     # steady continuity J_x = eps n_xx with n_x = 0 at the walls gives
     # J = eps n_x up to the leak and truncation
     J_expected = cfg.epsilon * np.gradient(prof.N_tilde, 1.0 / 200)
