@@ -13,7 +13,6 @@ import dataclasses
 import sys
 
 import numpy as np
-from scipy.interpolate import interp1d
 
 from . import diagnostics as diag
 from .config import ConfigError, ExperimentConfig, parse_config, parse_initial_spec
@@ -26,6 +25,35 @@ from .stationary import BracketError, solve_stationary
 # Phi below this is rounding noise around the fixed point; a decay fit
 # would regress on noise, so the check passes trivially instead.
 _PHI_FLOOR = 1e-20
+
+
+def interp1d(x, y):
+    """Piecewise-linear interpolant of the rows of y (K, M) at the strictly
+    increasing knots x (K,), K >= 2: a function that maps points x_new (P,)
+    to a (P, M) array and raises ValueError for a point outside
+    [x[0], x[-1]]. All three are float arrays.
+
+    This is scipy.interpolate.interp1d(x, y, axis=0, assume_sorted=True)
+    in numpy: the formula of its linear evaluation, so the same bits, and
+    the same out-of-range errors.
+    """
+    def evaluate(x_new):
+        below = x_new < x[0]
+        if below.any():
+            raise ValueError(f"A value ({x_new[np.argmax(below)]}) in x_new is below "
+                             f"the interpolation range's minimum value ({x[0]}).")
+        above = x_new > x[-1]
+        if above.any():
+            raise ValueError(f"A value ({x_new[np.argmax(above)]}) in x_new is above "
+                             f"the interpolation range's maximum value ({x[-1]}).")
+        hi = np.searchsorted(x, x_new).clip(1, len(x) - 1)
+        lo = hi - 1
+        x_lo = x[lo]
+        y_lo = y[lo]
+        slope = (y[hi] - y_lo) / (x[hi] - x_lo)[:, None]
+        return slope * (x_new - x_lo)[:, None] + y_lo
+
+    return evaluate
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
@@ -163,6 +191,9 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
         raise ConfigError(["sweep-eps needs at least 3 epsilon values"])
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ConfigError(["sweep-eps epsilon values must be strictly decreasing"])
+    if not cfg.T_final > 0.0:
+        # one snapshot per run leaves nothing to integrate in time
+        raise ConfigError([f"sweep-eps needs T_final > 0, got {cfg.T_final}"])
 
     D = DopingProfile.from_spec(cfg.doping_spec)
     x = np.linspace(0.0, 1.0, cfg.N + 1)
@@ -175,10 +206,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     resampled = []
     for eps in eps_values:
         traj = run(dataclasses.replace(base, epsilon=eps), D, n0, J0)
-        # the snapshot times increase, so the interpolants can use the
-        # trajectory's arrays as they are instead of sorted copies
-        resampled.append(tuple(interp1d(traj.times, f, axis=0, copy=False,
-                                        assume_sorted=True)(tgrid) for f in (traj.n, traj.J)))
+        resampled.append(tuple(interp1d(traj.times, f)(tgrid) for f in (traj.n, traj.J)))
         if verbose and not quiet:
             print(f"eps = {eps:g}: {traj.n_steps} steps")
         del traj  # free the snapshots before the next run

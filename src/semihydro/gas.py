@@ -7,7 +7,10 @@ fields take a particularly clean form in the Riemann invariants
     w = J/n + n**theta,    z = J/n - n**theta,    theta = (gamma - 1) / 2.
 
 Everything in this module is a pure function of the state and a GasModel;
-all operations broadcast over numpy arrays.
+all operations broadcast over numpy arrays. Only the kernel entropy pair
+(kernel_mass, kernel_second_moment, weak_entropy_pair) needs scipy.special,
+and imports it inside those functions, so importing this module loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import beta, roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class EntropyPairValue(NamedTuple):
 
 def _check_positive(n, what: str = "density"):
     n = np.asarray(n, dtype=float)
-    if np.any(n <= 0.0):
+    if (n <= 0.0).any():
         raise ValueError(f"vacuum or negative {what}: min = {np.min(n)}")
     return n
 
@@ -76,7 +78,7 @@ def _check_positive(n, what: str = "density"):
 def pressure(m: GasModel, n):
     """p(n) = p0 * n**gamma. Rejects negative density."""
     n = np.asarray(n, dtype=float)
-    if np.any(n < 0.0):
+    if (n < 0.0).any():
         raise ValueError(f"negative density: min = {np.min(n)}")
     return m.p0 * n**m.gamma
 
@@ -84,7 +86,7 @@ def pressure(m: GasModel, n):
 def pressure_derivative(m: GasModel, n):
     """p'(n) = p0 * gamma * n**(gamma-1); strictly increasing for n > 0."""
     n = np.asarray(n, dtype=float)
-    if np.any(n < 0.0):
+    if (n < 0.0).any():
         raise ValueError(f"negative density: min = {np.min(n)}")
     return m.p0 * m.gamma * n ** (m.gamma - 1.0)
 
@@ -115,7 +117,7 @@ def from_invariants(m: GasModel, w, z) -> FluidPoint:
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.any(w < z):
+    if (w < z).any():
         raise ValueError("invalid invariant pair: w < z")
     n = ((w - z) / 2.0) ** (1.0 / m.theta)
     return FluidPoint(n, n * (w + z) / 2.0)
@@ -134,7 +136,7 @@ def mechanical_energy(m: GasModel, n, J) -> EntropyPairValue:
     """
     n = np.asarray(n, dtype=float)
     J = np.asarray(J, dtype=float)
-    if np.any(n < 0.0):
+    if (n < 0.0).any():
         raise ValueError(f"negative density: min = {np.min(n)}")
     vac = n == 0.0
     if np.any(vac & (np.asarray(J) != 0.0)):
@@ -152,11 +154,15 @@ def mechanical_energy(m: GasModel, n, J) -> EntropyPairValue:
 
 def kernel_mass(m: GasModel) -> float:
     """Integral of (1 - s**2)**lam over [-1, 1], in closed form."""
+    from scipy.special import beta
+
     return float(beta(0.5, m.lam + 1.0))
 
 
 def kernel_second_moment(m: GasModel) -> float:
     """Integral of s**2 * (1 - s**2)**lam over [-1, 1], in closed form."""
+    from scipy.special import beta
+
     return float(beta(1.5, m.lam + 1.0))
 
 
@@ -183,6 +189,8 @@ def weak_entropy_pair(
     The rule is evaluated at `nodes` and `2*nodes` points as a convergence
     self-check; disagreement raises a warning and the finer value wins.
     """
+    from scipy.special import roots_jacobi
+
     n = _check_positive(n)
     J = np.asarray(J, dtype=float)
 

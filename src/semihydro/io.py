@@ -72,8 +72,9 @@ def write_stationary(path: str, prof) -> None:
             "iterations": prof.iterations,
         }) + "\n")
         fh.write("x,N_tilde,E_tilde\n")
-        for i in range(prof.x.size):
-            fh.write(f"{fmt(prof.x[i])},{fmt(prof.N_tilde[i])},{fmt(prof.E_tilde[i])}\n")
+        # each column formatted once, as fmt renders a float
+        cols = (map("%.17g".__mod__, a.tolist()) for a in (prof.x, prof.N_tilde, prof.E_tilde))
+        fh.write("".join(map("%s,%s,%s\n".__mod__, zip(*cols))))
 
 
 def ensure_dir(path: str) -> None:

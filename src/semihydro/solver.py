@@ -23,6 +23,9 @@ max speed as max|lambda| over both families, and the stencils exactly as
 the comments in _rhs spell them). In-place updates keep each operation's
 operands and their order, and divisions by 2 dx and dx**2 stay divisions.
 tests/test_solver.py checks the contract against a plain copy of the step.
+
+The module imports numpy alone: E comes from field._efield, which is
+scipy's cumulative_trapezoid formula in numpy.
 """
 
 from __future__ import annotations
@@ -33,12 +36,15 @@ from math import inf
 from typing import Optional
 
 import numpy as np
-# field._efield reproduces cumulative_trapezoid bit for bit; the name stays
-# importable here for the tests and the benchmark's tracer
-from scipy.integrate import cumulative_trapezoid  # noqa: F401
 
 from .field import DopingProfile, _efield, project_neutral
 from .gas import GasModel, eigenvalues, pressure
+
+# _advance takes E through this module-level name, so a wrapper bound to it
+# (the benchmark's per-layer tracer times the E integral that way) sees
+# every step. It is field._efield, scipy's cumulative_trapezoid formula in
+# numpy, and takes _efield's arguments (y, dx).
+cumulative_trapezoid = _efield
 
 
 class BlowupError(Exception):
@@ -252,7 +258,7 @@ def _rhs(n, J, E, t, m, cfg, x, dx, forcing):
 
 def _advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
     """One explicit step on raw arrays; returns (n, J, clamped_cells)."""
-    E = _efield(n - d_grid, dx)
+    E = cumulative_trapezoid(n - d_grid, dx)
     rhs_n, rhs_J = _rhs(n, J, E, t, m, cfg, x, dx, forcing)
 
     nn = np.empty_like(n)
@@ -486,8 +492,9 @@ def mms_convergence(cfg: SolverConfig, resolutions, solution: str = "standard") 
 
     Needs at least 3 resolutions, each double the last. The template
     config supplies epsilon, T_final, cfl_safety and the scheme variant;
-    its own N is ignored. With solution="constant" the exact solution is
-    the flat equilibrium and every error must be zero.
+    its own N is ignored, and T_final must be positive. With
+    solution="constant" the exact solution is the flat equilibrium and
+    every error must be zero.
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
@@ -497,6 +504,9 @@ def mms_convergence(cfg: SolverConfig, resolutions, solution: str = "standard") 
             raise ValueError(f"resolutions must double: {b} != 2 * {a}")
     if solution not in ("standard", "constant"):
         raise ValueError(f"unknown manufactured solution {solution!r}")
+    if not cfg.T_final > 0.0:
+        # no step would be taken, and the initial data match exactly
+        raise ValueError(f"mms needs T_final > 0, got {cfg.T_final}")
 
     m = GasModel(cfg.gamma)
     D = DopingProfile.constant(1.0)

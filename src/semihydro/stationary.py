@@ -17,6 +17,11 @@ At finite eps a run settles instead on the steady state of the discrete
 viscous scheme, which carries a current J ~ eps N_x and sits O(eps) away
 from the inviscid profile; solve_viscous_stationary computes it by Newton
 iteration on the scheme's own residual.
+
+scipy is imported at the top of the functions that call it:
+scipy.optimize in solve_stationary, scipy.sparse in the viscous Newton
+solve and its Jacobian builder. Importing this module loads numpy alone,
+and the first steady solve of a process pays the scipy import.
 """
 
 from __future__ import annotations
@@ -25,9 +30,6 @@ from dataclasses import dataclass
 from math import inf, isfinite
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
 
 from .solver import _rhs
 
@@ -162,6 +164,8 @@ def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
     constant doping in particular reproduces N = D exactly. `iterations`
     counts the trials integrated.
     """
+    from scipy.optimize import brentq
+
     d2 = D(np.linspace(0.0, 1.0, 2 * N + 1))
     floor = D.d_lo / 10.0
     cap = 1e6 * max(1.0, D.d_hi)
@@ -255,6 +259,8 @@ def _colored_jacobian(F, u, f0, row_node, col_node, col_field):
     row_node, plus the scalar last unknown. Perturbing one field at every
     third node at once therefore moves each row through a single column.
     """
+    from scipy.sparse import csc_matrix
+
     n_nodes = int(col_node.max()) + 1
     h_all = 1.5e-8 * np.maximum(1.0, np.abs(u))
     rows, cols, vals = [], [], []
@@ -299,6 +305,8 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     Starts from the inviscid profile and stops once a step no longer
     halves the residual; raises NewtonError if that leaves it above 1e-10.
     """
+    from scipy.sparse.linalg import spsolve
+
     if cfg.boundary != "float":
         raise ValueError("the viscous steady state is defined for boundary = float, "
                          f"got {cfg.boundary!r}")

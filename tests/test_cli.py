@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from types import SimpleNamespace
 
@@ -11,10 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.interpolate import interp1d
 
 from semihydro import cli, io
+from semihydro.config import parse_config
+from semihydro.field import DopingProfile
+from semihydro.gas import GasModel
 from semihydro.solver import BlowupError
-from semihydro.stationary import BracketError
+from semihydro.stationary import BracketError, solve_stationary
 
 EQUILIBRIUM = """
 [model]
@@ -199,6 +205,13 @@ def test_stationary_subcommand(eq_config, tmp_path):
     data = np.loadtxt(str(out / "stationary.csv"), delimiter=",", skiprows=2)
     assert data.shape == (101, 3)
     assert np.max(np.abs(data[:, 1] - 1.0)) < 1e-14
+    # the rows are the profile's values as fmt renders each one
+    cfg = parse_config(EQUILIBRIUM)
+    prof = solve_stationary(DopingProfile.from_spec(cfg.doping_spec), GasModel(cfg.gamma),
+                            cfg.N)
+    rows = "".join(f"{io.fmt(prof.x[i])},{io.fmt(prof.N_tilde[i])},{io.fmt(prof.E_tilde[i])}\n"
+                   for i in range(prof.x.size))
+    assert "\n".join(lines[2:]) + "\n" == rows
 
 
 def test_sweep_eps_validation(eq_config, tmp_path, capsys):
@@ -237,6 +250,93 @@ def test_sweep_eps_ends_at_T_final(tmp_path):
                          "--out-dir", str(out), "--quiet"])
     assert code == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_eps_zero_horizon_is_a_config_error(tmp_path, capsys):
+    # one snapshot per run leaves no time interval to measure a distance on
+    p = tmp_path / "sine.ini"
+    p.write_text(SINE_SMALL.replace("T_final = 2.0", "T_final = 0"))
+    out = tmp_path / "out"
+    code = cli.main(["sweep-eps", str(p), "--eps", "4e-3,2e-3,1e-3",
+                     "--out-dir", str(out)])
+    assert code == 4
+    assert "T_final > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mms_zero_horizon_is_a_config_error(tmp_path, capsys):
+    # without a step the errors are zero and would read as an exact solution
+    p = tmp_path / "mms.ini"
+    p.write_text(EQUILIBRIUM.replace("T_final = 1.5", "T_final = 0"))
+    out = tmp_path / "out"
+    code = cli.main(["mms", str(p), "--resolutions", "32,64,128", "--out-dir", str(out)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "T_final > 0" in captured.err
+    assert "exact" not in captured.out
+    assert not out.exists()
+
+
+_IMPORTS = """
+import sys
+import semihydro.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+# 0 or 1: the command ran to its verdict
+assert cli.main(["mms", sys.argv[1], "--resolutions", "16,32,64",
+                 "--out-dir", sys.argv[3], "--quiet"]) in (0, 1)
+assert cli.main(["sweep-eps", sys.argv[2], "--eps", "4e-3,2e-3,1e-3",
+                 "--out-dir", sys.argv[3], "--quiet"]) in (0, 1)
+print(scipy_modules())
+assert cli.main(["stationary", sys.argv[2], "--out-dir", sys.argv[3], "--quiet"]) == 0
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_only_the_steady_solve_imports_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded by other tests
+    mms = tmp_path / "mms.ini"
+    mms.write_text(EQUILIBRIUM.replace("T_final = 1.5", "T_final = 0.01"))
+    sine = tmp_path / "sine.ini"
+    sine.write_text(SINE_SMALL.replace("N = 100", "N = 32").replace("T_final = 2.0",
+                                                                    "T_final = 0.1"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS, str(mms), str(sine),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+
+
+_KNOTS = hnp.arrays(np.float64, st.integers(2, 50), unique=True,
+                    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KNOTS, st.integers(1, 5), st.data())
+def test_interp1d_is_scipy_interp1d(knots, M, data):
+    x = np.sort(knots)
+    y = data.draw(hnp.arrays(np.float64, (x.size, M),
+                             elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    inside = data.draw(hnp.arrays(np.float64, st.integers(0, 20),
+                                  elements=st.floats(x[0], x[-1])))
+    x_new = np.concatenate((inside, x[[0, -1]], x))
+    with np.errstate(over="ignore", invalid="ignore"):  # knots a few ulps apart
+        expected = interp1d(x, y, axis=0, copy=False, assume_sorted=True)(x_new)
+        got = cli.interp1d(x, y)(x_new)
+    assert got.shape == expected.shape == (x_new.size, M)
+    assert got.tobytes() == expected.tobytes()
+
+    outside = data.draw(st.sampled_from([np.nextafter(x[0], -np.inf),
+                                         np.nextafter(x[-1], np.inf)]))
+    for interp in (cli.interp1d(x, y), interp1d(x, y, axis=0, assume_sorted=True)):
+        with pytest.raises(ValueError, match="interpolation range"):
+            interp(np.append(inside, outside))
 
 
 def test_mms_constant_subcommand(eq_config, tmp_path, capsys):

@@ -42,6 +42,10 @@ def test_pressure_values(m2):
     assert gas.pressure(m2, 0.0) == 0.0
     with pytest.raises(ValueError, match="negative"):
         gas.pressure(m2, -0.1)
+    # a NaN must not hide the negative entry behind it (as a min() test would)
+    for f in (gas.pressure, gas.pressure_derivative):
+        with pytest.raises(ValueError, match="negative"):
+            f(m2, np.array([np.nan, -1.0]))
 
 
 def test_pressure_derivative_matches_finite_difference(m2):
@@ -89,6 +93,12 @@ def test_invariants_vacuum_edge(m2):
         gas.from_invariants(m2, -1.0, 1.0)
     with pytest.raises(ValueError, match="vacuum"):
         gas.to_invariants(m2, 0.0, 0.0)
+    # a NaN must not hide the invalid entry behind it
+    with pytest.raises(ValueError, match="w < z"):
+        gas.from_invariants(m2, np.array([np.nan, -1.0]), np.array([0.0, 1.0]))
+    for f in (gas.to_invariants, gas.eigenvalues):
+        with pytest.raises(ValueError, match="vacuum"):
+            f(m2, np.array([np.nan, -1.0]), np.zeros(2))
 
 
 def test_mechanical_energy_values(m2):
@@ -104,6 +114,8 @@ def test_mechanical_energy_values(m2):
         gas.mechanical_energy(m2, 0.0, 0.5)
     with pytest.raises(ValueError, match="negative"):
         gas.mechanical_energy(m2, -1.0, 0.0)
+    with pytest.raises(ValueError, match="negative"):
+        gas.mechanical_energy(m2, np.array([np.nan, -1.0]), np.zeros(2))
 
 
 @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
