@@ -194,6 +194,9 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     if not cfg.T_final > 0.0:
         # one snapshot per run leaves nothing to integrate in time
         raise ConfigError([f"sweep-eps needs T_final > 0, got {cfg.T_final}"])
+    # every run's config is built (and its epsilon checked) before the first run
+    base = _solver_config(cfg)
+    scfgs = [dataclasses.replace(base, epsilon=eps) for eps in eps_values]
 
     D = DopingProfile.from_spec(cfg.doping_spec)
     x = np.linspace(0.0, 1.0, cfg.N + 1)
@@ -201,14 +204,13 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     n0, J0 = _initial_arrays(cfg, D, x)
     n0 = project_neutral(n0, D, dx)
 
-    base = _solver_config(cfg)
     tgrid = np.linspace(0.0, cfg.T_final, 401)
     resampled = []
-    for eps in eps_values:
-        traj = run(dataclasses.replace(base, epsilon=eps), D, n0, J0)
+    for scfg in scfgs:
+        traj = run(scfg, D, n0, J0)
         resampled.append(tuple(interp1d(traj.times, f)(tgrid) for f in (traj.n, traj.J)))
         if verbose and not quiet:
-            print(f"eps = {eps:g}: {traj.n_steps} steps")
+            print(f"eps = {scfg.epsilon:g}: {traj.n_steps} steps")
         del traj  # free the snapshots before the next run
 
     dists = []

@@ -264,6 +264,24 @@ def test_sweep_eps_zero_horizon_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["4e-2,2e-2,0", "4e-2,2e-2,-1", "4e-2,nan,1e-2",
+                                 "inf,2e-2,1e-2"])
+def test_sweep_eps_rejects_a_bad_viscosity_before_any_run(eps, tmp_path, capsys,
+                                                          monkeypatch):
+    # NaN passes the decreasing check (every comparison with it is false);
+    # the epsilon check must still come before the valid leading runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("run called before every epsilon was checked")
+    monkeypatch.setattr(cli, "run", no_run)
+    p = tmp_path / "sine.ini"
+    p.write_text(SINE_SMALL)
+    out = tmp_path / "out"
+    code = cli.main(["sweep-eps", str(p), "--eps", eps, "--out-dir", str(out)])
+    assert code == 4
+    assert "epsilon must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mms_zero_horizon_is_a_config_error(tmp_path, capsys):
     # without a step the errors are zero and would read as an exact solution
     p = tmp_path / "mms.ini"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from semihydro import gas
@@ -84,6 +86,30 @@ def test_invariant_round_trip(gamma):
     n2, J2 = gas.from_invariants(m, w, z)
     assert np.allclose(n2, n, rtol=1e-12)
     assert np.allclose(J2, J, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       n=st.floats(1e-3, 1e3),
+       u=st.floats(-10.0, 10.0))
+def test_invariant_round_trip_property(gamma, n, u):
+    # The round trip is ill-conditioned in two places, so a flat 1e-12
+    # does not hold on this range. w - z = 2 n**theta cancels when
+    # |u| >> s = n**theta: rounding w and z leaves (w - z)/2 = s (1 + d)
+    # with |d| <= eps (2 + |u|/s), and the power 1/theta multiplies d, so
+    # |log(n2/n)| <= eps (2 + |u|/s) / theta. At gamma = 3, n = 1e-3 and
+    # |u| = 10 that is 2.2e-12; as gamma -> 1 it grows without bound. J2 =
+    # n2 (w + z)/2 adds the absolute rounding of (w + z)/2, eps (|u| + s).
+    # The asserted tolerances are twice these first-order bounds.
+    m = GasModel(gamma)
+    J = n * u
+    w, z = gas.to_invariants(m, n, J)
+    n2, J2 = gas.from_invariants(m, w, z)
+    ulp = np.finfo(float).eps
+    s = n**m.theta
+    tol = 2.0 * ulp * (2.0 + abs(u) / s) / m.theta
+    assert abs(np.log(n2 / n)) <= tol
+    assert abs(J2 - J) <= 2.0 * n * (np.expm1(tol) * abs(u) + ulp * (abs(u) + s))
 
 
 def test_invariants_vacuum_edge(m2):

@@ -269,6 +269,91 @@ def test_manufactured_forcing_matches_pde_residual():
             assert f_J(x, t) == pytest.approx(r_J, abs=1e-8)
 
 
+# The forcing as plain formulas, every factor evaluated on each call: the
+# reference for the bit contract of solver.manufactured_forcing, which
+# computes the x-only factors once per grid.
+def _plain_forcing(m, eps):
+    pi = np.pi
+
+    def f_n(x, t):
+        et = np.exp(-t)
+        n_t = -0.25 * np.sin(2.0 * pi * x) * et
+        J_x = 0.1 * (1.0 - et) * (pi * np.cos(pi * x) * x * (1.0 - x)
+                                  + np.sin(pi * x) * (1.0 - 2.0 * x))
+        n_xx = -pi * pi * np.sin(2.0 * pi * x) * et
+        return n_t + J_x - eps * n_xx
+
+    def f_J(x, t):
+        et = np.exp(-t)
+        s2, c2 = np.sin(2.0 * pi * x), np.cos(2.0 * pi * x)
+        sp, cp = np.sin(pi * x), np.cos(pi * x)
+        poly = x * (1.0 - x)
+        n = 1.0 + 0.25 * s2 * et
+        J = 0.1 * sp * poly * (1.0 - et)
+        n_x = 0.5 * pi * c2 * et
+        J_x = 0.1 * (1.0 - et) * (pi * cp * poly + sp * (1.0 - 2.0 * x))
+        J_t = 0.1 * sp * poly * et
+        J_xx = 0.1 * (1.0 - et) * (-pi * pi * sp * poly
+                                   + 2.0 * pi * cp * (1.0 - 2.0 * x) - 2.0 * sp)
+        E = 0.25 * et * (1.0 - c2) / (2.0 * pi)
+        conv_x = (2.0 * J * J_x * n - J * J * n_x) / (n * n)
+        p_x = m.p0 * m.gamma * n ** (m.gamma - 1.0) * n_x
+        return J_t + conv_x + p_x - eps * J_xx - n * E + J + 2.0 * eps * n_x
+
+    return f_n, f_J
+
+
+def _forcing_same_bits(forcing, plain, x, t):
+    return all(_same_bits(f(x, t), p(x, t)) for f, p in zip(forcing, plain))
+
+
+_interior_grids = st.integers(16, 800).map(lambda N: np.linspace(0.0, 1.0, N + 1)[1:-1])
+_sorted_points = hnp.arrays(np.float64, st.integers(1, 300),
+                            elements=st.floats(-2.0, 2.0)).map(np.sort)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(_interior_grids, _sorted_points),
+       ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+       gamma=st.floats(1.0, 3.0, exclude_min=True),
+       eps=st.floats(1e-6, 1.0))
+def test_forcing_has_the_bits_of_the_plain_formulas(x, ts, gamma, eps):
+    m = sh.GasModel(gamma)
+    forcing = solver.manufactured_forcing(m, eps)
+    plain = _plain_forcing(m, eps)
+    for t in ts:
+        assert _forcing_same_bits(forcing, plain, x, t)
+        # a fresh view of the same grid, as _rhs passes it every step
+        assert _forcing_same_bits(forcing, plain, x[:], t)
+
+
+def test_forcing_follows_the_grid_it_is_given():
+    m = sh.GasModel(2.0)
+    forcing = solver.manufactured_forcing(m, 0.02)
+    plain = _plain_forcing(m, 0.02)
+    a = np.linspace(0.0, 1.0, 101)[1:-1]
+    b = np.linspace(0.0, 1.0, 201)[1:-1]
+    c = a**2                                # same shape as a, other values
+    # the same closures alternate between grids
+    for x in (a, b, a, c, a, b):
+        for t in (0.0, 0.7):
+            assert _forcing_same_bits(forcing, plain, x, t)
+    # one buffer changed in place between calls
+    x = a.copy()
+    assert _forcing_same_bits(forcing, plain, x, 0.3)
+    x *= 0.5
+    assert _forcing_same_bits(forcing, plain, x, 0.3)
+    x[7] = 0.123
+    assert _forcing_same_bits(forcing, plain, x, 0.3)
+    x[:] = c
+    assert _forcing_same_bits(forcing, plain, x, 0.3)
+    # points equal as numbers but not as bits
+    for x in (np.array([0.0, 0.5]), np.array([-0.0, 0.5]), np.array([0.0, 0.5])):
+        assert _forcing_same_bits(forcing, plain, x, 0.3)
+    # a scalar point
+    assert _forcing_same_bits(forcing, plain, np.float64(0.3), 0.3)
+
+
 def test_mms_constant_solution_is_exact():
     cfg = _cfg(epsilon=0.02, T_final=0.2)
     rep = solver.mms_convergence(cfg, [32, 64, 128], solution="constant")
@@ -357,8 +442,9 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _march_both(cfg, D, n, J, forcing=None, steps=40):
+def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
     """Step the lean and the plain step side by side from the same state."""
+    plain_forcing = plain_forcing or forcing
     m = cfg.model()
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
@@ -370,7 +456,7 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40):
         dt = solver._dt(m, n, J, cfg, dx)
         assert _same_bits(dt, _plain_dt(m, n, J, cfg, dx))
         lean = solver._advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing)
-        plain = _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing)
+        plain = _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, plain_forcing)
         assert _same_bits(lean[0], plain[0]) and _same_bits(lean[1], plain[1])
         assert lean[2] == plain[2]
         assert _same_bits(solver._mass(lean[0], dx), float(np.trapezoid(plain[0], dx=dx)))
@@ -407,7 +493,8 @@ def test_step_matches_plain_step_with_mms_forcing(scheme):
     n_star, J_star = solver.manufactured_solution()
     x = np.linspace(0.0, 1.0, 65)
     forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon)
-    _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing)
+    _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
+                plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
 
 
 @settings(max_examples=200, deadline=None)
