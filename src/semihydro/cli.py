@@ -17,9 +17,8 @@ import numpy as np
 from . import diagnostics as diag
 from .config import ConfigError, ExperimentConfig, parse_config, parse_initial_spec
 from .field import DopingProfile, project_neutral
-from .gas import GasModel
 from .io import ensure_dir, fmt, write_reports, write_series_csv, write_snapshots, write_stationary
-from .solver import BlowupError, SolverConfig, mms_convergence, run
+from .solver import BlowupError, mms_convergence, run
 from .stationary import BracketError, solve_stationary
 
 # Phi below this is rounding noise around the fixed point; a decay fit
@@ -56,16 +55,6 @@ def interp1d(x, y):
     return evaluate
 
 
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    """The one mapping from an experiment config to the solver's settings."""
-    return SolverConfig(
-        gamma=cfg.gamma, epsilon=cfg.epsilon, N=cfg.N, T_final=cfg.T_final,
-        cfl_safety=cfg.cfl_safety, n_floor=cfg.n_floor,
-        output_stride=cfg.output_stride, scheme=cfg.scheme,
-        boundary=cfg.boundary, relaxation=cfg.relaxation,
-    )
-
-
 def _initial_arrays(cfg: ExperimentConfig, D: DopingProfile, x: np.ndarray):
     n_spec = parse_initial_spec(cfg.n0_spec)
     J_spec = parse_initial_spec(cfg.J0_spec)
@@ -75,16 +64,15 @@ def _initial_arrays(cfg: ExperimentConfig, D: DopingProfile, x: np.ndarray):
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> int:
-    m = GasModel(cfg.gamma)
+    m = cfg.model()
     D = DopingProfile.from_spec(cfg.doping_spec)
-    scfg = _solver_config(cfg)
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
     n0, J0 = _initial_arrays(cfg, D, x)
     n0 = project_neutral(n0, D, dx)
 
     try:
-        traj = run(scfg, D, n0, J0)
+        traj = run(cfg, D, n0, J0)
     except BlowupError as exc:
         # the snapshots taken before the blowup are the partial output
         if exc.trajectory is not None:
@@ -174,7 +162,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
 
 
 def cmd_stationary(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> int:
-    m = GasModel(cfg.gamma)
+    m = cfg.model()
     D = DopingProfile.from_spec(cfg.doping_spec)
     prof = solve_stationary(D, m, cfg.N)
     ensure_dir(out_dir)
@@ -195,8 +183,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
         # one snapshot per run leaves nothing to integrate in time
         raise ConfigError([f"sweep-eps needs T_final > 0, got {cfg.T_final}"])
     # every run's config is built (and its epsilon checked) before the first run
-    base = _solver_config(cfg)
-    scfgs = [dataclasses.replace(base, epsilon=eps) for eps in eps_values]
+    scfgs = [dataclasses.replace(cfg, epsilon=eps) for eps in eps_values]
 
     D = DopingProfile.from_spec(cfg.doping_spec)
     x = np.linspace(0.0, 1.0, cfg.N + 1)
@@ -231,8 +218,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
 
 def cmd_mms(cfg: ExperimentConfig, resolutions: list, solution: str,
             out_dir: str, quiet: bool, verbose: bool) -> int:
-    scfg = _solver_config(cfg)
-    report = mms_convergence(scfg, resolutions, solution=solution)
+    report = mms_convergence(cfg, resolutions, solution=solution)
     ensure_dir(out_dir)
     with open(f"{out_dir}/mms.csv", "w") as fh:
         fh.write("N,L2_error,observed_order\n")

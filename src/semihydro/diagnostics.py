@@ -118,7 +118,9 @@ class DensityBoundReport:
 def density_bound_check(traj, m: GasModel, M: float,
                         tol: float = 1e-9) -> DensityBoundReport:
     """max n <= ((3/2) M)**(1/theta) and |J| <= C n with C the largest
-    observed invariant magnitude."""
+    observed invariant magnitude. The region parameter M must be positive."""
+    if not M > 0.0:
+        raise ValueError(f"density bound needs a positive region parameter M, got {M}")
     bound = (1.5 * M) ** (1.0 / m.theta)
     max_n = float(np.max(traj.n))
     w, z = to_invariants(m, traj.n, traj.J)

@@ -6,7 +6,8 @@ The field is the running integral of the space charge,
 
 so E(1) equals the total neutrality defect integral(n - D). Doping
 profiles D(x) are positive continuous functions on [0, 1] given as one of
-constant, sinusoidal, or a linearly interpolated two-column table.
+constant, sinusoidal, or a linearly interpolated two-column table; initial
+data use the same grammar without the positivity requirement.
 """
 
 from __future__ import annotations
@@ -15,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SAMPLES = 2001  # dense sampling used to certify the positivity bounds
-
 
 @dataclass(frozen=True)
 class DopingProfile:
-    """A doping profile with certified bounds 0 < d_lo <= D(x) <= d_hi.
+    """A profile on [0, 1] with exact bounds d_lo <= D(x) <= d_hi.
 
-    Construct through the classmethods (constant, sine, table, from_spec);
-    the bounds are measured by dense sampling at construction time.
+    Construct through the classmethods (constant, sine, table, from_spec).
+    A doping profile must stay positive (0 < d_lo); initial data
+    (positive=False, or from_spec(text, "initial")) may take any finite value.
     """
 
     kind: str
@@ -32,70 +32,91 @@ class DopingProfile:
     d_hi: float
 
     @staticmethod
-    def _certify(kind: str, params: tuple, values: np.ndarray) -> "DopingProfile":
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"doping profile must be finite on [0,1], params = {params}")
-        lo = float(np.min(values))
-        hi = float(np.max(values))
-        if lo <= 0.0:
+    def _certify(kind: str, params: tuple, extremes, positive: bool) -> "DopingProfile":
+        """The profile whose bounds are the min and max of `extremes`, a set
+        of values that contains D's extremes on [0, 1]."""
+        lo = float(np.min(extremes))
+        hi = float(np.max(extremes))
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"profile must be finite on [0,1], params = {params}")
+        if positive and lo <= 0.0:
             raise ValueError(f"doping profile must stay positive on [0,1], min = {lo}")
         return DopingProfile(kind, params, lo, hi)
 
     @classmethod
-    def constant(cls, value: float) -> "DopingProfile":
+    def constant(cls, value: float, positive: bool = True) -> "DopingProfile":
         v = float(value)
-        return cls._certify("constant", (v,), np.array([v]))
+        return cls._certify("constant", (v,), [v], positive)
 
     @classmethod
-    def sine(cls, mean: float, amplitude: float, frequency: float) -> "DopingProfile":
-        p = (float(mean), float(amplitude), float(frequency))
-        x = np.linspace(0.0, 1.0, _SAMPLES)
-        return cls._certify("sine", p, p[0] + p[1] * np.sin(2.0 * np.pi * p[2] * x))
+    def sine(cls, mean: float, amplitude: float, frequency: float,
+             positive: bool = True) -> "DopingProfile":
+        p = mean, amp, freq = (float(mean), float(amplitude), float(frequency))
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"profile must be finite on [0,1], params = {p}")
+        if abs(freq) >= 1.0:
+            # a full period fits in [0, 1]
+            extremes = [mean - abs(amp), mean + abs(amp)]
+        else:
+            # the ends, and the critical points 2 pi freq x = pi/2 + k pi inside
+            theta = 2.0 * np.pi * freq
+            extremes = [mean, mean + amp * np.sin(theta)]
+            extremes += [mean + amp * (-1.0) ** k for k in range(-2, 2)
+                         if min(0.0, theta) < np.pi / 2.0 + k * np.pi < max(0.0, theta)]
+        return cls._certify("sine", p, extremes, positive)
 
     @classmethod
-    def table(cls, xs, ds) -> "DopingProfile":
+    def table(cls, xs, ds, positive: bool = True) -> "DopingProfile":
         xs = np.asarray(xs, dtype=float)
         ds = np.asarray(ds, dtype=float)
         if xs.ndim != 1 or xs.shape != ds.shape or xs.size < 2:
-            raise ValueError("doping table needs two equal-length columns with >= 2 rows")
+            raise ValueError("profile table needs two equal-length columns with >= 2 rows")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ds))):
+            raise ValueError("profile table holds a non-finite number")
         if np.any(np.diff(xs) <= 0.0):
-            raise ValueError("doping table x column must be strictly increasing")
+            raise ValueError("profile table x column must be strictly increasing")
         if xs[0] > 0.0 or xs[-1] < 1.0:
-            raise ValueError("doping table must cover [0, 1]")
+            raise ValueError("profile table must cover [0, 1]")
         p = (tuple(xs.tolist()), tuple(ds.tolist()))
-        x = np.linspace(0.0, 1.0, _SAMPLES)
-        return cls._certify("table", p, np.interp(x, xs, ds))
+        # D is linear between knots, so its extremes on [0, 1] are knots or ends
+        inside = ds[(xs >= 0.0) & (xs <= 1.0)]
+        return cls._certify("table", p, [*inside, *np.interp([0.0, 1.0], xs, ds)], positive)
 
     @classmethod
-    def from_table_file(cls, path: str) -> "DopingProfile":
+    def from_table_file(cls, path: str, positive: bool = True) -> "DopingProfile":
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError as exc:
-            raise ValueError(f"cannot read doping table {path!r}: {exc}") from exc
+            raise ValueError(f"cannot read profile table {path!r}: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"malformed doping table {path!r}: {exc}") from exc
+            raise ValueError(f"malformed profile table {path!r}: {exc}") from exc
         if data.shape[1] != 2:
-            raise ValueError(f"doping table {path!r} must have exactly two columns (x, D)")
-        return cls.table(data[:, 0], data[:, 1])
+            raise ValueError(f"profile table {path!r} must have exactly two columns (x, D)")
+        return cls.table(data[:, 0], data[:, 1], positive)
 
     @classmethod
-    def from_spec(cls, text: str) -> "DopingProfile":
-        """Parse `constant:<v>`, `sine:<mean>:<amp>:<freq>`, or `table:<path>`."""
+    def from_spec(cls, text: str, what: str = "doping") -> "DopingProfile":
+        """Parse `constant:<v>`, `sine:<mean>:<amp>:<freq>`, or `table:<path>`.
+
+        `what` names the spec in error messages; only a doping profile must
+        stay positive, initial data may take any finite value."""
+        positive = what == "doping"
         parts = text.strip().split(":")
         kind = parts[0]
         try:
             if kind == "constant" and len(parts) == 2:
-                return cls.constant(float(parts[1]))
+                return cls.constant(float(parts[1]), positive)
             if kind == "sine" and len(parts) == 4:
-                return cls.sine(float(parts[1]), float(parts[2]), float(parts[3]))
+                return cls.sine(float(parts[1]), float(parts[2]), float(parts[3]), positive)
             if kind == "table" and len(parts) == 2:
-                return cls.from_table_file(parts[1])
+                return cls.from_table_file(parts[1], positive)
         except ValueError as exc:
-            if "could not convert" in str(exc):
-                raise ValueError(f"non-numeric parameter in doping spec {text!r}") from exc
+            # float()'s message; a table file's own error is passed on as it is
+            if str(exc).startswith("could not convert"):
+                raise ValueError(f"non-numeric parameter in {what} spec {text!r}") from exc
             raise
         raise ValueError(
-            f"malformed doping spec {text!r}: expected constant:<v>, "
+            f"malformed {what} spec {text!r}: expected constant:<v>, "
             "sine:<mean>:<amp>:<freq>, or table:<path>"
         )
 

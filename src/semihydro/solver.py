@@ -31,8 +31,9 @@ scipy's cumulative_trapezoid formula in numpy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import inf
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -57,6 +58,53 @@ class BlowupError(Exception):
         self.trajectory = trajectory
 
 
+def _real(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+# (setting, test, rule) in the order SolverConfig checks them; a setting's
+# first failed test is its problem
+_RULES = (
+    ("epsilon", lambda v: _real(v) and 0.0 < v < inf, "must be positive and finite"),
+    ("N", _integer, "must be an integer"),
+    ("N", lambda v: v >= 16, "must be at least 16"),
+    ("T_final", lambda v: _real(v) and 0.0 <= v < inf, "must be nonnegative and finite"),
+    ("cfl_safety", lambda v: _real(v) and 0.0 < v <= 0.9, "must lie in (0, 0.9]"),
+    ("n_floor", lambda v: v is None or _real(v) and 0.0 <= v < inf,
+     "must be nonnegative and finite"),
+    ("output_stride", _integer, "must be an integer"),
+    ("output_stride", lambda v: v >= 1, "must be >= 1"),
+    ("scheme", lambda v: v in ("central", "rusanov"), "must be central or rusanov"),
+    ("boundary", lambda v: v in ("dirichlet", "float"), "must be dirichlet or float"),
+    ("relaxation", lambda v: v in ("explicit", "exp"), "must be explicit or exp"),
+)
+
+
+def setting_problems(settings: dict) -> dict:
+    """{name: message} for each SolverConfig setting in `settings` that has
+    the wrong type or lies out of range; absent settings are not checked.
+
+    SolverConfig raises the first message; parse_config reports them all.
+    """
+    problems = {}
+    if "gamma" in settings:
+        gamma = settings["gamma"]
+        try:
+            if not _real(gamma):
+                raise ValueError(f"gamma must be a number, got {gamma!r}")
+            GasModel(gamma)  # the gas model owns the range of gamma
+        except ValueError as exc:
+            problems["gamma"] = str(exc)
+    for name, test, rule in _RULES:
+        if name in settings and name not in problems and not test(settings[name]):
+            problems[name] = f"{name} {rule}, got {settings[name]!r}"
+    return problems
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     gamma: float
@@ -71,25 +119,10 @@ class SolverConfig:
     relaxation: str = "explicit"
 
     def __post_init__(self) -> None:
-        GasModel(self.gamma)  # range check
-        if not 0.0 < self.epsilon < inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.N < 16:
-            raise ValueError(f"N must be at least 16, got {self.N}")
-        if not 0.0 <= self.T_final < inf:
-            raise ValueError(f"T_final must be nonnegative and finite, got {self.T_final}")
-        if not 0.0 < self.cfl_safety <= 0.9:
-            raise ValueError(f"cfl_safety must lie in (0, 0.9], got {self.cfl_safety}")
-        if self.n_floor is not None and not 0.0 <= self.n_floor < inf:
-            raise ValueError(f"n_floor must be nonnegative and finite, got {self.n_floor}")
-        if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        if self.scheme not in ("central", "rusanov"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in ("dirichlet", "float"):
-            raise ValueError(f"unknown boundary treatment {self.boundary!r}")
-        if self.relaxation not in ("explicit", "exp"):
-            raise ValueError(f"unknown relaxation treatment {self.relaxation!r}")
+        problems = setting_problems({f.name: getattr(self, f.name)
+                                     for f in fields(SolverConfig)})
+        if problems:
+            raise ValueError(next(iter(problems.values())))
 
     def model(self) -> GasModel:
         return GasModel(self.gamma)

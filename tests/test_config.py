@@ -1,7 +1,10 @@
-"""Config parsing: full-field round trip, error accumulation, and a
-property test that any text parses or raises ConfigError."""
+"""Config parsing: full-field round trip, error accumulation, a property
+test that any text parses or raises ConfigError, and one that the parser
+and SolverConfig accept the same solver settings."""
 
+import dataclasses
 import math
+import string
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 
 from semihydro.config import (_KNOWN_KEYS, CHECK_NAMES, ConfigError,
                               ExperimentConfig, parse_config, parse_initial_spec)
+from semihydro.field import DopingProfile
+from semihydro.solver import SolverConfig, run
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -150,6 +155,16 @@ def test_diagnostics_validation():
     assert cfg.region_M == 12.0
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "-0.0"])
+def test_nonpositive_region_M_is_rejected(value):
+    # (1.5 M)**(1/theta) squares a negative M into a bound that may pass
+    text = (CONFIG_DIR / "equilibrium.ini").read_text()
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_with_key("diagnostics", "region_M", value, text))
+    assert exc.value.errors == [
+        f"[diagnostics] region_M must be auto or a positive number, got {value!r}"]
+
+
 def test_syntax_error_is_wrapped():
     with pytest.raises(ConfigError, match="config syntax"):
         parse_config("not an ini file at all\n")
@@ -259,3 +274,89 @@ def test_parse_config_returns_or_raises_config_error(text):
     for v in (cfg.gamma, cfg.epsilon, cfg.T_final, cfg.cfl_safety, cfg.lambda_margin,
               cfg.entropy_tol_factor, *cfg.fit_window):
         assert math.isfinite(v)
+
+
+def test_solver_keys_are_the_solver_config_fields():
+    names = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert _KNOWN_KEYS["model"] | _KNOWN_KEYS["solver"] == names
+    assert issubclass(ExperimentConfig, SolverConfig)
+
+
+_REQUIRED = ("gamma", "epsilon", "N", "T_final")
+_WRONG = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-10**9, 10**9),
+                   st.text(string.ascii_letters, max_size=8))
+# in range, and around each range's ends
+_GOOD = {
+    "gamma": st.floats(1.0, 3.0, exclude_min=True),
+    "epsilon": st.floats(0.0, 1.0, exclude_min=True),
+    "N": st.integers(16, 4000),
+    "T_final": st.floats(0.0, 50.0),
+    "cfl_safety": st.floats(0.0, 0.9, exclude_min=True),
+    "n_floor": st.one_of(st.none(), st.floats(0.0, 1.0)),
+    "output_stride": st.integers(1, 50),
+    "scheme": st.sampled_from(["central", "rusanov"]),
+    "boundary": st.sampled_from(["dirichlet", "float"]),
+    "relaxation": st.sampled_from(["explicit", "exp"]),
+}
+_EDGE = {
+    "gamma": st.floats(0.5, 3.5),
+    "epsilon": st.floats(-1.0, 1.0),
+    "N": st.integers(-5, 40),
+    "T_final": st.floats(-1.0, 1.0),
+    "cfl_safety": st.floats(-0.5, 1.5),
+    "n_floor": st.floats(-1.0, 1.0),
+    "output_stride": st.integers(-3, 3),
+    "scheme": st.sampled_from(["central", "rusanov", "upwind", "Central", ""]),
+    "boundary": st.sampled_from(["dirichlet", "float", "periodic"]),
+    "relaxation": st.sampled_from(["explicit", "exp", "implicit"]),
+}
+
+
+def _text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parser_and_solver_config_agree(data):
+    # up to three settings take a value near the ends of their range or of
+    # any type; None leaves a key out of the text, and a required setting is
+    # then passed as None while an optional one takes its default on both sides
+    wild = data.draw(st.sets(st.sampled_from(sorted(_GOOD)), max_size=3))
+    values = {k: data.draw(st.one_of(_EDGE[k], _WRONG) if k in wild else v)
+              for k, v in _GOOD.items()}
+    lines = ["[doping]", "profile = constant:1", "[model]"]
+    for name, value in values.items():
+        if name == "epsilon":
+            lines.append("[solver]")
+        if value is not None:
+            lines.append(f"{name} = {_text(value)}")
+    kwargs = {k: v for k, v in values.items() if v is not None or k in _REQUIRED}
+    try:
+        cfg = parse_config("\n".join(lines) + "\n")
+    except ConfigError:
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+        return
+    scfg = SolverConfig(**kwargs)
+    for f in dataclasses.fields(SolverConfig):
+        assert getattr(cfg, f.name) == getattr(scfg, f.name)
+
+
+def test_parsed_config_goes_into_run_and_replace():
+    cfg = parse_config(MINIMAL.replace("epsilon = 1e-3", "epsilon = 0.1")
+                       .replace("N = 200", "N = 32").replace("T_final = 5", "T_final = 0.05"))
+    D = DopingProfile.from_spec(cfg.doping_spec)
+    n0 = D(np.linspace(0.0, 1.0, cfg.N + 1))
+    traj = run(cfg, D, n0, np.zeros_like(n0))
+    plain = SolverConfig(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(SolverConfig)})
+    assert np.array_equal(traj.n, run(plain, D, n0, np.zeros_like(n0)).n)
+    finer = dataclasses.replace(cfg, gamma=1.5, N=64)
+    assert isinstance(finer, ExperimentConfig) and finer.doping_spec == cfg.doping_spec
+    assert (finer.gamma, finer.N, finer.model().gamma) == (1.5, 64, 1.5)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        dataclasses.replace(cfg, epsilon=0)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        dataclasses.replace(cfg, N=64.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.N = 64

@@ -72,6 +72,10 @@ def test_density_bound(eq_traj):
     assert rep.speed_constant == pytest.approx(1.0, abs=0.01)
     assert rep.current_ok and rep.passed
     assert not diag.density_bound_check(eq_traj, M2, 1e-4).passed
+    # a nonpositive M would square into a large bound: (1.5 * -3)**2 = 20.25
+    for M in (0.0, -3.0, np.nan):
+        with pytest.raises(ValueError, match="positive region parameter"):
+            diag.density_bound_check(eq_traj, M2, M)
 
 
 def test_entropy_residual_near_zero_at_equilibrium(eq_traj):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihydro import field
 from semihydro.field import DopingProfile
@@ -55,7 +57,7 @@ def test_table_file_round_trip(tmp_path):
         DopingProfile.from_table_file(str(tmp_path / "missing.csv"))
 
 
-def test_from_spec():
+def test_from_spec(tmp_path):
     D = DopingProfile.from_spec("constant:1.5")
     assert D.kind == "constant" and D.d_hi == 1.5
     D = DopingProfile.from_spec("sine:1:0.5:1")
@@ -66,6 +68,66 @@ def test_from_spec():
             DopingProfile.from_spec(text)
     with pytest.raises(ValueError, match="non-numeric"):
         DopingProfile.from_spec("constant:abc")
+    # a header line is the file's fault, not the spec's
+    p = tmp_path / "header.csv"
+    p.write_text("x,D\n0,1\n1,2\n")
+    with pytest.raises(ValueError, match="malformed profile table .*header.csv"):
+        DopingProfile.from_spec(f"table:{p}")
+
+
+def test_bounds_catch_extremes_between_samples():
+    # D = 1 + 2 sin(2000 pi x) reaches -1, and the table dips to -1 on a
+    # 1e-4-wide interval: both fall between the points of a 2001-point grid
+    with pytest.raises(ValueError, match="positive"):
+        DopingProfile.from_spec("sine:1:2:1000")
+    with pytest.raises(ValueError, match="positive"):
+        DopingProfile.table([0, 2e-4, 2.5e-4, 3e-4, 1], [1, 1, -1, 1, 1])
+    D = DopingProfile.sine(1.0, 0.5, 1.0)
+    assert (D.d_lo, D.d_hi) == (0.5, 1.5)
+
+
+def test_initial_data_share_the_grammar_without_positivity(tmp_path):
+    D = DopingProfile.from_spec("sine:0:-2:0.25", "initial")
+    assert (D.d_lo, D.d_hi) == (-2.0, 0.0)
+    assert DopingProfile.from_spec("constant:-0.3", "initial")(0.5) == -0.3
+    for text, match in (("wedge:1", "malformed initial spec"),
+                        ("constant:x", "non-numeric parameter in initial spec"),
+                        ("sine:1:0.5:-inf", "finite")):
+        with pytest.raises(ValueError, match=match):
+            DopingProfile.from_spec(text, "initial")
+    p = tmp_path / "J0.csv"
+    p.write_text("0.0,1.0\n0.5,nan\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        DopingProfile.from_spec(f"table:{p}", "initial")
+
+
+_DENSE = np.linspace(0.0, 1.0, 100_001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(-5.0, 5.0))
+def test_sine_bounds_are_the_extremes(mean, amp, freq):
+    D = DopingProfile.sine(mean, amp, freq, positive=False)
+    values = D(_DENSE)
+    # they enclose D (up to rounding in sin) and are attained: the dense
+    # grid misses an extreme by at most amp (2 pi freq dx)**2 / 2 < 1e-7
+    assert D.d_lo <= values.min() + 1e-12 and D.d_hi >= values.max() - 1e-12
+    assert D.d_lo >= values.min() - 1e-7 and D.d_hi <= values.max() + 1e-7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=12, unique=True),
+       st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
+def test_table_bounds_are_the_extremes(knots, ds):
+    xs = np.sort(np.array(knots + [0.0, 1.0]))
+    xs = xs[np.concatenate([[True], np.diff(xs) > 0.0])]
+    ds = np.resize(ds, xs.size)
+    D = DopingProfile.table(xs, ds, positive=False)
+    # attained at a knot or an end of [0, 1], and enclosing D up to rounding
+    ends_and_knots = D(np.concatenate([[0.0, 1.0], xs[(xs >= 0.0) & (xs <= 1.0)]]))
+    assert (D.d_lo, D.d_hi) == (ends_and_knots.min(), ends_and_knots.max())
+    values = D(_DENSE)
+    assert D.d_lo <= values.min() + 1e-12 and D.d_hi >= values.max() - 1e-12
 
 
 def test_field_from_matched_density_is_zero():

@@ -41,6 +41,16 @@ def test_config_validation():
         _cfg(relaxation="implicit")
     with pytest.raises(ValueError, match="output_stride"):
         _cfg(output_stride=0)
+    # integer settings take integers: a float N fails later in linspace, and
+    # a stride of 2.5 would record every fifth step (k % 2.5 == 0)
+    for key, bad in (("N", 100.0), ("N", True), ("N", "100"),
+                     ("output_stride", 2.5), ("output_stride", True)):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            _cfg(**{key: bad})
+    assert _cfg(N=np.int64(100), output_stride=np.int32(2)).N == 100
+    for key in ("gamma", "epsilon", "T_final", "cfl_safety", "n_floor"):
+        with pytest.raises(ValueError, match=f"{key} must"):
+            _cfg(**{key: "0.5"})
     for key in ("epsilon", "T_final", "n_floor"):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{key} must be .* finite"):
