@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from .config import ConfigError, ExperimentConfig, parse_config, parse_initial_spec
+from .config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config, parse_initial_spec
 from .field import DopingProfile, project_neutral
 from .io import ensure_dir, fmt, write_reports, write_series_csv, write_snapshots, write_stationary
 from .solver import BlowupError, mms_convergence, run
@@ -55,21 +55,30 @@ def interp1d(x, y):
     return evaluate
 
 
-def _initial_arrays(cfg: ExperimentConfig, D: DopingProfile, x: np.ndarray):
-    n_spec = parse_initial_spec(cfg.n0_spec)
-    J_spec = parse_initial_spec(cfg.J0_spec)
-    n0 = D(x) if n_spec == "doping-match" else n_spec(x)
-    J0 = D(x) if J_spec == "doping-match" else J_spec(x)
-    return np.asarray(n0, dtype=float), np.asarray(J0, dtype=float)
+def _initial_state(cfg: ExperimentConfig):
+    """The doping, the grid spacing and the neutral initial arrays (n0, J0)."""
+    D = DopingProfile.from_spec(cfg.doping_spec)
+    x = np.linspace(0.0, 1.0, cfg.N + 1)
+    dx = 1.0 / cfg.N
+    specs = (parse_initial_spec(cfg.n0_spec), parse_initial_spec(cfg.J0_spec))
+    n0, J0 = (np.asarray(D(x) if s == "doping-match" else s(x), dtype=float) for s in specs)
+    return D, dx, project_neutral(n0, D, dx), J0
+
+
+def _record_or_skip(check, name: str, enabled: bool) -> dict:
+    """check()'s record; a refusal (ValueError) aborts the run only when the
+    check is enabled, and is recorded as skipped otherwise."""
+    try:
+        return check().to_record()
+    except ValueError as exc:
+        if enabled:
+            raise
+        return {"name": name, "passed": True, "skipped": True, "note": str(exc)}
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> int:
     m = cfg.model()
-    D = DopingProfile.from_spec(cfg.doping_spec)
-    x = np.linspace(0.0, 1.0, cfg.N + 1)
-    dx = 1.0 / cfg.N
-    n0, J0 = _initial_arrays(cfg, D, x)
-    n0 = project_neutral(n0, D, dx)
+    D, dx, n0, J0 = _initial_state(cfg)
 
     try:
         traj = run(cfg, D, n0, J0)
@@ -88,19 +97,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
     region = diag.invariant_region_check(traj, m, M)
     density = diag.density_bound_check(traj, m, M)
 
-    # refusals (too-sparse snapshots, too-short fit windows) abort the run
-    # only when the corresponding check is enabled; a disabled check is
-    # recorded as skipped instead
-    try:
-        entropy = diag.entropy_residual(traj, m, tol_factor=cfg.entropy_tol_factor)
-        entropy_rec = entropy.to_record()
-        entropy_passed = entropy.passed
-    except ValueError as exc:
-        if "entropy" in cfg.checks:
-            raise
-        entropy_rec = {"name": "entropy_residual", "passed": True,
-                       "skipped": True, "note": str(exc)}
-        entropy_passed = True
+    # refusals: too-sparse snapshots, too-short fit windows
+    entropy_rec = _record_or_skip(
+        lambda: diag.entropy_residual(traj, m, tol_factor=cfg.entropy_tol_factor),
+        "entropy_residual", "entropy" in cfg.checks)
 
     phi = diag.phi_series(traj, stat)
     times = traj.times
@@ -108,18 +108,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
     if float(np.max(phi)) <= _PHI_FLOOR:
         decay_rec = {"name": "decay", "passed": True, "c": 0.0, "C": 0.0,
                      "r_squared": 1.0, "note": "already at steady state"}
-        decay_passed = True
     else:
-        try:
-            decay = diag.fit_decay_rate(times, phi, cfg.fit_window)
-            decay_rec = decay.to_record()
-            decay_passed = decay.passed
-        except ValueError as exc:
-            if "decay" in cfg.checks:
-                raise
-            decay_rec = {"name": "decay", "passed": True, "skipped": True,
-                         "note": str(exc)}
-            decay_passed = True
+        decay_rec = _record_or_skip(lambda: diag.fit_decay_rate(times, phi, cfg.fit_window),
+                                    "decay", "decay" in cfg.checks)
 
     max_n = float(traj.n.max())
     Lambda = D.d_hi + max_n + cfg.lambda_margin
@@ -135,19 +126,13 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
         [times, traj.mass[snap_idx], phi, lyap.L,
          region.per_snapshot_wbar, region.per_snapshot_zbar],
     )
+    # one record per check, in CHECK_NAMES order
     records = [region.to_record(), density.to_record(), entropy_rec,
                decay_rec, lyap.to_record(), mass.to_record()]
     write_reports(f"{out_dir}/reports.ndjson", records)
 
-    passed_by_name = {
-        "region": region.passed,
-        "density": density.passed,
-        "entropy": entropy_passed,
-        "decay": decay_passed,
-        "lyapunov": lyap.increases == 0,
-        "mass": True,
-    }
-    failures = [name for name in cfg.checks if not passed_by_name[name]]
+    passed = {name: rec["passed"] for name, rec in zip(CHECK_NAMES, records)}
+    failures = [name for name in cfg.checks if not passed[name]]
     if not quiet:
         for rec in records:
             tag = "pass" if rec["passed"] else "FAIL"
@@ -185,11 +170,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     # every run's config is built (and its epsilon checked) before the first run
     scfgs = [dataclasses.replace(cfg, epsilon=eps) for eps in eps_values]
 
-    D = DopingProfile.from_spec(cfg.doping_spec)
-    x = np.linspace(0.0, 1.0, cfg.N + 1)
-    dx = 1.0 / cfg.N
-    n0, J0 = _initial_arrays(cfg, D, x)
-    n0 = project_neutral(n0, D, dx)
+    D, dx, n0, J0 = _initial_state(cfg)
 
     tgrid = np.linspace(0.0, cfg.T_final, 401)
     resampled = []

@@ -408,26 +408,39 @@ class MassReport:
     mass: np.ndarray
     drift: float
     scale: float
+    bound: float | None = None      # None: advisory, the walls are not conservative
+
+    @property
+    def passed(self) -> bool:
+        return self.bound is None or self.drift <= self.bound
 
     def to_record(self) -> dict:
-        return {
+        rec = {
             "name": "mass",
-            "passed": True,
+            "passed": self.passed,
             "initial_mass": float(self.mass[0]),
             "drift": self.drift,
             "scale": self.scale,
         }
+        if self.bound is not None:
+            rec["bound"] = self.bound
+        return rec
 
 
 def mass_series(traj) -> MassReport:
     """Per-step trapezoid mass and the worst drift from the initial mass.
 
     The reported scale is drift / (0.05 * epsilon * T), the constant in
-    the advisory bound drift <= 0.05 * epsilon * T * scale.
+    the advisory bound drift <= 0.05 * epsilon * T * scale. Float walls
+    conserve the mass, so there the drift must stay within the rounding
+    bound 1e-13 * steps * initial mass; clamping to the floor adds mass
+    and breaks it. Dirichlet walls exchange mass, so there it is advisory.
     """
     drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
     T = float(traj.step_times[-1])
     eps = traj.config.epsilon
     scale = drift / (0.05 * eps * T) if T > 0.0 else 0.0
-    return MassReport(traj.step_times, traj.mass, drift, scale)
+    bound = (1e-13 * traj.n_steps * float(traj.mass[0])
+             if traj.config.boundary == "float" else None)
+    return MassReport(traj.step_times, traj.mass, drift, scale, bound)
 

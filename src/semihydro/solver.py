@@ -14,7 +14,9 @@ keep that cancellation at truncation order.
 Spatial discretization is second-order central by default, with a
 first-order local Lax-Friedrichs (Rusanov) hyperbolic flux as a variant.
 Time integration is explicit Euler under a three-way CFL bound
-(hyperbolic, parabolic, relaxation).
+(hyperbolic, parabolic, relaxation). Wall densities are held (dirichlet)
+or advanced as zero-flux half cells (float), which keeps the trapezoid
+mass to rounding.
 
 The step is written for speed but keeps a bit-identity contract: every
 array it produces equals, to the last bit, what the plain expressions
@@ -237,7 +239,9 @@ def cfl_dt(state: State, cfg: SolverConfig, dx: float, model: GasModel | None = 
 
 
 def _rhs(n, J, E, t, m, cfg, x, dx, forcing):
-    """Interior right-hand sides (rhs_n, rhs_J) of the semi-discrete system.
+    """Interior right-hand sides (rhs_n, rhs_J) of the semi-discrete system,
+    and the density fluxes h - eps (n[i+1] - n[i]) / dx through the faces
+    next to the walls, the ones rhs_n differences at nodes 1 and N-1.
 
     rhs_J leaves out the -J relaxation, which the step treats separately.
     The steady solver in the stationary module evaluates the same stencil.
@@ -253,6 +257,8 @@ def _rhs(n, J, E, t, m, cfg, x, dx, forcing):
         div_n /= 2.0 * dx                               # (J[2:] - J[:-2]) / (2 dx)
         div_J = f2[2:] - f2[:-2]
         div_J /= 2.0 * dx
+        h_lo = (J.item(0) + J.item(1)) / 2.0
+        h_hi = (J.item(-2) + J.item(-1)) / 2.0
     else:
         # Rusanov interface fluxes with the local spectral radius
         radius = np.abs(J / n) + m.theta * n**m.theta
@@ -261,6 +267,9 @@ def _rhs(n, J, E, t, m, cfg, x, dx, forcing):
         hat2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * a * (J[1:] - J[:-1])
         div_n = (hat1[1:] - hat1[:-1]) / dx
         div_J = (hat2[1:] - hat2[:-1]) / dx
+        h_lo, h_hi = hat1.item(0), hat1.item(-1)
+    wall_flux = (h_lo - eps * (n.item(1) - n.item(0)) / dx,
+                 h_hi - eps * (n.item(-1) - n.item(-2)) / dx)
 
     # rhs_n = -div_n + eps * lap_n,  lap_n = (n[2:] - 2 n[1:-1] + n[:-2]) / dx^2
     rhs_n = n[1:-1] * 2.0
@@ -286,13 +295,13 @@ def _rhs(n, J, E, t, m, cfg, x, dx, forcing):
         xi = x[1:-1]
         rhs_n += f_n(xi, t)
         rhs_J += f_J(xi, t)
-    return rhs_n, rhs_J
+    return rhs_n, rhs_J, wall_flux
 
 
 def _advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
     """One explicit step on raw arrays; returns (n, J, clamped_cells)."""
     E = cumulative_trapezoid(n - d_grid, dx)
-    rhs_n, rhs_J = _rhs(n, J, E, t, m, cfg, x, dx, forcing)
+    rhs_n, rhs_J, (flux_lo, flux_hi) = _rhs(n, J, E, t, m, cfg, x, dx, forcing)
 
     nn = np.empty_like(n)
     JJ = np.empty_like(J)
@@ -311,7 +320,9 @@ def _advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
     if cfg.boundary == "dirichlet":
         nn[0], nn[-1] = bvals
     else:
-        nn[0], nn[-1] = nn[1], nn[-2]
+        # zero-flux half cells of width dx/2: the trapezoid mass telescopes
+        nn[0] = n.item(0) - dt * flux_lo / (dx / 2.0)
+        nn[-1] = n.item(-1) + dt * flux_hi / (dx / 2.0)
     JJ[0] = 0.0
     JJ[-1] = 0.0
 

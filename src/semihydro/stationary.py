@@ -62,9 +62,8 @@ class StationaryProfile:
 
     For the inviscid profile J_tilde is zero, shoot_residual is |E(1)| and
     iterations counts shooting trials. For the viscous steady state
-    shoot_residual is the max-norm Newton residual, iterations counts
-    Newton steps, and leak_rate is the uniform density source the float
-    wall closure needs to hold the state at the requested mass.
+    shoot_residual is the max-norm Newton residual and iterations counts
+    Newton steps. leak_rate is always 0.0.
     """
 
     x: np.ndarray
@@ -230,34 +229,32 @@ def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
 
 
 def _viscous_residual(u, cfg, m, d_grid, x, dx, E_end):
-    """Steady residual of the time step with a uniform density source.
+    """Steady residual of the time step under the float closure.
 
-    u packs n (N+1 nodes), the interior J (N-1), E (N+1) and the source
-    lambda. Rows: the float closure n[0] = n[1] and n[N] = n[N-1], the
-    density equation rhs_n = lambda and the current equation rhs_J = J at
-    the interior nodes, E(0) = 0, the trapezoid recursion for E, and
-    E(1) = E_end, which fixes the mass.
+    u packs n (N+1 nodes), the interior J (N-1) and E (N+1). Rows: zero
+    density flux through the face next to x = 0, the density equation
+    rhs_n = 0 and the current equation rhs_J = J at the interior nodes,
+    E(0) = 0, the trapezoid recursion for E, and E(1) = E_end, which fixes
+    the mass. Zero flux at the face next to x = 1 follows by conservation.
     """
     N = cfg.N
     n = u[:N + 1]
     J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
-    E = u[2 * N:3 * N + 1]
-    lam = u[-1]
-    rhs_n, rhs_J = _rhs(n, J, E, 0.0, m, cfg, x, dx, None)
+    E = u[2 * N:]
+    rhs_n, rhs_J, (flux_lo, _) = _rhs(n, J, E, 0.0, m, cfg, x, dx, None)
     y = n - d_grid
     return np.concatenate((
-        [n[0] - n[1]], rhs_n - lam, [n[-1] - n[-2]],
-        rhs_J - J[1:-1],
+        [flux_lo], rhs_n, rhs_J - J[1:-1],
         [E[0]], E[1:] - E[:-1] - dx * (y[1:] + y[:-1]) / 2.0, [E[-1] - E_end],
     ))
 
 
 def _colored_jacobian(F, u, f0, row_node, col_node, col_field):
-    """Forward-difference Jacobian of F at u in ten evaluations of F.
+    """Forward-difference Jacobian of F at u in nine evaluations of F.
 
     Every row of F depends only on unknowns within one node of its own
-    row_node, plus the scalar last unknown. Perturbing one field at every
-    third node at once therefore moves each row through a single column.
+    row_node. Perturbing one field at every third node at once therefore
+    moves each row through a single column.
     """
     from scipy.sparse import csc_matrix
 
@@ -278,13 +275,6 @@ def _colored_jacobian(F, u, f0, row_node, col_node, col_field):
             rows.append(r)
             cols.append(j[r])
             vals.append(df[r] / h_all[j[r]])
-    up = u.copy()
-    up[-1] += h_all[-1]
-    df = F(up) - f0
-    r = np.nonzero(df)[0]
-    rows.append(r)
-    cols.append(np.full(r.size, u.size - 1))
-    vals.append(df[r] / h_all[-1])
     return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(u.size, u.size))
 
@@ -295,12 +285,8 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     Newton iteration on the steady residual of the time step (the same
     stencil run() advances) with E kept as an unknown through its
     trapezoid recursion, so the Jacobian stays sparse. The mass is
-    imposed through E(1) = mass - integral(D). The float closure does
-    not conserve mass exactly, so the system is squared by one uniform
-    source lambda in the density equation; it is returned as leak_rate,
-    the rate at which the closure drains (lambda < 0) or feeds
-    (lambda > 0) the mass at that state. One step of size dt from the
-    returned state moves n by lambda * dt and leaves J in place.
+    imposed through E(1) = mass - integral(D); the float walls conserve
+    it, so one step from the returned state moves n and J by rounding.
 
     Starts from the inviscid profile and stops once a step no longer
     halves the residual; raises NewtonError if that leaves it above 1e-10.
@@ -326,12 +312,12 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
 
     nodes = np.arange(N + 1)
     interior = nodes[1:-1]
-    row_node = np.concatenate((nodes, interior, [0], nodes[:-1], [N]))
+    row_node = np.concatenate(([0], interior, interior, [0], nodes[:-1], [N]))
     col_node = np.concatenate((nodes, interior, nodes))
     col_field = np.concatenate((np.zeros(N + 1, int), np.ones(N - 1, int),
                                 np.full(N + 1, 2)))
 
-    u = np.concatenate((guess.N_tilde, np.zeros(N - 1), guess.E_tilde, [0.0]))
+    u = np.concatenate((guess.N_tilde, np.zeros(N - 1), guess.E_tilde))
     f = F(u)
     res = float(np.max(np.abs(f)))
     iterations = 0
@@ -351,5 +337,5 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
         raise NewtonError(f"viscous steady Newton stalled at residual {res:.3e} "
                           f"> 1e-10 after {iterations} steps")
     J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
-    return StationaryProfile(x, u[:N + 1].copy(), u[2 * N:3 * N + 1].copy(), res,
-                             iterations, J_tilde=J, leak_rate=float(u[-1]))
+    return StationaryProfile(x, u[:N + 1].copy(), u[2 * N:].copy(), res,
+                             iterations, J_tilde=J)

@@ -60,9 +60,9 @@ def scenario():
 def viscous(scenario):
     """The scheme's viscous steady state each scenario run converges to.
 
-    The float wall closure leaks mass slowly, so the run drifts along the
-    family of viscous steady states indexed by mass; it approaches the
-    member with its own final mass.
+    The viscous steady states form a family indexed by mass. The float
+    walls conserve mass, so the run approaches the member with its own
+    mass; its final mass equals the initial one to rounding.
     """
     return {gamma: sh.solve_viscous_stationary(traj.config, DSINE, traj.mass[-1])
             for gamma, (traj, _, _) in scenario.items()}

@@ -1,10 +1,13 @@
 """Diagnostics: region margins, entropy residuals, Lyapunov and decay fits."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import semihydro as sh
 from semihydro import diagnostics as diag
+from semihydro.config import parse_config
 from semihydro.solver import SolverConfig, State
 from semihydro.stationary import StationaryProfile
 
@@ -215,4 +218,38 @@ def test_mass_series(eq_traj):
     assert rep.scale < 1e-9
     assert rep.mass.size == eq_traj.n_steps + 1
     assert rep.to_record()["name"] == "mass"
+
+
+def test_mass_check_passes_a_float_run(sine_traj):
+    rec = diag.mass_series(sine_traj).to_record()
+    assert rec["passed"]
+    assert rec["bound"] == 1e-13 * sine_traj.n_steps * sine_traj.mass[0]
+    assert rec["drift"] <= 1e-15
+
+
+def test_mass_check_fails_a_float_run_that_clamps():
+    # the floor lifts every cell below 0.6 and so adds mass; the run
+    # exceeds its clamp budget, and its partial trajectory is checked
+    cfg = SolverConfig(gamma=2.0, epsilon=1e-3, N=64, T_final=1.0, n_floor=0.6,
+                       boundary="float")
+    x = np.linspace(0.0, 1.0, 65)
+    with pytest.raises(sh.BlowupError, match="budget") as exc:
+        sh.run(cfg, DSINE, DSINE(x), np.zeros(65), mollify=False)
+    traj = exc.value.trajectory
+    assert traj.clamp_counts.sum() > 0
+    rec = diag.mass_series(traj).to_record()
+    assert not rec["passed"]
+    assert rec["drift"] > rec["bound"]
+
+
+def test_mass_check_is_advisory_for_dirichlet_walls():
+    text = (Path(__file__).resolve().parents[1] / "configs" / "equilibrium.ini").read_text()
+    cfg = parse_config(text)
+    assert cfg.boundary == "dirichlet"
+    D = sh.DopingProfile.from_spec(cfg.doping_spec)
+    x = np.linspace(0.0, 1.0, cfg.N + 1)
+    with pytest.warns(UserWarning, match="mollifier"):
+        traj = sh.run(cfg, D, D(x), np.zeros(cfg.N + 1))
+    rec = diag.mass_series(traj).to_record()
+    assert rec["passed"] and "bound" not in rec
 

@@ -157,15 +157,35 @@ def test_run_is_deterministic():
     assert np.array_equal(a.E, b.E)
 
 
-def test_float_boundary_copies_neighbors():
+def test_float_boundary_is_a_zero_flux_half_cell():
     cfg = _cfg(T_final=0.3, boundary="float")
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 101)
     traj = solver.run(cfg, D, D(x), np.zeros(101))
     n, J = traj.n[-1], traj.J[-1]
-    assert n[0] == n[1]
-    assert n[-1] == n[-2]
     assert J[0] == 0.0 and J[-1] == 0.0
+    # the wall densities move, and the trapezoid mass stays
+    assert n[0] != traj.n[0, 0] and n[-1] != traj.n[0, -1]
+    assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(coeffs=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+       current=st.floats(-0.3, 0.3),
+       scheme=st.sampled_from(["central", "rusanov"]),
+       relaxation=st.sampled_from(["explicit", "exp"]))
+def test_float_walls_conserve_mass(coeffs, current, scheme, relaxation):
+    # smooth positive data (each |coefficient| <= 0.3 keeps n >= 0.1):
+    # the float-wall trapezoid mass changes by rounding only
+    cfg = _cfg(N=64, epsilon=2e-3, T_final=0.2, scheme=scheme,
+               relaxation=relaxation, boundary="float", output_stride=10**9)
+    x = np.linspace(0.0, 1.0, 65)
+    n0 = 1.0 + sum(c * np.cos((k + 1) * np.pi * x) for k, c in enumerate(coeffs))
+    J0 = current * np.sin(np.pi * x)
+    traj = solver.run(cfg, D1, n0, J0, mollify=False)
+    assert traj.clamp_counts.sum() == 0
+    drift = np.max(np.abs(traj.mass - traj.mass[0]))
+    assert drift <= 1e-13 * traj.n_steps * traj.mass[0]
 
 
 def test_dirichlet_boundary_pins_mollified_values():
@@ -416,12 +436,19 @@ def _plain_rhs(n, J, E, t, m, cfg, x, dx, forcing):
         f_n, f_J = forcing
         rhs_n = rhs_n + f_n(x[1:-1], t)
         rhs_J = rhs_J + f_J(x[1:-1], t)
-    return rhs_n, rhs_J
+    # density fluxes through the faces next to the walls
+    if cfg.scheme == "central":
+        h_lo, h_hi = (J[0] + J[1]) / 2.0, (J[-2] + J[-1]) / 2.0
+    else:
+        h_lo, h_hi = hat1[0], hat1[-1]
+    flux_lo = h_lo - eps * (n[1] - n[0]) / dx
+    flux_hi = h_hi - eps * (n[-1] - n[-2]) / dx
+    return rhs_n, rhs_J, flux_lo, flux_hi
 
 
 def _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
     E = cumulative_trapezoid(n - d_grid, dx=dx, initial=0.0)
-    rhs_n, rhs_J = _plain_rhs(n, J, E, t, m, cfg, x, dx, forcing)
+    rhs_n, rhs_J, flux_lo, flux_hi = _plain_rhs(n, J, E, t, m, cfg, x, dx, forcing)
     nn = n.copy()
     JJ = J.copy()
     nn[1:-1] = n[1:-1] + dt * rhs_n
@@ -432,7 +459,8 @@ def _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
     if cfg.boundary == "dirichlet":
         nn[0], nn[-1] = bvals
     else:
-        nn[0], nn[-1] = nn[1], nn[-2]
+        nn[0] = n[0] - dt * flux_lo / (dx / 2.0)
+        nn[-1] = n[-1] + dt * flux_hi / (dx / 2.0)
     JJ[0] = 0.0
     JJ[-1] = 0.0
     clamped = int(np.sum(nn < cfg.floor))
