@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
+import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import diagnostics as diag
-from .config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config, parse_initial_spec
-from .field import DopingProfile, project_neutral
+from .config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config
+from .field import project_neutral
 from .io import ensure_dir, fmt, write_reports, write_series_csv, write_snapshots, write_stationary
 from .solver import BlowupError, mms_convergence, run
 from .stationary import BracketError, solve_stationary
@@ -57,11 +60,11 @@ def interp1d(x, y):
 
 def _initial_state(cfg: ExperimentConfig):
     """The doping, the grid spacing and the neutral initial arrays (n0, J0)."""
-    D = DopingProfile.from_spec(cfg.doping_spec)
+    D = cfg.doping
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
-    specs = (parse_initial_spec(cfg.n0_spec), parse_initial_spec(cfg.J0_spec))
-    n0, J0 = (np.asarray(D(x) if s == "doping-match" else s(x), dtype=float) for s in specs)
+    n0, J0 = (np.asarray(D(x) if s == "doping-match" else s(x), dtype=float)
+              for s in (cfg.n0, cfg.J0))
     return D, dx, project_neutral(n0, D, dx), J0
 
 
@@ -147,15 +150,41 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
 
 
 def cmd_stationary(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> int:
-    m = cfg.model()
-    D = DopingProfile.from_spec(cfg.doping_spec)
-    prof = solve_stationary(D, m, cfg.N)
+    prof = solve_stationary(cfg.doping, cfg.model(), cfg.N)
     ensure_dir(out_dir)
     write_stationary(f"{out_dir}/stationary.csv", prof)
     if not quiet:
         print(f"steady profile in {out_dir}/stationary.csv "
               f"(residual {prof.shoot_residual:.3e}, {prof.iterations} trials)")
     return 0
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_job(cfg: ExperimentConfig, D, n0, J0, tgrid):
+    """One run of a sweep, resampled: returns (outcome, warnings).
+
+    The outcome is (n, J, n_steps), with n and J resampled onto tgrid, each
+    (len(tgrid), N+1), or the BlowupError or ValueError the run raised; it
+    is returned, not raised, so that the warnings before it come along. The
+    warnings are the run's, as warnings.warn_explicit arguments, for the
+    caller to emit in eps order. A module-level function, so that a worker
+    process can run it.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            traj = run(cfg, D, n0, J0)
+            outcome = (*(interp1d(traj.times, f)(tgrid) for f in (traj.n, traj.J)),
+                       traj.n_steps)
+        except (BlowupError, ValueError) as exc:
+            outcome = exc
+    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
@@ -171,15 +200,41 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     scfgs = [dataclasses.replace(cfg, epsilon=eps) for eps in eps_values]
 
     D, dx, n0, J0 = _initial_state(cfg)
-
     tgrid = np.linspace(0.0, cfg.T_final, 401)
-    resampled = []
-    for scfg in scfgs:
-        traj = run(scfg, D, n0, J0)
-        resampled.append(tuple(interp1d(traj.times, f)(tgrid) for f in (traj.n, traj.J)))
-        if verbose and not quiet:
-            print(f"eps = {scfg.epsilon:g}: {traj.n_steps} steps")
-        del traj  # free the snapshots before the next run
+    jobs = [(scfg, D, n0, J0, tgrid) for scfg in scfgs]
+
+    # Worker processes take the first jobs (the largest eps, the most steps)
+    # and the caller runs the rest meanwhile. So the caller computes too, and
+    # the workers' results reach it after its largest run instead of adding
+    # to that run's peak memory. The outcomes are taken, and the first failure
+    # raised, in eps order, as if the jobs had run one by one.
+    workers = min(len(jobs) - 1, _usable_cpus() - 1)
+    pool = None
+    if workers > 0:
+        # imported here, so that import semihydro.cli stays numpy-only
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
+    try:
+        futures = [pool.submit(_sweep_job, *job) for job in jobs[:workers]]
+        own = []
+        for job in jobs[workers:]:
+            own.append(_sweep_job(*job))
+            if isinstance(own[-1][0], Exception):
+                break  # the runs after a failure are never reported
+        resampled = []
+        outcomes = itertools.chain((f.result() for f in futures), own)
+        for scfg, (outcome, caught) in zip(scfgs, outcomes):
+            for w in caught:
+                warnings.warn_explicit(*w)
+            if isinstance(outcome, Exception):
+                raise outcome
+            n_res, J_res, n_steps = outcome
+            resampled.append((n_res, J_res))
+            if verbose and not quiet:
+                print(f"eps = {scfg.epsilon:g}: {n_steps} steps")
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     dists = []
     for (na, Ja), (nb, Jb) in zip(resampled, resampled[1:]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from typing import Optional, Union
 
 from .field import DopingProfile
 from .solver import SolverConfig, setting_problems
@@ -43,11 +43,19 @@ class ConfigError(Exception):
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(SolverConfig):
     """The solver settings (checked by SolverConfig) plus the doping, the
-    initial data, the diagnostics and the output directory."""
+    initial data, the diagnostics and the output directory.
+
+    Each profile sits next to the spec text it was parsed from. parse_config
+    parses every spec once, so no command reads a spec or its table file
+    again, and dataclasses.replace copies the profiles as they are.
+    """
 
     doping_spec: str
+    doping: DopingProfile
     n0_spec: str = "doping-match"
+    n0: Union[DopingProfile, str] = "doping-match"  # parse_initial_spec(n0_spec)
     J0_spec: str = "constant:0"
+    J0: DopingProfile = DopingProfile.from_spec("constant:0", "initial")
     checks: tuple = CHECK_NAMES
     fit_window: tuple = (2.0, 18.0)
     lambda_margin: float = 1.5
@@ -132,7 +140,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("missing required key 'profile' in [doping]")
     else:
         try:
-            DopingProfile.from_spec(values["doping_spec"])
+            values["doping"] = DopingProfile.from_spec(values["doping_spec"])
         except ValueError as exc:
             errors.append(f"[doping] profile: {exc}")
 
@@ -142,7 +150,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         values[f"{key}_spec"] = spec
         try:
-            parse_initial_spec(spec)
+            values[key] = parse_initial_spec(spec)
         except ValueError as exc:
             errors.append(f"[initial] {key}: {exc}")
 

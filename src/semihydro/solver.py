@@ -59,6 +59,10 @@ class BlowupError(Exception):
         self.time = time
         self.trajectory = trajectory
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, the message alone here
+        return type(self), (str(self), self.cell, self.time, self.trajectory)
+
 
 def _real(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool)

@@ -1,6 +1,8 @@
 """End-to-end command-line harness tests: exit codes, files, determinism."""
 
+import dataclasses
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -214,6 +216,29 @@ def test_stationary_subcommand(eq_config, tmp_path):
     assert "\n".join(lines[2:]) + "\n" == rows
 
 
+def test_commands_use_the_profiles_parse_config_validated(tmp_path):
+    # a table file changed after parsing must not reach a run: the commands,
+    # and the copies dataclasses.replace makes, use the parsed profiles
+    doping, n0 = tmp_path / "doping.csv", tmp_path / "n0.csv"
+    doping.write_text("0.0,1.0\n0.5,1.5\n1.0,1.0\n")
+    n0.write_text("0.0,1.2\n1.0,0.9\n")
+    cfg = parse_config(EQUILIBRIUM.replace("constant:1", f"table:{doping}")
+                       + f"[initial]\nn0 = table:{n0}\n")
+    state = cli._initial_state(cfg)
+    assert cli.cmd_stationary(cfg, str(tmp_path / "before"), True, False) == 0
+    doping.write_text("0.0,-1.0\n1.0,-1.0\n")  # would fail validation
+    n0.unlink()
+    copy = dataclasses.replace(cfg, T_final=1.0)
+    assert copy.doping is cfg.doping and copy.n0 is cfg.n0
+    for c in (cfg, copy):
+        D, dx, n, J = cli._initial_state(c)
+        assert D is state[0] and dx == state[1]
+        assert np.array_equal(n, state[2]) and np.array_equal(J, state[3])
+    assert cli.cmd_stationary(copy, str(tmp_path / "after"), True, False) == 0
+    assert ((tmp_path / "after" / "stationary.csv").read_bytes()
+            == (tmp_path / "before" / "stationary.csv").read_bytes())
+
+
 def test_sweep_eps_validation(eq_config, tmp_path, capsys):
     code = cli.main(["sweep-eps", str(eq_config), "--eps", "1e-3,2e-3,4e-3",
                      "--out-dir", str(tmp_path / "o")])
@@ -236,6 +261,7 @@ def test_sweep_eps_small_case(tmp_path):
     assert len(rows) == 3
     d = [float(r.split(",")[2]) for r in rows[1:]]
     assert d[0] > d[1]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_eps_ends_at_T_final(tmp_path):
@@ -250,6 +276,75 @@ def test_sweep_eps_ends_at_T_final(tmp_path):
                          "--out-dir", str(out), "--quiet"])
     assert code == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this semihydro."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# semihydro's command line in a process that may run on one CPU only
+_ONE_CPU = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from semihydro import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _command(args, one_cpu=False):
+    code = _ONE_CPU if one_cpu else "import sys; from semihydro import cli; sys.exit(cli.main())"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and at least two usable CPUs")
+
+
+@needs_two_cpus
+def test_sweep_eps_on_one_cpu_matches_the_worker_processes(tmp_path):
+    # with two CPUs a worker process runs the largest eps; pinned to one CPU
+    # every run is the caller's, and the outputs must not tell the two apart
+    p = tmp_path / "sine.ini"
+    p.write_text(SINE_SMALL)
+    args = ["sweep-eps", str(p), "--eps", "4e-3,2e-3,1e-3", "--verbose"]
+    pool = _command([*args, "--out-dir", str(tmp_path / "pool")])
+    one = _command([*args, "--out-dir", str(tmp_path / "one")], one_cpu=True)
+    assert pool.returncode == one.returncode == 0, pool.stderr + one.stderr
+    assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
+            == (tmp_path / "one" / "sweep.csv").read_bytes())
+    # step lines and the relayed warnings come in eps order
+    assert pool.stdout == one.stdout
+    assert [line.split(":")[0] for line in pool.stdout.splitlines()[:3]] == \
+        ["eps = 0.004", "eps = 0.002", "eps = 0.001"]
+    assert pool.stderr == one.stderr
+    assert [line.split(" = ")[1] for line in pool.stderr.splitlines()
+            if "mollifier" in line] == [f"{w} cells clamped to 3" for w in ("0.40", "0.20", "0.10")]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("eps", ["1e-4,5e-5,2.5e-5", "4e-2,2e-2,1e-4"],
+                         ids=["every-run-fails", "last-run-fails"])
+def test_sweep_eps_blowup_exits_2_as_on_one_cpu(eps, tmp_path, capsys):
+    # eps 1e-4 reaches vacuum at t = 0.49 and the smaller two sooner, each
+    # with its own message; the first failure in eps order is the one
+    # reported, wherever it ran, after the warnings of the runs before it
+    p = tmp_path / "vacuum.ini"
+    p.write_text(VACUUM.format(floor="0").replace("T_final = 2", "T_final = 1"))
+    args = ["sweep-eps", str(p), "--eps", eps, "--out-dir", str(tmp_path / "o")]
+    with pytest.warns(UserWarning, match="mollifier width epsilon/dx = 0.02 "):
+        code = cli.main(args)
+    assert code == 2
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert err.startswith("solver blowup: vacuum at cell 2 (x = 0.0100), t = 0.491521")
+    one = _command(args, one_cpu=True)
+    assert one.returncode == 2
+    assert one.stderr.endswith(err)
 
 
 def test_sweep_eps_zero_horizon_is_a_config_error(tmp_path, capsys):
@@ -321,14 +416,21 @@ def test_only_the_steady_solve_imports_scipy(tmp_path):
     sine = tmp_path / "sine.ini"
     sine.write_text(SINE_SMALL.replace("N = 100", "N = 32").replace("T_final = 2.0",
                                                                     "T_final = 0.1"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _IMPORTS, str(mms), str(sine),
                            str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+
+
+def test_import_loads_no_process_pool():
+    # sweep-eps imports concurrent.futures only when it starts worker processes
+    code = ("import sys, semihydro.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 _KNOTS = hnp.arrays(np.float64, st.integers(2, 50), unique=True,

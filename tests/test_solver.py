@@ -1,5 +1,6 @@
 """Time integrator: config validation, mollifier, stepping, blowup, MMS."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -206,6 +207,23 @@ def test_clamp_budget_blowup_carries_partial_trajectory():
     assert traj is not None
     assert traj.times.size >= 1 and traj.n.shape == (traj.times.size, 101)
     assert exc.value.time > 0.0
+
+
+def test_blowup_error_survives_pickle():
+    # a sweep's worker process sends its blowup back to the caller pickled
+    cfg = _cfg(T_final=1.0)
+    with pytest.raises(BlowupError) as exc:
+        solver.run(cfg, D1, np.full(101, 1e-6), np.zeros(101), mollify=False)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is BlowupError and str(back) == str(exc.value)
+    assert (back.cell, back.time) == (exc.value.cell, exc.value.time)
+    sent, got = exc.value.trajectory, back.trajectory
+    assert (got.config, got.doping, got.boundary_values) == \
+        (sent.config, sent.doping, sent.boundary_values)
+    for name in ("times", "n", "J", "E", "step_times", "mass", "clamp_counts"):
+        assert np.array_equal(getattr(got, name), getattr(sent, name))
+    bare = pickle.loads(pickle.dumps(BlowupError("synthetic", 3, 0.25)))
+    assert (str(bare), bare.cell, bare.time, bare.trajectory) == ("synthetic", 3, 0.25, None)
 
 
 def test_vacuum_without_floor_raises_blowup():
