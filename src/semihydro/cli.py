@@ -9,6 +9,7 @@ failure, 4 configuration error or diagnostic refusal.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -20,7 +21,8 @@ import numpy as np
 from . import diagnostics as diag
 from .config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config
 from .field import project_neutral
-from .io import ensure_dir, fmt, write_reports, write_series_csv, write_snapshots, write_stationary
+from .io import (SnapshotStream, ensure_dir, fmt, write_reports, write_series_csv,
+                 write_snapshots, write_stationary)
 from .solver import BlowupError, mms_convergence, run
 from .stationary import BracketError, solve_stationary
 
@@ -83,15 +85,22 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
     m = cfg.model()
     D, dx, n0, J0 = _initial_state(cfg)
 
-    try:
-        traj = run(cfg, D, n0, J0)
-    except BlowupError as exc:
-        # the snapshots taken before the blowup are the partial output
-        if exc.trajectory is not None:
-            ensure_dir(out_dir)
-            write_snapshots(f"{out_dir}/snapshots.ndjson", exc.trajectory)
-            print(f"partial snapshots in {out_dir}/snapshots.ndjson", file=sys.stderr)
-        raise
+    # A writer process formats the snapshots, chunk by chunk, while the
+    # caller integrates; the caller then writes the rows of the last,
+    # partial chunk. After a blowup the file holds the snapshots taken
+    # before it, the partial output.
+    ensure_dir(out_dir)
+    path = f"{out_dir}/snapshots.ndjson"
+    with _worker_pool(min(1, _usable_cpus() - 1)) as pool:
+        stream = SnapshotStream(path, D(np.linspace(0.0, 1.0, cfg.N + 1)), dx, pool)
+        try:
+            traj = run(cfg, D, n0, J0, on_snapshot=stream)
+        except BlowupError as exc:
+            if exc.trajectory is not None:
+                write_snapshots(path, exc.trajectory, start=stream.wait())
+                print(f"partial snapshots in {path}", file=sys.stderr)
+            raise
+        write_snapshots(path, traj, start=stream.wait())
     stat = solve_stationary(D, m, cfg.N)
 
     M = cfg.region_M
@@ -120,8 +129,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
     lyap = diag.lyapunov(traj, stat, m, Lambda)
     mass = diag.mass_series(traj)
 
-    ensure_dir(out_dir)
-    write_snapshots(f"{out_dir}/snapshots.ndjson", traj)
     snap_idx = np.searchsorted(traj.step_times, times)
     write_series_csv(
         f"{out_dir}/series.csv",
@@ -166,14 +173,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A ProcessPoolExecutor of `workers` processes, or None if workers < 1.
+
+    On leaving, the pool is shut down and the jobs it has not started are
+    cancelled, so no worker process outlives the caller's block.
+    """
+    if workers < 1:
+        yield None
+        return
+    # imported here, so that import semihydro.cli stays numpy-only
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _module_name(filename: str):
+    """The name of the loaded module whose source is filename: the module
+    that warnings.warn names for a warning issued from that file."""
+    return next((name for name, module in list(sys.modules.items())
+                 if getattr(module, "__file__", None) == filename), None)
+
+
 def _sweep_job(cfg: ExperimentConfig, D, n0, J0, tgrid):
     """One run of a sweep, resampled: returns (outcome, warnings).
 
     The outcome is (n, J, n_steps), with n and J resampled onto tgrid, each
     (len(tgrid), N+1), or the BlowupError or ValueError the run raised; it
     is returned, not raised, so that the warnings before it come along. The
-    warnings are the run's, as warnings.warn_explicit arguments, for the
-    caller to emit in eps order. A module-level function, so that a worker
+    warnings are the run's, as warnings.warn_explicit arguments with the
+    issuing module's name, for the caller to emit in eps order, where the
+    caller's filters apply to them. A module-level function, so that a worker
     process can run it.
     """
     with warnings.catch_warnings(record=True) as caught:
@@ -184,7 +218,8 @@ def _sweep_job(cfg: ExperimentConfig, D, n0, J0, tgrid):
                        traj.n_steps)
         except (BlowupError, ValueError) as exc:
             outcome = exc
-    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return outcome, [(w.message, w.category, w.filename, w.lineno, _module_name(w.filename))
+                     for w in caught]
 
 
 def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
@@ -209,12 +244,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     # to that run's peak memory. The outcomes are taken, and the first failure
     # raised, in eps order, as if the jobs had run one by one.
     workers = min(len(jobs) - 1, _usable_cpus() - 1)
-    pool = None
-    if workers > 0:
-        # imported here, so that import semihydro.cli stays numpy-only
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers)
-    try:
+    with _worker_pool(workers) as pool:
         futures = [pool.submit(_sweep_job, *job) for job in jobs[:workers]]
         own = []
         for job in jobs[workers:]:
@@ -232,9 +262,6 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
             resampled.append((n_res, J_res))
             if verbose and not quiet:
                 print(f"eps = {scfg.epsilon:g}: {n_steps} steps")
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     dists = []
     for (na, Ja), (nb, Jb) in zip(resampled, resampled[1:]):

@@ -11,6 +11,11 @@ import os
 
 import numpy as np
 
+from .field import _efield
+
+# snapshot rows that SnapshotStream collects before it writes them as one chunk
+SNAPSHOT_CHUNK = 64
+
 
 def fmt(v) -> str:
     """Render one scalar; floats at 17 significant digits."""
@@ -36,12 +41,75 @@ def _json_floats(row) -> str:
     return "[" + ",".join(map("%.17g".__mod__, row.tolist())) + "]"
 
 
-def write_snapshots(path: str, traj) -> None:
-    """NDJSON, one object per snapshot: t and the n, J, E node arrays."""
-    with open(path, "w") as fh:
-        for t, n, J, E in zip(traj.times.tolist(), traj.n, traj.J, traj.E):
-            fh.write(f'{{"t":{fmt(t)},"n":{_json_floats(n)},"J":{_json_floats(J)},'
-                     f'"E":{_json_floats(E)}}}\n')
+def _snapshot_line(t, n, J, E) -> str:
+    """One snapshot as an NDJSON line: t and the n, J, E node arrays."""
+    return (f'{{"t":{fmt(t)},"n":{_json_floats(n)},"J":{_json_floats(J)},'
+            f'"E":{_json_floats(E)}}}\n')
+
+
+def write_snapshots(path: str, traj, start: int = 0) -> None:
+    """NDJSON, one object per snapshot: t and the n, J, E node arrays.
+
+    Writes the snapshots from index start on; with start > 0 they are
+    appended to the file that holds the ones before it.
+    """
+    with open(path, "a" if start else "w") as fh:
+        fh.writelines(map(_snapshot_line, traj.times[start:].tolist(), traj.n[start:],
+                          traj.J[start:], traj.E[start:]))
+
+
+def write_snapshot_chunk(path: str, mode: str, times, n, J, d_grid, dx: float) -> None:
+    """Write snapshot rows, times (K,) and n, J (K, N+1), to path opened
+    with mode ("w" or "a"), as the lines write_snapshots gives for them.
+
+    E is computed here as the run's trajectory computes it: the field of
+    n - d_grid, d_grid the doping on the grid, with the same bits row by row.
+    """
+    E = _efield(n - d_grid, dx)
+    with open(path, mode) as fh:
+        fh.writelines(map(_snapshot_line, times.tolist(), n, J, E))
+
+
+class SnapshotStream:
+    """Writes a run's snapshots to an NDJSON file while the run goes on.
+
+    Call it as solver.run's on_snapshot. Each time SNAPSHOT_CHUNK rows
+    have come in, it writes them with write_snapshot_chunk: through
+    pool.submit when a pool is given (an executor with one process, which
+    runs the chunks in order), in this process otherwise. The first chunk
+    replaces an earlier file. wait() returns the number of rows written
+    once every chunk is; write_snapshots(path, traj, start=that number)
+    then writes the rest, and the file holds the bytes write_snapshots
+    gives for the whole trajectory.
+    """
+
+    def __init__(self, path: str, d_grid, dx: float, pool=None):
+        self._path = path
+        self._d_grid = d_grid
+        self._dx = dx
+        self._pool = pool
+        self._rows = []         # the rows not yet written
+        self._written = 0
+        self._futures = []      # the pool's, one per chunk
+
+    def __call__(self, t: float, n, J) -> None:
+        self._rows.append((t, n, J))
+        if len(self._rows) < SNAPSHOT_CHUNK:
+            return
+        times, n, J = (np.array(f) for f in zip(*self._rows))
+        self._rows = []
+        args = (self._path, "a" if self._written else "w", times, n, J, self._d_grid,
+                self._dx)
+        self._written += SNAPSHOT_CHUNK
+        if self._pool is None:
+            write_snapshot_chunk(*args)
+        else:
+            self._futures.append(self._pool.submit(write_snapshot_chunk, *args))
+
+    def wait(self) -> int:
+        for future in self._futures:
+            future.result()
+        return self._written
 
 
 def write_series_csv(path: str, header: list, columns: list) -> None:

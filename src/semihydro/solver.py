@@ -370,9 +370,14 @@ def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float,
 
 
 def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
-        mollify: bool = True) -> Trajectory:
+        mollify: bool = True, on_snapshot=None) -> Trajectory:
     """Integrate from t = 0 to T_final, recording snapshots every
     output_stride steps plus the final state.
+
+    on_snapshot, if given, is called as on_snapshot(t, n, J) with each
+    snapshot as it is recorded, before the next step. So the calls made
+    before a BlowupError are exactly the rows of its trajectory. The
+    arrays are never changed afterwards, and may be kept without a copy.
 
     Initial data are expected charge neutral. Mollification lifts the
     density by epsilon, which alone would leave a neutrality defect of
@@ -400,7 +405,14 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
 
     # n and J are never changed in place: each step returns fresh arrays,
     # so the snapshot rows (t, n, J) can hold them as they are
-    rows = [(0.0, n, J)]
+    rows = []
+
+    def record(t, n, J):
+        rows.append((t, n, J))
+        if on_snapshot is not None:
+            on_snapshot(t, n, J)
+
+    record(0.0, n, J)
     step_times = [0.0]
     mass = [_mass(n, dx)]
     clamps = []
@@ -437,7 +449,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
             err.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
             raise err
         if last or k % cfg.output_stride == 0:
-            rows.append((t, n, J))
+            record(t, n, J)
 
     return _package(rows, step_times, mass, clamps, cfg, D, bvals)
 

@@ -21,7 +21,7 @@ from semihydro import cli, io
 from semihydro.config import parse_config
 from semihydro.field import DopingProfile
 from semihydro.gas import GasModel
-from semihydro.solver import BlowupError
+from semihydro.solver import BlowupError, run
 from semihydro.stationary import BracketError, solve_stationary
 
 EQUILIBRIUM = """
@@ -91,6 +91,7 @@ def test_run_equilibrium_exits_zero(eq_config, tmp_path, capsys):
              for line in (out / "reports.ndjson").read_text().splitlines()]
     assert names == ["invariant_region", "density_bound", "entropy_residual",
                      "decay", "lyapunov", "mass"]
+    assert multiprocessing.active_children() == []
 
 
 def test_run_is_byte_identical(eq_config, tmp_path):
@@ -123,6 +124,9 @@ def test_run_enabled_decay_with_short_horizon_refuses(tmp_path, capsys):
     code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "o")])
     assert code == 4
     assert "at least 10 samples" in capsys.readouterr().err
+    # the snapshots are written as the run goes, before the diagnostics
+    assert len((tmp_path / "o" / "snapshots.ndjson").read_text().splitlines()) > 64
+    assert multiprocessing.active_children() == []
 
 
 def test_run_with_sparse_snapshots_is_a_diagnostic_refusal(tmp_path, capsys):
@@ -144,6 +148,7 @@ def test_run_fails_with_tiny_region_m(tmp_path, capsys):
     code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
 
 
 def test_missing_config_exits_4(tmp_path, capsys):
@@ -173,17 +178,66 @@ def test_blowup_maps_to_exit_2(eq_config, monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("floor, message", [("0", "vacuum at cell"),
                                             ("1e-3", "clamping exceeded budget")])
-def test_blowup_exits_2_and_writes_partial_snapshots(tmp_path, capsys, floor, message):
+def test_blowup_exits_2_and_writes_partial_snapshots(tmp_path, capsys, monkeypatch,
+                                                     floor, message):
     p = tmp_path / "vacuum.ini"
     p.write_text(VACUUM.format(floor=floor))
-    out = tmp_path / "out"
+    cfg = parse_config(p.read_text())
+    D, _, n0, J0 = cli._initial_state(cfg)
+    with pytest.warns(UserWarning, match="mollifier"), pytest.raises(BlowupError) as exc:
+        run(cfg, D, n0, J0)
+    traj = exc.value.trajectory
+    assert traj.times.size > io.SNAPSHOT_CHUNK
+    io.write_snapshots(str(tmp_path / "expected.ndjson"), traj)
+    for cpus in ("pool", "one-cpu"):
+        if cpus == "one-cpu":
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        out = tmp_path / cpus
+        with pytest.warns(UserWarning, match="mollifier"):
+            code = cli.main(["run", str(p), "--out-dir", str(out), "--quiet"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (out / "series.csv").exists()
+        # the streamed file holds the snapshots of the blowup's partial trajectory
+        assert ((out / "snapshots.ndjson").read_bytes()
+                == (tmp_path / "expected.ndjson").read_bytes())
+
+
+def _config_with_snapshots(K: int):
+    """SINE_SMALL at N = 32 with T_final set so that run records K snapshots."""
+    cfg = parse_config(SINE_SMALL.replace("N = 100", "N = 32").replace(
+        "region, density, entropy, lyapunov, mass", "region, density, mass"))
+    D, _, n0, J0 = cli._initial_state(cfg)
     with pytest.warns(UserWarning, match="mollifier"):
-        code = cli.main(["run", str(p), "--out-dir", str(out), "--quiet"])
-    assert code == 2
-    assert message in capsys.readouterr().err
-    lines = (out / "snapshots.ndjson").read_text().splitlines()
-    assert json.loads(lines[0])["t"] == 0
-    assert not (out / "series.csv").exists()
+        probe = run(cfg, D, n0, J0)
+    # the same steps up to the (K-1)th, which now ends the run
+    return dataclasses.replace(cfg, T_final=float(probe.step_times[K - 1]))
+
+
+@pytest.mark.parametrize("cpus", ["pool", "one-cpu"])
+@pytest.mark.parametrize("K", [1, io.SNAPSHOT_CHUNK - 1, io.SNAPSHOT_CHUNK,
+                               io.SNAPSHOT_CHUNK + 1])
+def test_streamed_snapshots_are_those_write_snapshots_writes(K, cpus, tmp_path,
+                                                             monkeypatch):
+    # a writer process takes the full chunks and the caller writes the rest;
+    # the file must not tell where a chunk ended
+    if cpus == "one-cpu":
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    cfg = _config_with_snapshots(K)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "snapshots.ndjson").write_text("an earlier run's snapshots\n" * 100)
+    with pytest.warns(UserWarning, match="mollifier"):
+        assert cli.cmd_run(cfg, str(out), True, False) == 0
+    assert multiprocessing.active_children() == []
+    D, _, n0, J0 = cli._initial_state(cfg)
+    with pytest.warns(UserWarning, match="mollifier"):
+        traj = run(cfg, D, n0, J0)
+    assert traj.times.size == K
+    io.write_snapshots(str(tmp_path / "expected.ndjson"), traj)
+    assert ((out / "snapshots.ndjson").read_bytes()
+            == (tmp_path / "expected.ndjson").read_bytes())
 
 
 def test_bracket_failure_maps_to_exit_3(eq_config, monkeypatch, tmp_path, capsys):
@@ -193,6 +247,8 @@ def test_bracket_failure_maps_to_exit_3(eq_config, monkeypatch, tmp_path, capsys
     code = cli.main(["run", str(eq_config), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "stationary" in capsys.readouterr().err
+    assert len((tmp_path / "o" / "snapshots.ndjson").read_text().splitlines()) > 64
+    assert multiprocessing.active_children() == []
 
 
 def test_stationary_subcommand(eq_config, tmp_path):
@@ -294,9 +350,9 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def _command(args, one_cpu=False):
+def _command(args, one_cpu=False, flags=()):
     code = _ONE_CPU if one_cpu else "import sys; from semihydro import cli; sys.exit(cli.main())"
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
                           text=True, env=_src_env(), timeout=120)
 
 
@@ -345,6 +401,55 @@ def test_sweep_eps_blowup_exits_2_as_on_one_cpu(eps, tmp_path, capsys):
     one = _command(args, one_cpu=True)
     assert one.returncode == 2
     assert one.stderr.endswith(err)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["pool", "one-cpu"])
+def test_sweep_eps_warnings_obey_the_module_filter(one_cpu, tmp_path):
+    # the relayed warnings name the module that issued them, so a filter on
+    # semihydro.solver silences them wherever the runs ran
+    p = tmp_path / "sine.ini"
+    p.write_text(SINE_SMALL)
+    args = ["sweep-eps", str(p), "--eps", "4e-3,2e-3,1e-3", "--out-dir", str(tmp_path / "o")]
+    shown = _command(args, one_cpu)
+    quiet = _command(args, one_cpu, flags=["-W", "ignore::UserWarning:semihydro.solver"])
+    assert shown.returncode == quiet.returncode == 0, shown.stderr + quiet.stderr
+    assert shown.stderr.count("UserWarning: mollifier") == 3
+    assert quiet.stderr == ""
+
+
+# the calling script of a worker process that starts by spawning: the worker
+# imports it as __mp_main__, so its top level must be guarded
+_SPAWN = """
+import multiprocessing, sys
+from semihydro import cli
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("command, files", [
+    (["run", "{eq}"], ["snapshots.ndjson", "series.csv", "reports.ndjson"]),
+    (["sweep-eps", "{sine}", "--eps", "4e-3,2e-3,1e-3"], ["sweep.csv"]),
+], ids=["run", "sweep-eps"])
+def test_spawned_workers_write_the_same_bytes(command, files, tmp_path):
+    script = tmp_path / "guarded.py"
+    script.write_text(_SPAWN)
+    (tmp_path / "eq.ini").write_text(EQUILIBRIUM)
+    (tmp_path / "sine.ini").write_text(SINE_SMALL)
+    args = [a.format(eq=tmp_path / "eq.ini", sine=tmp_path / "sine.ini") for a in command]
+    spawned = subprocess.run([sys.executable, str(script), *args, "--out-dir",
+                              str(tmp_path / "spawn")], capture_output=True, text=True,
+                             env=_src_env(), timeout=120)
+    default = _command([*args, "--out-dir", str(tmp_path / "default")])
+    assert spawned.returncode == default.returncode == 0, spawned.stderr
+    assert spawned.stderr == default.stderr
+    for name in files:
+        assert ((tmp_path / "spawn" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes())
 
 
 def test_sweep_eps_zero_horizon_is_a_config_error(tmp_path, capsys):

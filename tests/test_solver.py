@@ -240,6 +240,42 @@ def test_vacuum_without_floor_raises_blowup():
     assert exc.value.time > 0.0
 
 
+def _recorder():
+    """An on_snapshot hook and the rows it was called with."""
+    rows = []
+    return rows, lambda t, n, J: rows.append((t, n.copy(), J.copy()))
+
+
+def _assert_rows_are_the_snapshots(rows, traj):
+    assert [t for t, _, _ in rows] == traj.times.tolist()
+    for k, name in ((1, "n"), (2, "J")):
+        assert np.array([row[k] for row in rows]).tobytes() == getattr(traj, name).tobytes()
+
+
+@pytest.mark.parametrize("floor, message", [(None, None), (0.0, "vacuum"),
+                                            (1e-3, "budget")])
+def test_on_snapshot_sees_every_recorded_row(floor, message):
+    # the hook's rows are the trajectory's, and after a blowup those of the
+    # partial trajectory it carries: no row is passed that it lacks. This
+    # density reaches vacuum near x = 0.09 by t = 0.55.
+    cfg = _cfg(epsilon=1e-4, N=200, T_final=2.0 if message else 0.2, boundary="float",
+               n_floor=floor, output_stride=3)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 201)
+    n0 = sh.project_neutral(1.0 + 0.99 * np.sin(2.0 * np.pi * x), D, 1.0 / 200)
+    rows, hook = _recorder()
+    with pytest.warns(UserWarning, match="mollifier"):
+        if message is None:
+            traj = solver.run(cfg, D, n0, np.zeros(201), on_snapshot=hook)
+            assert traj.times[-1] == cfg.T_final
+        else:
+            with pytest.raises(BlowupError, match=message) as exc:
+                solver.run(cfg, D, n0, np.zeros(201), on_snapshot=hook)
+            traj = exc.value.trajectory
+    assert traj.times.size > 10
+    _assert_rows_are_the_snapshots(rows, traj)
+
+
 def test_run_ends_exactly_at_T_final():
     # a plain CFL step would end this run 8.4e-14 short of T_final
     cfg = _cfg(N=200, T_final=5.0, output_stride=10**9)
