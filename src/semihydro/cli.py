@@ -3,7 +3,7 @@ verification.
 
 Subcommands: run, stationary, sweep-eps, mms. Exit codes: 0 all enabled
 checks passed, 1 a check failed, 2 solver blowup, 3 steady-state bracket
-failure, 4 configuration error or diagnostic refusal.
+failure, 4 configuration error, diagnostic refusal or I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import dataclasses
 import itertools
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config
 from .field import project_neutral
 from .io import (SnapshotStream, ensure_dir, fmt, write_reports, write_series_csv,
                  write_snapshots, write_stationary)
-from .solver import BlowupError, mms_convergence, run
+from .solver import BlowupError, initial_data, mms_convergence, run
 from .stationary import BracketError, solve_stationary
 
 # Phi below this is rounding noise around the fixed point; a decay fit
@@ -192,34 +191,13 @@ def _worker_pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _module_name(filename: str):
-    """The name of the loaded module whose source is filename: the module
-    that warnings.warn names for a warning issued from that file."""
-    return next((name for name, module in list(sys.modules.items())
-                 if getattr(module, "__file__", None) == filename), None)
-
-
-def _sweep_job(cfg: ExperimentConfig, D, n0, J0, tgrid):
-    """One run of a sweep, resampled: returns (outcome, warnings).
-
-    The outcome is (n, J, n_steps), with n and J resampled onto tgrid, each
-    (len(tgrid), N+1), or the BlowupError or ValueError the run raised; it
-    is returned, not raised, so that the warnings before it come along. The
-    warnings are the run's, as warnings.warn_explicit arguments with the
-    issuing module's name, for the caller to emit in eps order, where the
-    caller's filters apply to them. A module-level function, so that a worker
-    process can run it.
+def _sweep_job(cfg: ExperimentConfig, D, n, J, tgrid):
+    """One run of a sweep from its prepared start (n, J), resampled onto
+    tgrid: (n, J, n_steps), the fields each (len(tgrid), N+1). A
+    module-level function, so that a worker process can run it.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            traj = run(cfg, D, n0, J0)
-            outcome = (*(interp1d(traj.times, f)(tgrid) for f in (traj.n, traj.J)),
-                       traj.n_steps)
-        except (BlowupError, ValueError) as exc:
-            outcome = exc
-    return outcome, [(w.message, w.category, w.filename, w.lineno, _module_name(w.filename))
-                     for w in caught]
+    traj = run(cfg, D, n, J, mollify=False)
+    return (*(interp1d(traj.times, f)(tgrid) for f in (traj.n, traj.J)), traj.n_steps)
 
 
 def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
@@ -236,32 +214,33 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
 
     D, dx, n0, J0 = _initial_state(cfg)
     tgrid = np.linspace(0.0, cfg.T_final, 401)
-    jobs = [(scfg, D, n0, J0, tgrid) for scfg in scfgs]
+    # every run's start is mollified here, so that its warnings come in eps
+    # order, from this process, before the first run
+    jobs = [(scfg, D, *initial_data(scfg, D, n0, J0), tgrid) for scfg in scfgs]
 
     # Worker processes take the first jobs (the largest eps, the most steps)
     # and the caller runs the rest meanwhile. So the caller computes too, and
     # the workers' results reach it after its largest run instead of adding
-    # to that run's peak memory. The outcomes are taken, and the first failure
-    # raised, in eps order, as if the jobs had run one by one.
+    # to that run's peak memory. The results are taken, and the first failure
+    # raised, in eps order, as if the jobs had run one by one: a worker's by
+    # f.result(), the caller's own after the workers' results.
     workers = min(len(jobs) - 1, _usable_cpus() - 1)
     with _worker_pool(workers) as pool:
         futures = [pool.submit(_sweep_job, *job) for job in jobs[:workers]]
-        own = []
-        for job in jobs[workers:]:
-            own.append(_sweep_job(*job))
-            if isinstance(own[-1][0], Exception):
-                break  # the runs after a failure are never reported
+        own, failure = [], None
+        try:
+            for job in jobs[workers:]:
+                own.append(_sweep_job(*job))
+        except (BlowupError, ValueError) as exc:
+            failure = exc  # the runs after a failure are never reported
         resampled = []
-        outcomes = itertools.chain((f.result() for f in futures), own)
-        for scfg, (outcome, caught) in zip(scfgs, outcomes):
-            for w in caught:
-                warnings.warn_explicit(*w)
-            if isinstance(outcome, Exception):
-                raise outcome
-            n_res, J_res, n_steps = outcome
+        results = itertools.chain((f.result() for f in futures), own)
+        for scfg, (n_res, J_res, n_steps) in zip(scfgs, results):
             resampled.append((n_res, J_res))
             if verbose and not quiet:
                 print(f"eps = {scfg.epsilon:g}: {n_steps} steps")
+        if failure is not None:
+            raise failure
 
     dists = []
     for (na, Ja), (nb, Jb) in zip(resampled, resampled[1:]):
@@ -365,6 +344,9 @@ def main(argv=None) -> int:
     except BracketError as exc:
         print(f"stationary solve failed: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 4
     raise AssertionError(f"unhandled command {args.command}")
 
 

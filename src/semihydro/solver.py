@@ -219,6 +219,16 @@ def mollify_initial(n0, J0, epsilon: float, dx: float):
     return smooth(n0 + epsilon), smooth(J0)
 
 
+def initial_data(cfg: SolverConfig, D: DopingProfile, n0, J0):
+    """The arrays (n, J) that run(cfg, D, n0, J0) starts from: (n0, J0)
+    mollified, then projected charge neutral again, since the lift by
+    epsilon alone would leave a neutrality defect of epsilon (the field
+    diagnostics assume E(1) = 0 at t = 0). Warns as mollify_initial does."""
+    dx = 1.0 / cfg.N
+    n, J = mollify_initial(n0, J0, cfg.epsilon, dx)
+    return project_neutral(n, D(np.linspace(0.0, 1.0, cfg.N + 1)), dx), J
+
+
 def _mass(n, dx: float) -> float:
     """np.trapezoid(n, dx=dx) written out: the same formula and bits."""
     s = n[1:] + n[:-1]
@@ -379,12 +389,13 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     before a BlowupError are exactly the rows of its trajectory. The
     arrays are never changed afterwards, and may be kept without a copy.
 
-    Initial data are expected charge neutral. Mollification lifts the
-    density by epsilon, which alone would leave a neutrality defect of
-    exactly epsilon, so the mollified data are projected neutral again
-    before the run; the field diagnostics assume E(1) = 0 at t = 0.
-    Pass mollify=False to integrate the given data verbatim (used by the
-    manufactured-solution checks).
+    Initial data are expected charge neutral. The run starts from
+    initial_data(cfg, D, n0, J0); pass mollify=False to integrate the
+    given data verbatim instead (the manufactured-solution checks, or a
+    caller that prepared initial_data itself).
+
+    The steps ignore numpy's floating-point warnings: a state that turns
+    non-finite raises a BlowupError that names the cell.
     """
     m = cfg.model()
     N = cfg.N
@@ -397,8 +408,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
         raise ValueError(f"initial data must have {N + 1} nodes")
 
     if mollify:
-        n, J = mollify_initial(n, J, cfg.epsilon, dx)
-        n = project_neutral(n, d_grid, dx)
+        n, J = initial_data(cfg, D, n, J)
     bvals = (float(n[0]), float(n[-1]))
     J[0] = 0.0
     J[-1] = 0.0
@@ -421,35 +431,36 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     t = 0.0
     k = 0
     total_clamped = 0
-    while t < T - 1e-13:
-        dt = _dt(m, n, J, cfg, dx)
-        # a step that would stop within 1e-13 of T_final ends on it exactly
-        last = t + dt >= T - 1e-13
-        if last:
-            dt = T - t
-        try:
-            n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, x, dx,
-                                     bvals, forcing)
-        except BlowupError as exc:
-            exc.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
-            raise
-        t = T if last else t + dt
-        k += 1
-        total_clamped += clamped
-        step_times.append(t)
-        mass.append(_mass(n, dx))
-        clamps.append(clamped)
-        # clamping is a safety net, not a solution mode; a budget of
-        # 1e-3 * N * steps distinguishes stray cells from a broken run
-        if total_clamped > 1e-3 * N * k:
-            err = BlowupError(
-                f"positivity clamping exceeded budget ({total_clamped} cells "
-                f"over {k} steps)", int(np.argmin(n)), t,
-            )
-            err.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
-            raise err
-        if last or k % cfg.output_stride == 0:
-            record(t, n, J)
+    with np.errstate(all="ignore"):
+        while t < T - 1e-13:
+            dt = _dt(m, n, J, cfg, dx)
+            # a step that would stop within 1e-13 of T_final ends on it exactly
+            last = t + dt >= T - 1e-13
+            if last:
+                dt = T - t
+            try:
+                n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, x, dx,
+                                         bvals, forcing)
+            except BlowupError as exc:
+                exc.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
+                raise
+            t = T if last else t + dt
+            k += 1
+            total_clamped += clamped
+            step_times.append(t)
+            mass.append(_mass(n, dx))
+            clamps.append(clamped)
+            # clamping is a safety net, not a solution mode; a budget of
+            # 1e-3 * N * steps distinguishes stray cells from a broken run
+            if total_clamped > 1e-3 * N * k:
+                err = BlowupError(
+                    f"positivity clamping exceeded budget ({total_clamped} cells "
+                    f"over {k} steps)", int(np.argmin(n)), t,
+                )
+                err.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
+                raise err
+            if last or k % cfg.output_stride == 0:
+                record(t, n, J)
 
     return _package(rows, step_times, mass, clamps, cfg, D, bvals)
 

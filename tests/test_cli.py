@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -373,7 +374,7 @@ def test_sweep_eps_on_one_cpu_matches_the_worker_processes(tmp_path):
     assert pool.returncode == one.returncode == 0, pool.stderr + one.stderr
     assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
             == (tmp_path / "one" / "sweep.csv").read_bytes())
-    # step lines and the relayed warnings come in eps order
+    # step lines and the warnings come in eps order
     assert pool.stdout == one.stdout
     assert [line.split(":")[0] for line in pool.stdout.splitlines()[:3]] == \
         ["eps = 0.004", "eps = 0.002", "eps = 0.001"]
@@ -388,7 +389,8 @@ def test_sweep_eps_on_one_cpu_matches_the_worker_processes(tmp_path):
 def test_sweep_eps_blowup_exits_2_as_on_one_cpu(eps, tmp_path, capsys):
     # eps 1e-4 reaches vacuum at t = 0.49 and the smaller two sooner, each
     # with its own message; the first failure in eps order is the one
-    # reported, wherever it ran, after the warnings of the runs before it
+    # reported, wherever it ran, after the warnings of every run: each start
+    # is mollified before the first run
     p = tmp_path / "vacuum.ini"
     p.write_text(VACUUM.format(floor="0").replace("T_final = 2", "T_final = 1"))
     args = ["sweep-eps", str(p), "--eps", eps, "--out-dir", str(tmp_path / "o")]
@@ -401,13 +403,21 @@ def test_sweep_eps_blowup_exits_2_as_on_one_cpu(eps, tmp_path, capsys):
     one = _command(args, one_cpu=True)
     assert one.returncode == 2
     assert one.stderr.endswith(err)
+    # the blowup line ends stderr, after the warning of every eps whose
+    # width is clamped; a message is shown once per process, and 5e-5 and
+    # 2.5e-5 both read 0.01
+    widths = [line.split(" = ")[1] for line in one.stderr.splitlines()
+              if "UserWarning: mollifier" in line]
+    assert widths == list(dict.fromkeys(
+        f"{float(e) / (1.0 / 200):.2f} cells clamped to 3"
+        for e in eps.split(",") if round(float(e) / (1.0 / 200)) < 3))
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("one_cpu", [False, True], ids=["pool", "one-cpu"])
 def test_sweep_eps_warnings_obey_the_module_filter(one_cpu, tmp_path):
-    # the relayed warnings name the module that issued them, so a filter on
-    # semihydro.solver silences them wherever the runs ran
+    # the caller mollifies every start, so the warnings come from
+    # semihydro.solver in the calling process, wherever the runs ran
     p = tmp_path / "sine.ini"
     p.write_text(SINE_SMALL)
     args = ["sweep-eps", str(p), "--eps", "4e-3,2e-3,1e-3", "--out-dir", str(tmp_path / "o")]
@@ -416,6 +426,62 @@ def test_sweep_eps_warnings_obey_the_module_filter(one_cpu, tmp_path):
     assert shown.returncode == quiet.returncode == 0, shown.stderr + quiet.stderr
     assert shown.stderr.count("UserWarning: mollifier") == 3
     assert quiet.stderr == ""
+
+
+# two sweeps in one interpreter, which may run on one CPU only
+_TWO_SWEEPS = """
+import os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from semihydro import cli
+for out in ("first", "second"):
+    assert cli.main([*sys.argv[3:], "--out-dir", os.path.join(sys.argv[2], out)]) == 0
+"""
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("where", ["pool", "one-cpu"])
+def test_two_sweeps_in_one_process_warn_once(where, tmp_path):
+    # a warning is shown once per location and message in a process, so
+    # the second sweep, with the same widths, shows none
+    p = tmp_path / "sine.ini"
+    p.write_text(SINE_SMALL.replace("T_final = 2.0", "T_final = 0.5"))
+    args = ["sweep-eps", str(p), "--eps", "4e-3,2e-3,1e-3", "--quiet"]
+    proc = subprocess.run([sys.executable, "-c", _TWO_SWEEPS, where, str(tmp_path), *args],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split(" = ")[1] for line in proc.stderr.splitlines()
+            if "UserWarning: mollifier" in line] == \
+        [f"{w} cells clamped to 3" for w in ("0.40", "0.20", "0.10")]
+
+
+# |J0| = 1e160 overflows J * J on the first step
+NON_FINITE = SINE_SMALL + """
+[initial]
+J0 = sine:0:1e160:1
+"""
+
+
+@needs_two_cpus
+def test_non_finite_blowup_prints_no_numpy_warning(tmp_path):
+    # the run stops on its non-finite state with a BlowupError that names
+    # the cell; numpy's warnings on the way there are not shown, wherever
+    # the run ran
+    p = tmp_path / "nonfinite.ini"
+    p.write_text(NON_FINITE)
+    args = ["sweep-eps", str(p), "--eps", "4e-3,2e-3,1e-3", "--out-dir", str(tmp_path / "o")]
+    pool = _command(args)
+    one = _command(args, one_cpu=True)
+    assert pool.returncode == one.returncode == 2
+    assert pool.stderr == one.stderr
+    assert "RuntimeWarning" not in pool.stderr
+    assert "solver blowup: non-finite state at cell" in pool.stderr
+    cfg = parse_config(NON_FINITE)
+    D, _, n0, J0 = cli._initial_state(cfg)
+    with pytest.warns(UserWarning, match="mollifier"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowupError, match="non-finite"):
+            run(cfg, D, n0, J0)
 
 
 # the calling script of a worker process that starts by spawning: the worker
@@ -450,6 +516,24 @@ def test_spawned_workers_write_the_same_bytes(command, files, tmp_path):
     for name in files:
         assert ((tmp_path / "spawn" / name).read_bytes()
                 == (tmp_path / "default" / name).read_bytes())
+
+
+@pytest.mark.filterwarnings("ignore:mollifier width")
+@pytest.mark.parametrize("command", [
+    ["run", "{eq}"], ["stationary", "{eq}"],
+    ["sweep-eps", "{sine}", "--eps", "4e-3,2e-3,1e-3"],
+    ["mms", "{eq}", "--resolutions", "32,64,128", "--solution", "constant"],
+], ids=["run", "stationary", "sweep-eps", "mms"])
+def test_an_unwritable_out_dir_is_an_io_error(command, tmp_path, capsys):
+    # exit 1 means a check failed; an output that cannot be written is not that
+    (tmp_path / "eq.ini").write_text(EQUILIBRIUM)
+    (tmp_path / "sine.ini").write_text(SINE_SMALL.replace("T_final = 2.0", "T_final = 0.2"))
+    (tmp_path / "file").write_text("")
+    args = [a.format(eq=tmp_path / "eq.ini", sine=tmp_path / "sine.ini") for a in command]
+    code = cli.main([*args, "--out-dir", str(tmp_path / "file" / "sub")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_eps_zero_horizon_is_a_config_error(tmp_path, capsys):

@@ -158,6 +158,28 @@ def test_run_is_deterministic():
     assert np.array_equal(a.E, b.E)
 
 
+@pytest.mark.parametrize("eps, clamped", [(1e-3, True), (0.05, False)],
+                         ids=["clamped", "not-clamped"])
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "float"])
+def test_run_from_initial_data_is_the_mollified_run(boundary, scheme, eps, clamped):
+    # a caller that prepares the start itself runs the same bits
+    cfg = _cfg(N=64, epsilon=eps, T_final=0.1, scheme=scheme, boundary=boundary,
+               output_stride=5)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 65)
+    n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / 64)
+    J0 = 0.3 * np.sin(np.pi * x) ** 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        a = solver.run(cfg, D, n0, J0)
+        b = solver.run(cfg, D, *solver.initial_data(cfg, D, n0, J0), mollify=False)
+    assert [str(w.message)[:15] for w in caught] == ["mollifier width"] * (2 * clamped)
+    assert a.n_steps > 10
+    for name in ("times", "n", "J", "E", "step_times", "mass"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_float_boundary_is_a_zero_flux_half_cell():
     cfg = _cfg(T_final=0.3, boundary="float")
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
