@@ -22,7 +22,7 @@ from .config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config
 from .field import project_neutral
 from .io import (SnapshotStream, ensure_dir, fmt, write_reports, write_series_csv,
                  write_snapshots, write_stationary)
-from .solver import BlowupError, initial_data, mms_convergence, run
+from .solver import BlowupError, initial_data, mms_convergence, mms_resolutions, run
 from .stationary import BracketError, solve_stationary
 
 # Phi below this is rounding noise around the fixed point; a decay fit
@@ -217,6 +217,8 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
     # every run's start is mollified here, so that its warnings come in eps
     # order, from this process, before the first run
     jobs = [(scfg, D, *initial_data(scfg, D, n0, J0), tgrid) for scfg in scfgs]
+    # an unusable out_dir is reported before any run, a config error leaves none
+    ensure_dir(out_dir)
 
     # Worker processes take the first jobs (the largest eps, the most steps)
     # and the caller runs the rest meanwhile. So the caller computes too, and
@@ -247,7 +249,6 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
         space = np.trapezoid(np.abs(na - nb) + np.abs(Ja - Jb), dx=dx, axis=1)
         dists.append(float(np.trapezoid(space, x=tgrid)))
 
-    ensure_dir(out_dir)
     write_series_csv(f"{out_dir}/sweep.csv",
                      ["eps_coarse", "eps_fine", "l1_distance"],
                      [eps_values[:-1], eps_values[1:], dists])
@@ -260,8 +261,10 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eps_values: list, out_dir: str,
 
 def cmd_mms(cfg: ExperimentConfig, resolutions: list, solution: str,
             out_dir: str, quiet: bool, verbose: bool) -> int:
-    report = mms_convergence(cfg, resolutions, solution=solution)
+    # the arguments are checked before out_dir is made, and out_dir before any run
+    resolutions = mms_resolutions(cfg, resolutions, solution)
     ensure_dir(out_dir)
+    report = mms_convergence(cfg, resolutions, solution=solution)
     with open(f"{out_dir}/mms.csv", "w") as fh:
         fh.write("N,L2_error,observed_order\n")
         for k, (N, err) in enumerate(zip(report.resolutions, report.errors)):

@@ -154,7 +154,7 @@ def _efield(y, dx: float):
     np.add(y[..., 1:], y[..., :-1], out=s)
     s *= dx
     s /= 2.0                                            # dx * (y[1:] + y[:-1]) / 2.0
-    np.cumsum(s, axis=-1, out=s)
+    np.add.accumulate(s, axis=-1, out=s)                # np.cumsum without its wrapper
     return out
 
 

@@ -605,14 +605,11 @@ class MMSReport:
     exact: bool
 
 
-def mms_convergence(cfg: SolverConfig, resolutions, solution: str = "standard") -> MMSReport:
-    """Measure the observed convergence order against a manufactured solution.
+def mms_resolutions(cfg: SolverConfig, resolutions, solution: str = "standard") -> list:
+    """Check mms_convergence's arguments and return the resolutions as ints.
 
-    Needs at least 3 resolutions, each double the last. The template
-    config supplies epsilon, T_final, cfl_safety and the scheme variant;
-    its own N is ignored, and T_final must be positive. With
-    solution="constant" the exact solution is the flat equilibrium and
-    every error must be zero.
+    Raises ValueError unless there are at least 3 resolutions, each double
+    the last, the solution is known and T_final is positive.
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
@@ -625,7 +622,19 @@ def mms_convergence(cfg: SolverConfig, resolutions, solution: str = "standard") 
     if not cfg.T_final > 0.0:
         # no step would be taken, and the initial data match exactly
         raise ValueError(f"mms needs T_final > 0, got {cfg.T_final}")
+    return resolutions
 
+
+def mms_convergence(cfg: SolverConfig, resolutions, solution: str = "standard") -> MMSReport:
+    """Measure the observed convergence order against a manufactured solution.
+
+    Needs at least 3 resolutions, each double the last (mms_resolutions
+    checks the arguments). The template config supplies epsilon, T_final,
+    cfl_safety and the scheme variant; its own N is ignored, and T_final
+    must be positive. With solution="constant" the exact solution is the
+    flat equilibrium and every error must be zero.
+    """
+    resolutions = mms_resolutions(cfg, resolutions, solution)
     m = GasModel(cfg.gamma)
     D = DopingProfile.constant(1.0)
     if solution == "standard":

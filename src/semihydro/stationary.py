@@ -18,16 +18,16 @@ viscous scheme, which carries a current J ~ eps N_x and sits O(eps) away
 from the inviscid profile; solve_viscous_stationary computes it by Newton
 iteration on the scheme's own residual.
 
-scipy is imported at the top of the functions that call it:
-scipy.optimize in solve_stationary, scipy.sparse in the viscous Newton
-solve and its Jacobian builder. Importing this module loads numpy alone,
-and the first steady solve of a process pays the scipy import.
+The inviscid solve runs on numpy alone: its root finder, _brentq, is a
+line-for-line port of scipy's brentq, so it makes the same trials. scipy
+is imported only by the viscous Newton solve and its Jacobian builder,
+which use scipy.sparse, at the top of those functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import copysign, inf, isfinite
 
 import numpy as np
 
@@ -150,12 +150,77 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
     return Nt, Et
 
 
+def _signbit(v: float) -> bool:
+    return copysign(1.0, v) < 0.0
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f on [xa, xb] by Brent's method, as scipy's brentq computes it.
+
+    A line-for-line port of scipy's Zeros/brentq.c: the same trials in the
+    same order, the same returned root. f(xa) and f(xb) must differ in sign
+    (signbit, as brentq.c tests it) unless one of them is zero; past
+    maxiter the last trial is returned silently, as brentq(disp=False) does.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C gives an infinite or NaN step there, which the test below rejects
+                stry = inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    return xcur
+
+
 def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
     """Root of E(1) in N(0) on the bracket [d_lo/2, 2*d_hi], to |E(1)| <= tol.
 
     Trials that collapse or run away count as residuals -inf and +inf.
     The bracket is bisected until both ends are feasible, then Brent's
-    method (scipy's brentq) closes in on the root, and a last bisection
+    method (a port of scipy's brentq) closes in on the root, and a last bisection
     of the tightest sign-change pair of trials runs down to adjacent
     floats. The trial with the smallest |E(1)| is returned, so the profile
     is machine accurate whenever the residual is a smooth increasing
@@ -163,8 +228,6 @@ def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
     constant doping in particular reproduces N = D exactly. `iterations`
     counts the trials integrated.
     """
-    from scipy.optimize import brentq
-
     d2 = D(np.linspace(0.0, 1.0, 2 * N + 1))
     floor = D.d_lo / 10.0
     cap = 1e6 * max(1.0, D.d_hi)
@@ -215,8 +278,8 @@ def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
     if best[0] != 0.0 and feasible():
         # no trial inside a feasible bracket aborts (a larger N(0) gives a
         # larger N everywhere), and the bisection below keeps the result
-        # exact whatever points brentq picks
-        brentq(residual, lo, hi, xtol=5e-324, rtol=4.0 * np.finfo(float).eps, disp=False)
+        # exact whatever points Brent's method picks
+        _brentq(residual, lo, hi, xtol=5e-324, rtol=4.0 * np.finfo(float).eps)
     bisect(lambda: False)
     res_abs, sol = best
     if sol is None or res_abs > tol:

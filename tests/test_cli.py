@@ -536,6 +536,32 @@ def test_an_unwritable_out_dir_is_an_io_error(command, tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.filterwarnings("ignore:mollifier width")
+@pytest.mark.parametrize("command, integrator", [
+    (["sweep-eps", "{sine}", "--eps", "4e-3,2e-3,1e-3,5e-4"], "run"),
+    (["mms", "{eq}", "--resolutions", "100,200,400"], "mms_convergence"),
+], ids=["sweep-eps", "mms"])
+def test_an_unwritable_out_dir_is_reported_before_any_run(command, integrator, tmp_path,
+                                                          capsys, monkeypatch):
+    (tmp_path / "eq.ini").write_text(EQUILIBRIUM)
+    (tmp_path / "sine.ini").write_text(SINE_SMALL)
+    (tmp_path / "file").write_text("")
+    calls = []
+    real = getattr(cli, integrator)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, integrator, counted)
+    args = [a.format(eq=tmp_path / "eq.ini", sine=tmp_path / "sine.ini") for a in command]
+    code = cli.main([*args, "--out-dir", str(tmp_path / "file" / "sub")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    assert calls == []
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_eps_zero_horizon_is_a_config_error(tmp_path, capsys):
     # one snapshot per run leaves no time interval to measure a distance on
     p = tmp_path / "sine.ini"
@@ -594,22 +620,28 @@ assert cli.main(["sweep-eps", sys.argv[2], "--eps", "4e-3,2e-3,1e-3",
                  "--out-dir", sys.argv[3], "--quiet"]) in (0, 1)
 print(scipy_modules())
 assert cli.main(["stationary", sys.argv[2], "--out-dir", sys.argv[3], "--quiet"]) == 0
-print("scipy.optimize" in sys.modules)
+print(scipy_modules())
+assert cli.main(["run", sys.argv[4], "--out-dir", sys.argv[3], "--quiet"]) == 0
+print(scipy_modules())
 """
 
 
-def test_only_the_steady_solve_imports_scipy(tmp_path):
-    # a fresh interpreter: this one has scipy loaded by other tests
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded by other tests. The
+    # steady solve's root finder is a port of scipy's brentq, so no
+    # command pays the scipy import.
     mms = tmp_path / "mms.ini"
     mms.write_text(EQUILIBRIUM.replace("T_final = 1.5", "T_final = 0.01"))
     sine = tmp_path / "sine.ini"
     sine.write_text(SINE_SMALL.replace("N = 100", "N = 32").replace("T_final = 2.0",
                                                                     "T_final = 0.1"))
+    run = tmp_path / "run.ini"
+    run.write_text(SINE_SMALL)
     proc = subprocess.run([sys.executable, "-c", _IMPORTS, str(mms), str(sine),
-                           str(tmp_path / "out")],
+                           str(tmp_path / "out"), str(run)],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+    assert proc.stdout.splitlines() == ["[]"] * 4
 
 
 def test_import_loads_no_process_pool():

@@ -1,9 +1,13 @@
 """Steady-profile shooting, root finding and the viscous steady state."""
 
+import dis
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import semihydro as sh
 from semihydro import stationary
@@ -297,3 +301,104 @@ def test_solve_matches_plain_reference_end_to_end():
     prof = solve_stationary(SINE, m, 400)
     assert (prof.N_tilde.tobytes(), prof.E_tilde.tobytes(), prof.shoot_residual) == (
         Nt.tobytes(), Et.tobytes(), res)
+
+
+# ---------------------------------------------------------------------------
+# The Brent root finder is a port of scipy's brentq: the same trials in the
+# same order and the same root, so solve_stationary makes the trials (and
+# writes the trial count) it made when it called scipy.
+
+# brentq's default (xtol, rtol) and solve_stationary's
+_TOLERANCES = [(2e-12, 4.0 * np.finfo(float).eps), (5e-324, 4.0 * np.finfo(float).eps)]
+_BRENT_CASES = {
+    "f(a) = 0": (lambda x: x - 1.0, 1.0, 2.0),
+    "f(b) = 0": (lambda x: x - 1.0, 0.0, 1.0),
+    "root at -0.0": (lambda x: x, -0.0, 1.0),
+    "linear": (lambda x: x, -1.0, 3.0),
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    # f(a) * f(b) underflows to zero: only a signbit test sees the sign
+    # change, here and in "tiny, no sign change" below
+    "tiny linear": (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
+    # the extrapolation's denominator underflows to zero, so the step bisects
+    "tiny cubic": (lambda x: 1e-200 * (x**3 - 2.0 * x - 5.0), 2.0, 3.0),
+    "exp": (lambda x: math.exp(x) - 2.0, -5.0, 10.0),
+    "atan": (lambda x: math.atan(x - 0.7), -10.0, 30.0),
+    # a triple root: maxiter runs out
+    "flat": (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),
+    "step": (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),
+    "no sign change": (lambda x: x * x + 1.0, -1.0, 1.0),
+    "tiny, no sign change": (lambda x: 1e-200 * (x * x + 1.0), -1.0, 1.0),
+}
+
+
+def _brent_trace(solver, f, a, b, xtol, rtol):
+    """The points solver evaluates f at, and its root (or the error's type)."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        root = solver(g, a, b, xtol, rtol)
+    except ValueError as exc:
+        return xs, type(exc)
+    return xs, (root, math.copysign(1.0, root))
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    return brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter, disp=False)
+
+
+def test_brentq_port_makes_scipys_trials():
+    code = stationary._brentq.__code__
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def lines(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return lines
+        return lines
+
+    for (name, (f, a, b)), (xtol, rtol) in itertools.product(_BRENT_CASES.items(), _TOLERANCES):
+        want = _brent_trace(_scipy_brentq, f, a, b, xtol, rtol)
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            got = _brent_trace(stationary._brentq, f, a, b, xtol, rtol)
+        finally:
+            sys.settrace(previous)
+        assert got == want, name
+    # the cases run every line: interpolation, extrapolation, the minimum
+    # step, bisection, maxiter and the division that underflows
+    body = {line for _, line in dis.findlinestarts(code)} - {code.co_firstlineno, None}
+    assert body <= ran, sorted(body - ran)
+
+
+@pytest.mark.parametrize("spec", ["sine:1:0.5:1", "sine:1:0.9:3", "sine:2:1.5:0.3",
+                                  "constant:1", "sine:1:0.2:2.5"])
+def test_solve_with_the_port_is_solve_with_scipy_brentq(spec, monkeypatch):
+    D = sh.DopingProfile.from_spec(spec)
+    integrate = stationary._integrate
+    for gamma, N in itertools.product([1.2, 1.5, 2.0, 2.5, 3.0], [64, 400, 2048]):
+        m = sh.GasModel(gamma)
+        runs = []
+        for brent in (stationary._brentq, _scipy_brentq):
+            trials = []
+
+            def counted(*args):
+                trials.append(args[0])
+                return integrate(*args)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(stationary, "_integrate", counted)
+                mp.setattr(stationary, "_brentq", brent)
+                prof = solve_stationary(D, m, N)
+            runs.append((prof.N_tilde.tobytes(), prof.E_tilde.tobytes(),
+                         prof.shoot_residual, prof.iterations, trials))
+        assert runs[0] == runs[1], (gamma, N)
+        assert runs[0][3] == len(runs[0][4])
