@@ -18,16 +18,27 @@ Time integration is explicit Euler under a three-way CFL bound
 or advanced as zero-flux half cells (float), which keeps the trapezoid
 mass to rounding.
 
-The step is written for speed but keeps a bit-identity contract: every
-array it produces equals, to the last bit, what the plain expressions
-give (E by scipy's cumulative_trapezoid, the mass by np.trapezoid, the
-max speed as max|lambda| over both families, and the stencils exactly as
-the comments in _rhs spell them). In-place updates keep each operation's
-operands and their order, and divisions by 2 dx and dx**2 stay divisions.
-tests/test_solver.py checks the contract against a plain copy of the step.
+The run loop takes each step in C when it can: _step.c, built by the
+system C compiler on the first run and loaded through ctypes (see the
+_kernel module). Without a compiler, or if the build or its cache fails,
+it takes _advance, the step in numpy, at a few times the cost per step.
+
+Both paths keep one bit-identity contract: every array a run produces
+equals, to the last bit, what the plain expressions give (E by scipy's
+cumulative_trapezoid, the mass by np.trapezoid, the max speed as
+max|lambda| over both families, and the stencils exactly as the comments
+in _rhs spell them). The numpy step updates in place but keeps each
+operation's operands and their order, and divisions by 2 dx and dx**2
+stay divisions. The C step does the same arithmetic on doubles, built
+without -ffast-math and with -ffp-contract=off so that nothing fuses into
+a multiply-add; it takes no power itself, so p(n), theta * n**theta, the
+forcing and the CFL speeds still come from numpy, and the mass is numpy's
+sum of the trapezoid terms it writes. tests/test_solver.py checks both
+paths against a plain copy of the step, and against each other.
 
 The module imports numpy alone: E comes from field._efield, which is
-scipy's cumulative_trapezoid formula in numpy.
+scipy's cumulative_trapezoid formula in numpy, and the kernel is built
+and loaded on the first run, not on import.
 """
 
 from __future__ import annotations
@@ -42,11 +53,13 @@ import numpy as np
 
 from .field import DopingProfile, _efield, project_neutral
 from .gas import GasModel, eigenvalues, pressure
+from ._kernel import Grid as _Grid, load as _load_kernel
 
 # _advance takes E through this module-level name, so a wrapper bound to it
 # (the benchmark's per-layer tracer times the E integral that way) sees
-# every step. It is field._efield, scipy's cumulative_trapezoid formula in
-# numpy, and takes _efield's arguments (y, dx).
+# every numpy step; the C step integrates E itself. It is field._efield,
+# scipy's cumulative_trapezoid formula in numpy, and takes _efield's
+# arguments (y, dx).
 cumulative_trapezoid = _efield
 
 
@@ -342,22 +355,106 @@ def _advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing):
 
     if not (np.isfinite(nn).all() and np.isfinite(JJ).all()):
         cell = int(np.argmax(~np.isfinite(nn) | ~np.isfinite(JJ)))
-        raise BlowupError(
-            f"non-finite state at cell {cell} (x = {cell * dx:.4f}), t = {t + dt:.6f}",
-            cell, t + dt,
-        )
+        raise _nonfinite(cell, dx, t + dt)
     floor = cfg.floor
     if floor <= 0.0 and not (nn > 0.0).all():
         # without a floor the gas relations are undefined from here on
         cell = int(np.argmin(nn))
-        raise BlowupError(
-            f"vacuum at cell {cell} (x = {cell * dx:.4f}), t = {t + dt:.6f}: "
-            f"density {nn[cell]:.3e} with n_floor = 0", cell, t + dt,
-        )
+        raise _vacuum(cell, nn[cell], dx, t + dt)
     clamped = int(np.count_nonzero(nn < floor))
     if clamped:
         np.maximum(nn, floor, out=nn)
     return nn, JJ, clamped
+
+
+def _nonfinite(cell: int, dx: float, t: float) -> BlowupError:
+    return BlowupError(f"non-finite state at cell {cell} (x = {cell * dx:.4f}), t = {t:.6f}",
+                       cell, t)
+
+
+def _vacuum(cell: int, density: float, dx: float, t: float) -> BlowupError:
+    return BlowupError(f"vacuum at cell {cell} (x = {cell * dx:.4f}), t = {t:.6f}: "
+                       f"density {density:.3e} with n_floor = 0", cell, t)
+
+
+class _KernelStep:
+    """The explicit step by the C kernel, called as _stepper's advance.
+
+    The state alternates between two pairs of preallocated buffers, and
+    the arrays returned are overwritten by the step after next. p(n),
+    theta * n**theta and the forcing come from numpy through buffers of
+    their own, so the kernel's only arguments per step are the buffers'
+    addresses, dt and e^-dt.
+    """
+
+    def __init__(self, kernel, m, cfg, d_grid, x, dx, bvals, forcing):
+        N = cfg.N
+        self._step = kernel
+        self._m = m
+        self._rusanov = cfg.scheme == "rusanov"
+        self._exp = cfg.relaxation == "exp"
+        self._forcing = forcing
+        self._xi = x[1:-1]
+        self._dx = dx
+        # every array the kernel reads or writes, kept alive here
+        self._state = np.empty((4, N + 1))
+        self._d = np.array(d_grid, dtype=float)
+        self._p, self._c, *scratch = np.empty((6, N + 1))
+        self._f = np.empty((2, N - 1))
+        self._terms = np.empty(N)
+        fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
+        self._grid = _Grid(N, cfg.epsilon, dx, cfg.floor, *bvals, self._rusanov, self._exp,
+                          cfg.boundary == "float", self._d.ctypes.data, self._p.ctypes.data,
+                          self._c.ctypes.data, fn, fJ, *(a.ctypes.data for a in scratch),
+                          self._terms.ctypes.data, 0)
+        # (n, J, their addresses), one pair to read and one to write
+        self._pairs = [(*self._state[k:k + 2], *(a.ctypes.data for a in self._state[k:k + 2]))
+                       for k in (0, 2)]
+
+    def __call__(self, n, J, t, dt):
+        src, dst = self._pairs
+        if n is dst[0] and J is dst[1]:
+            src, dst = dst, src
+        elif n is not src[0] or J is not src[1]:
+            if np.shape(n) != src[0].shape or np.shape(J) != src[1].shape:
+                raise ValueError(f"the state must have {src[0].size} nodes")
+            src[0][...] = n
+            src[1][...] = J
+        n = src[0]
+        m = self._m
+        self._p[...] = pressure(m, n)
+        if self._rusanov:
+            self._c[...] = m.theta * n**m.theta
+        if self._forcing is not None:
+            f_n, f_J = self._forcing
+            self._f[0] = f_n(self._xi, t)
+            self._f[1] = f_J(self._xi, t)
+        decay = float(np.exp(-dt)) if self._exp else 0.0
+        status = self._step(self._grid, src[2], src[3], dst[2], dst[3], dt, decay)
+        cell = self._grid.count
+        if status == 1:
+            raise _nonfinite(cell, self._dx, t + dt)
+        if status == 2:
+            raise _vacuum(cell, dst[0][cell], self._dx, t + dt)
+        return dst[0], dst[1], cell, float(self._terms.sum())
+
+
+def _stepper(m, cfg, d_grid, x, dx, bvals, forcing):
+    """advance(n, J, t, dt) -> (n, J, clamped_cells, mass), one explicit
+    step: by the C kernel if it loads, else by _advance. Either raises
+    the same BlowupError, and gives the same bits.
+
+    The C step's arrays are its own buffers, overwritten by the step after
+    next; copy a state that must outlive that.
+    """
+    kernel = _load_kernel()
+    if kernel is not None:
+        return _KernelStep(kernel, m, cfg, d_grid, x, dx, bvals, forcing)
+
+    def advance(n, J, t, dt):
+        n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing)
+        return n, J, clamped, _mass(n, dx)
+    return advance
 
 
 def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float,
@@ -374,8 +471,8 @@ def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float,
     dx = 1.0 / cfg.N
     d_grid = D(x)
     bvals = boundary_values or (float(state.n[0]), float(state.n[-1]))
-    n, J, _ = _advance(state.n, state.J, state.t, dt, m, cfg, d_grid, x, dx,
-                          bvals, forcing)
+    advance = _stepper(m, cfg, d_grid, x, dx, bvals, forcing)
+    n, J, _, _ = advance(state.n, state.J, state.t, dt)
     return State(state.t + dt, n, J, _efield(n - d_grid, dx))
 
 
@@ -413,15 +510,16 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     J[0] = 0.0
     J[-1] = 0.0
 
-    # n and J are never changed in place: each step returns fresh arrays,
-    # so the snapshot rows (t, n, J) can hold them as they are
+    # the C step reuses its buffers, so each snapshot row is a copy
     rows = []
 
     def record(t, n, J):
-        rows.append((t, n, J))
+        row = (t, n.copy(), J.copy())
+        rows.append(row)
         if on_snapshot is not None:
-            on_snapshot(t, n, J)
+            on_snapshot(*row)
 
+    advance = _stepper(m, cfg, d_grid, x, dx, bvals, forcing)
     record(0.0, n, J)
     step_times = [0.0]
     mass = [_mass(n, dx)]
@@ -439,8 +537,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
             if last:
                 dt = T - t
             try:
-                n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, x, dx,
-                                         bvals, forcing)
+                n, J, clamped, step_mass = advance(n, J, t, dt)
             except BlowupError as exc:
                 exc.trajectory = _package(rows, step_times, mass, clamps, cfg, D, bvals)
                 raise
@@ -448,7 +545,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
             k += 1
             total_clamped += clamped
             step_times.append(t)
-            mass.append(_mass(n, dx))
+            mass.append(step_mass)
             clamps.append(clamped)
             # clamping is a safety net, not a solution mode; a budget of
             # 1e-3 * N * steps distinguishes stray cells from a broken run

@@ -1,0 +1,136 @@
+"""The C step's build, cache and fallback (semihydro._kernel)."""
+
+import os
+import stat
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import semihydro as sh
+from semihydro import _kernel, solver
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh XDG_CACHE_HOME, and a loader that has not run in this process."""
+    root = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    _kernel.load.cache_clear()
+    yield root / "semihydro"
+    _kernel.load.cache_clear()
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The compile commands run through _kernel._compile."""
+    calls = []
+    compile_ = _kernel._compile
+
+    def counted(command):
+        calls.append(command)
+        return compile_(command)
+
+    monkeypatch.setattr(_kernel, "_compile", counted)
+    return calls
+
+
+def _python(code, **env):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": SRC, **env})
+
+
+def _scenario_run():
+    """A short run of the shipped scenario's kind: the bytes of its arrays."""
+    cfg = solver.SolverConfig(gamma=2.0, epsilon=2e-3, N=64, T_final=0.2,
+                              boundary="float", output_stride=5)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 65)
+    traj = solver.run(cfg, D, D(x), 0.1 * np.sin(np.pi * x), mollify=False)
+    return [getattr(traj, f).tobytes()
+            for f in ("times", "n", "J", "E", "step_times", "mass", "clamp_counts")]
+
+
+def _require_linux():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the build is checked on Linux")
+
+
+def test_first_run_compiles_once_and_a_fresh_process_loads_the_cache(cache, compiles):
+    _require_linux()
+    first = _scenario_run()
+    assert solver._load_kernel() is not None
+    _scenario_run()
+    assert len(compiles) == 1
+    command = compiles[0]
+    assert command[1:5] == ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    assert not any("fast-math" in a or a.startswith("-march") for a in command)
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    libraries = sorted(p.name for p in cache.iterdir())
+    assert len(libraries) == 1 and libraries[0].endswith(".so")
+
+    # a fresh process loads the cached library and never calls the compiler
+    code = ("import semihydro._kernel as k\n"
+            "def no_compiler(command): raise AssertionError(command)\n"
+            "k._compile = no_compiler\n"
+            "assert k.load() is not None\n")
+    proc = _python(code, XDG_CACHE_HOME=str(cache.parent))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in cache.iterdir()) == libraries
+
+    # the numpy step gives the kernel's bytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_load_kernel", lambda: None)
+        assert _scenario_run() == first
+
+
+def _no_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+
+
+def _failing_compiler(tmp_path, monkeypatch):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: fatal error: no input' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+
+
+def _unwritable_cache(tmp_path, monkeypatch):
+    # the cache root is a file, so its semihydro directory cannot be made
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+
+
+@pytest.mark.parametrize("break_build", [_no_compiler, _failing_compiler, _unwritable_cache],
+                         ids=["no-compiler", "compiler-fails", "cache-unwritable"])
+def test_without_the_kernel_run_falls_back_silently_with_the_same_bytes(
+        break_build, cache, tmp_path, monkeypatch, capfd):
+    _require_linux()
+    expected = _scenario_run()
+    assert solver._load_kernel() is not None
+    _kernel.load.cache_clear()
+    capfd.readouterr()
+    with monkeypatch.context() as mp:
+        break_build(tmp_path, mp)
+        assert _scenario_run() == expected
+        assert _kernel.load() is None
+    assert capfd.readouterr() == ("", "")
+    # a failed build leaves no temporary file behind
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+def test_import_builds_and_loads_nothing(tmp_path):
+    code = ("import sys, semihydro.cli, semihydro._kernel as k\n"
+            "assert 'subprocess' not in sys.modules, 'subprocess'\n"
+            "assert k.load.cache_info().currsize == 0\n"
+            "maps = '/proc/self/maps'\n"
+            "import os\n"
+            "assert not os.path.exists(maps) or '_step-' not in open(maps).read()\n")
+    proc = _python(code, XDG_CACHE_HOME=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Time integrator: config validation, mollifier, stepping, blowup, MMS."""
 
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -556,24 +557,45 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _require_kernel():
+    """Fail if the C step did not load on Linux; skip elsewhere."""
+    if solver._load_kernel() is None:
+        if sys.platform.startswith("linux"):
+            pytest.fail("the C step did not load")
+        pytest.skip("the C step is unavailable on this platform")
+
+
+def _both_step_paths(monkeypatch):
+    """Iterate once on the C step, then once on numpy's (no kernel loads).
+    On Linux the C step must load; elsewhere only numpy's runs without it."""
+    if solver._load_kernel() is not None:
+        yield "kernel"
+    elif sys.platform.startswith("linux"):
+        pytest.fail("the C step did not load")
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_load_kernel", lambda: None)
+        yield "numpy"
+
+
 def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
-    """Step the lean and the plain step side by side from the same state."""
+    """Step the package's and the plain step side by side from the same state."""
     plain_forcing = plain_forcing or forcing
     m = cfg.model()
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
     d_grid = D(x)
     bvals = (float(n[0]), float(n[-1]))
+    advance = solver._stepper(m, cfg, d_grid, x, dx, bvals, forcing)
     t = 0.0
     total_clamped = 0
     for _ in range(steps):
         dt = solver._dt(m, n, J, cfg, dx)
         assert _same_bits(dt, _plain_dt(m, n, J, cfg, dx))
-        lean = solver._advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, forcing)
+        lean = advance(n, J, t, dt)
         plain = _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, plain_forcing)
         assert _same_bits(lean[0], plain[0]) and _same_bits(lean[1], plain[1])
         assert lean[2] == plain[2]
-        assert _same_bits(solver._mass(lean[0], dx), float(np.trapezoid(plain[0], dx=dx)))
+        assert _same_bits(lean[3], float(np.trapezoid(plain[0], dx=dx)))
         n, J = lean[:2]
         t += dt
         total_clamped += lean[2]
@@ -583,32 +605,131 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
 @pytest.mark.parametrize("relaxation", ["explicit", "exp"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "float"])
-def test_step_matches_plain_step_bit_for_bit(scheme, relaxation, boundary):
-    cfg = _cfg(N=64, epsilon=2e-3, scheme=scheme, relaxation=relaxation,
-               boundary=boundary)
+def test_step_matches_plain_step_bit_for_bit(scheme, relaxation, boundary, monkeypatch):
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 65)
     n = D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x))
     J = 0.3 * np.sin(np.pi * x) ** 2
-    _march_both(cfg, D, n, J)
+    for _ in _both_step_paths(monkeypatch):
+        for gamma in (1.5, 2.0, 3.0):
+            cfg = _cfg(N=64, epsilon=2e-3, scheme=scheme, relaxation=relaxation,
+                       boundary=boundary, gamma=gamma)
+            _march_both(cfg, D, n, J)
 
 
-def test_step_matches_plain_step_while_clamping():
+def test_step_matches_plain_step_while_clamping(monkeypatch):
     # a floor above part of the density clamps cells on every step
-    cfg = _cfg(N=64, n_floor=0.6, boundary="float")
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 65)
-    assert _march_both(cfg, D, D(x), np.zeros(65), steps=10) > 0
+    for _ in _both_step_paths(monkeypatch):
+        for scheme in ("central", "rusanov"):
+            cfg = _cfg(N=64, n_floor=0.6, boundary="float", scheme=scheme)
+            assert _march_both(cfg, D, D(x), np.zeros(65), steps=10) > 0
 
 
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
-def test_step_matches_plain_step_with_mms_forcing(scheme):
+def test_step_matches_plain_step_with_mms_forcing(scheme, monkeypatch):
     cfg = _cfg(N=64, epsilon=0.02, scheme=scheme)
     n_star, J_star = solver.manufactured_solution()
     x = np.linspace(0.0, 1.0, 65)
-    forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon)
-    _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
-                plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
+    for _ in _both_step_paths(monkeypatch):
+        forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon)
+        _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
+                    plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
+
+
+def _run_on_both_paths(monkeypatch, *args, **kwargs):
+    """run(*args, **kwargs) on the C step and on numpy's: for each path, the
+    Trajectory or the BlowupError raised, and the rows passed to on_snapshot."""
+    _require_kernel()
+    outcomes = []
+    for _ in _both_step_paths(monkeypatch):
+        rows, hook = _recorder()
+        try:
+            got = solver.run(*args, on_snapshot=hook, **kwargs)
+        except BlowupError as exc:
+            got = exc
+        outcomes.append((got, rows))
+    return outcomes
+
+
+def _assert_same_runs(a, b):
+    (got_a, rows_a), (got_b, rows_b) = a, b
+    assert type(got_a) is type(got_b)
+    if isinstance(got_a, BlowupError):
+        assert (str(got_a), got_a.cell, got_a.time) == (str(got_b), got_b.cell, got_b.time)
+        got_a, got_b = got_a.trajectory, got_b.trajectory
+    for name in ("times", "n", "J", "E", "step_times", "mass", "clamp_counts"):
+        assert _same_bits(getattr(got_a, name), getattr(got_b, name)), name
+    assert [t for t, _, _ in rows_a] == [t for t, _, _ in rows_b]
+    for k in (1, 2):
+        assert np.array([r[k] for r in rows_a]).tobytes() == \
+            np.array([r[k] for r in rows_b]).tobytes()
+    _assert_rows_are_the_snapshots(rows_a, got_a)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+@pytest.mark.parametrize("relaxation", ["explicit", "exp"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "float"])
+def test_kernel_and_numpy_runs_have_the_same_bytes(scheme, relaxation, boundary, gamma,
+                                                   monkeypatch):
+    cfg = _cfg(N=64, epsilon=2e-3, T_final=0.3, scheme=scheme, relaxation=relaxation,
+               boundary=boundary, gamma=gamma, output_stride=7)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 65)
+    n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / 64)
+    J0 = 0.3 * np.sin(np.pi * x) ** 2
+    kernel, numpy_step = _run_on_both_paths(monkeypatch, cfg, D, n0, J0)
+    assert kernel[0].n_steps > 20
+    _assert_same_runs(kernel, numpy_step)
+
+
+@pytest.mark.parametrize("case", ["clamping", "mms"])
+def test_kernel_and_numpy_runs_agree_on_clamps_and_forcing(case, monkeypatch):
+    if case == "clamping":
+        cfg = _cfg(N=64, n_floor=0.6, boundary="float", T_final=0.05, output_stride=3)
+        D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+        x = np.linspace(0.0, 1.0, 65)
+        args, kwargs = (cfg, D, D(x), np.zeros(65)), {"mollify": False}
+    else:
+        cfg = _cfg(N=64, epsilon=0.02, T_final=0.25, output_stride=5)
+        n_star, J_star = solver.manufactured_solution()
+        x = np.linspace(0.0, 1.0, 65)
+        forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon)
+        args = (cfg, D1, n_star(x, 0.0), J_star(x, 0.0))
+        kwargs = {"forcing": forcing, "mollify": False}
+    kernel, numpy_step = _run_on_both_paths(monkeypatch, *args, **kwargs)
+    if case == "clamping":
+        # the clamps soon exceed the budget; the partial trajectory counts them
+        assert kernel[0].trajectory.clamp_counts.sum() > 0
+    _assert_same_runs(kernel, numpy_step)
+
+
+def _late_inf_forcing():
+    # finite until t = 0.05, then infinite on the right half of the grid
+    def f_n(x, t):
+        return np.where(x > 0.5, np.inf, 0.0) if t >= 0.05 else np.zeros_like(x)
+    return f_n, lambda x, t: np.zeros_like(x)
+
+
+@pytest.mark.parametrize("floor, message", [(None, "non-finite"), (0.0, "vacuum"),
+                                            (1e-3, "budget")])
+def test_kernel_and_numpy_runs_blow_up_alike(floor, message, monkeypatch):
+    # the density of test_on_snapshot_sees_every_recorded_row, which reaches
+    # vacuum near x = 0.09 by t = 0.55
+    cfg = _cfg(epsilon=1e-4, N=200, T_final=2.0, boundary="float", n_floor=floor,
+               output_stride=3)
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    x = np.linspace(0.0, 1.0, 201)
+    n0 = sh.project_neutral(1.0 + 0.99 * np.sin(2.0 * np.pi * x), D, 1.0 / 200)
+    forcing = _late_inf_forcing() if message == "non-finite" else None
+    with pytest.warns(UserWarning, match="mollifier"):
+        kernel, numpy_step = _run_on_both_paths(monkeypatch, cfg, D, n0, np.zeros(201),
+                                                forcing=forcing)
+    assert isinstance(kernel[0], BlowupError) and message in str(kernel[0])
+    assert kernel[0].trajectory.times.size > 3
+    _assert_same_runs(kernel, numpy_step)
 
 
 @settings(max_examples=200, deadline=None)
