@@ -89,7 +89,7 @@ class Grid(ctypes.Structure):
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double) for name in ("eps", "dx", "floor", "n_lo", "n_hi")),
-                *((name, ctypes.c_int) for name in ("rusanov", "exp_relax", "float_walls")),
+                *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
                   for name in ("d", "p", "c", "fn", "fJ", "E", "f2", "h1", "h2", "terms")),
                 ("count", ctypes.c_long)]
@@ -97,8 +97,8 @@ class Grid(ctypes.Structure):
 
 @functools.cache
 def load():
-    """The kernel's semihydro_step(grid, n, J, nn, JJ, dt, decay), or None
-    if the kernel is unavailable."""
+    """The kernel's semihydro_step(grid, n, J, nn, JJ, dt), or None if the
+    kernel is unavailable."""
     try:
         path = _library()
         if path is None:
@@ -107,6 +107,5 @@ def load():
     except (OSError, AttributeError):
         return None
     step.restype = ctypes.c_int
-    step.argtypes = [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4, ctypes.c_double,
-                     ctypes.c_double]
+    step.argtypes = [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4, ctypes.c_double]
     return step

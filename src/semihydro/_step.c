@@ -24,7 +24,7 @@ struct step_grid {
     long N;                     /* cells; every node array holds N + 1 */
     double eps, dx, floor;
     double n_lo, n_hi;          /* the wall densities of dirichlet walls */
-    int rusanov, exp_relax, float_walls;
+    int rusanov, float_walls;
     const double *d;            /* doping on the nodes */
     const double *p;            /* p(n) on the nodes */
     const double *c;            /* theta * n**theta on the nodes (rusanov) */
@@ -47,7 +47,7 @@ static double maximum(double a, double b)
 }
 
 int semihydro_step(struct step_grid *g, const double *n, const double *J,
-                   double *nn, double *JJ, double dt, double decay)
+                   double *nn, double *JJ, double dt)
 {
     const long N = g->N;
     const double eps = g->eps, dx = g->dx;
@@ -99,7 +99,7 @@ int semihydro_step(struct step_grid *g, const double *n, const double *J,
         }
         /* rhs_n = -div_n + eps * lap_n */
         rhs_n = (n[i + 1] - n[i] * 2.0 + n[i - 1]) / (dx * dx) * eps - div_n;
-        /* rhs_J = -div_J + eps * lap_J + n E - 2 eps grad_n */
+        /* rhs_J = -div_J + eps * lap_J + n E - 2 eps grad_n, then - J */
         rhs_J = (J[i + 1] - J[i] * 2.0 + J[i - 1]) / (dx * dx) * eps - div_J;
         rhs_J += n[i] * E[i];
         grad_n = (n[i + 1] - n[i - 1]) / (2.0 * dx);
@@ -108,11 +108,9 @@ int semihydro_step(struct step_grid *g, const double *n, const double *J,
             rhs_n += g->fn[i - 1];
             rhs_J += g->fJ[i - 1];
         }
+        rhs_J -= J[i];
         nn[i] = n[i] + rhs_n * dt;                      /* n + dt * rhs_n */
-        if (g->exp_relax)
-            JJ[i] = decay * (rhs_J * dt + J[i]);        /* e^-dt (J + dt * rhs_J) */
-        else
-            JJ[i] = J[i] + (rhs_J - J[i]) * dt;         /* J + dt * (rhs_J - J) */
+        JJ[i] = J[i] + rhs_J * dt;                      /* J + dt * rhs_J */
     }
 
     if (g->float_walls) {

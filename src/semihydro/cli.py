@@ -64,8 +64,7 @@ def _initial_state(cfg: ExperimentConfig):
     D = cfg.doping
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
-    n0, J0 = (np.asarray(D(x) if s == "doping-match" else s(x), dtype=float)
-              for s in (cfg.n0, cfg.J0))
+    n0, J0 = (np.asarray(s(x), dtype=float) for s in (cfg.n0, cfg.J0))
     return D, dx, project_neutral(n0, D, dx), J0
 
 

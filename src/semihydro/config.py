@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 from .field import DopingProfile
 from .solver import SolverConfig, setting_problems
@@ -47,13 +47,14 @@ class ExperimentConfig(SolverConfig):
 
     Each profile sits next to the spec text it was parsed from. parse_config
     parses every spec once, so no command reads a spec or its table file
-    again, and dataclasses.replace copies the profiles as they are.
+    again, and dataclasses.replace copies the profiles as they are. n0 is
+    the doping profile itself when n0_spec is doping-match.
     """
 
     doping_spec: str
     doping: DopingProfile
     n0_spec: str = "doping-match"
-    n0: Union[DopingProfile, str] = "doping-match"  # parse_initial_spec(n0_spec)
+    n0: DopingProfile
     J0_spec: str = "constant:0"
     J0: DopingProfile = DopingProfile.from_spec("constant:0", "initial")
     checks: tuple = CHECK_NAMES
@@ -153,6 +154,8 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = parse_initial_spec(spec)
         except ValueError as exc:
             errors.append(f"[initial] {key}: {exc}")
+    if values.get("n0_spec", "doping-match") == "doping-match":
+        values["n0"] = values.get("doping")
 
     checks_raw = get("diagnostics", "checks")
     if checks_raw is not None:

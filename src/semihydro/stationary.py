@@ -287,12 +287,12 @@ def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
     return StationaryProfile(np.linspace(0.0, 1.0, N + 1), Nt, Et, res_abs, len(trials))
 
 
-def _viscous_residual(u, cfg, m, d_grid, x, dx, E_end):
+def _viscous_residual(u, cfg, m, d_grid, dx, E_end):
     """Steady residual of the time step under the float closure.
 
     u packs n (N+1 nodes), the interior J (N-1) and E (N+1). Rows: zero
     density flux through the face next to x = 0, the density equation
-    rhs_n = 0 and the current equation rhs_J = J at the interior nodes,
+    rhs_n = 0 and the current equation rhs_J = 0 at the interior nodes,
     E(0) = 0, the trapezoid recursion for E, and E(1) = E_end, which fixes
     the mass. Zero flux at the face next to x = 1 follows by conservation.
     """
@@ -300,10 +300,10 @@ def _viscous_residual(u, cfg, m, d_grid, x, dx, E_end):
     n = u[:N + 1]
     J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
     E = u[2 * N:]
-    rhs_n, rhs_J, (flux_lo, _) = _rhs(n, J, E, 0.0, m, cfg, x, dx, None)
+    rhs_n, rhs_J, (flux_lo, _) = _rhs(n, J, E, 0.0, m, cfg, dx, None)
     y = n - d_grid
     return np.concatenate((
-        [flux_lo], rhs_n, rhs_J - J[1:-1],
+        [flux_lo], rhs_n, rhs_J,
         [E[0]], E[1:] - E[:-1] - dx * (y[1:] + y[:-1]) / 2.0, [E[-1] - E_end],
     ))
 
@@ -355,9 +355,6 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     if cfg.boundary != "float":
         raise ValueError("the viscous steady state is defined for boundary = float, "
                          f"got {cfg.boundary!r}")
-    if cfg.relaxation != "explicit":
-        raise ValueError("the fixed point of the exp relaxation step depends on dt; "
-                         "use relaxation = explicit")
     m = cfg.model()
     N = cfg.N
     x = np.linspace(0.0, 1.0, N + 1)
@@ -367,7 +364,7 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     guess = solve_stationary(D, m, N)
 
     def F(u):
-        return _viscous_residual(u, cfg, m, d_grid, x, dx, E_end)
+        return _viscous_residual(u, cfg, m, d_grid, dx, E_end)
 
     nodes = np.arange(N + 1)
     interior = nodes[1:-1]

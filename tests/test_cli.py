@@ -168,6 +168,15 @@ def test_invalid_config_exits_4_and_lists_errors(tmp_path, capsys):
     assert "gamma" in err and "doping" in err
 
 
+def test_exp_relaxation_exits_4_before_any_output(tmp_path, capsys):
+    p = tmp_path / "exp.ini"
+    p.write_text(EQUILIBRIUM + "relaxation = exp\n")
+    code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "o")])
+    assert code == 4
+    assert "relaxation must be explicit, got 'exp'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_blowup_maps_to_exit_2(eq_config, monkeypatch, tmp_path, capsys):
     def explode(*a, **kw):
         raise BlowupError("synthetic blowup", 3, 0.25)

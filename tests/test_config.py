@@ -90,6 +90,20 @@ def test_minimal_config_defaults():
     assert cfg.out_dir == "out"
 
 
+def test_exp_relaxation_is_a_config_error():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + "relaxation = exp\n")
+    assert exc.value.errors == ["[solver] relaxation must be explicit, got 'exp'"]
+
+
+def test_doping_match_initial_density_is_the_doping_profile():
+    for text in (MINIMAL, MINIMAL + "[initial]\nn0 = doping-match\n"):
+        cfg = parse_config(text)
+        assert cfg.n0_spec == "doping-match" and cfg.n0 is cfg.doping
+    cfg = parse_config(MINIMAL + "[initial]\nn0 = sine:1:0.5:1\n")
+    assert cfg.n0_spec == "sine:1:0.5:1" and cfg.n0(0.25) == pytest.approx(1.5)
+
+
 def test_all_errors_are_accumulated():
     bad = """
 [model]
@@ -296,7 +310,7 @@ _GOOD = {
     "output_stride": st.integers(1, 50),
     "scheme": st.sampled_from(["central", "rusanov"]),
     "boundary": st.sampled_from(["dirichlet", "float"]),
-    "relaxation": st.sampled_from(["explicit", "exp"]),
+    "relaxation": st.just("explicit"),
 }
 _EDGE = {
     "gamma": st.floats(0.5, 3.5),

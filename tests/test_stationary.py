@@ -147,8 +147,6 @@ def test_viscous_state_is_a_fixed_point_of_the_step():
 def test_viscous_solver_refuses_other_closures():
     with pytest.raises(ValueError, match="float"):
         solve_viscous_stationary(_float_config(boundary="dirichlet"), SINE, 1.0)
-    with pytest.raises(ValueError, match="explicit"):
-        solve_viscous_stationary(_float_config(relaxation="exp"), SINE, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def _plain_run(cfg, D, n0, J0):
         last = t + dt >= T - 1e-13
         if last:
             dt = T - t
-        n, J, clamped = solver._advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, None)
+        n, J, clamped = solver._advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, None)
         t = T if last else t + dt
         k += 1
         total_clamped += clamped
