@@ -47,8 +47,8 @@ class ExperimentConfig(SolverConfig):
 
     Each profile sits next to the spec text it was parsed from. parse_config
     parses every spec once, so no command reads a spec or its table file
-    again, and dataclasses.replace copies the profiles as they are. n0 is
-    the doping profile itself when n0_spec is doping-match.
+    again, and dataclasses.replace copies the profiles as they are. n0 or
+    J0 is the doping profile itself when its spec is doping-match.
     """
 
     doping_spec: str
@@ -65,16 +65,12 @@ class ExperimentConfig(SolverConfig):
     out_dir: str = "out"
 
 
-def parse_initial_spec(text: str):
-    """Initial data: doping-match, or a profile in the doping grammar
-    (constant:<v>, sine:<mean>:<amp>:<freq>, table:<path>) without the
-    positivity requirement, since currents may be zero or negative.
-
-    Returns the sentinel string "doping-match" or a callable of x.
+def parse_initial_spec(text: str) -> DopingProfile:
+    """Initial data in the doping grammar (constant:<v>,
+    sine:<mean>:<amp>:<freq>, table:<path>) without the positivity
+    requirement, since currents may be zero or negative. doping-match
+    names the doping profile itself; parse_config resolves it.
     """
-    text = text.strip()
-    if text == "doping-match":
-        return text
     return DopingProfile.from_spec(text, "initial")
 
 
@@ -145,17 +141,19 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             errors.append(f"[doping] profile: {exc}")
 
+    # doping-match, for either key and for an absent n0, is the doping profile
     for key in ("n0", "J0"):
         spec = get("initial", key)
+        if spec is None and key == "n0":
+            spec = "doping-match"
         if spec is None:
             continue
         values[f"{key}_spec"] = spec
         try:
-            values[key] = parse_initial_spec(spec)
+            values[key] = (values.get("doping") if spec == "doping-match"
+                           else parse_initial_spec(spec))
         except ValueError as exc:
             errors.append(f"[initial] {key}: {exc}")
-    if values.get("n0_spec", "doping-match") == "doping-match":
-        values["n0"] = values.get("doping")
 
     checks_raw = get("diagnostics", "checks")
     if checks_raw is not None:

@@ -305,6 +305,17 @@ def test_commands_use_the_profiles_parse_config_validated(tmp_path):
             == (tmp_path / "before" / "stationary.csv").read_bytes())
 
 
+def test_doping_match_initial_current_is_the_doping(tmp_path):
+    # doping-match means D(x) for J0 as for n0
+    p = tmp_path / "j0.ini"
+    p.write_text(EQUILIBRIUM.replace("constant:1", "sine:1:0.5:1")
+                 + "[initial]\nJ0 = doping-match\n"
+                 + "[diagnostics]\nchecks = region, density, mass\n")
+    D, dx, n0, J0 = cli._initial_state(parse_config(p.read_text()))
+    assert np.array_equal(J0, D(np.linspace(0.0, 1.0, 101)))
+    assert cli.main(["run", str(p), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_sweep_eps_validation(eq_config, tmp_path, capsys):
     code = cli.main(["sweep-eps", str(eq_config), "--eps", "1e-3,2e-3,4e-3",
                      "--out-dir", str(tmp_path / "o")])

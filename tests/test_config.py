@@ -100,6 +100,8 @@ def test_doping_match_initial_density_is_the_doping_profile():
     for text in (MINIMAL, MINIMAL + "[initial]\nn0 = doping-match\n"):
         cfg = parse_config(text)
         assert cfg.n0_spec == "doping-match" and cfg.n0 is cfg.doping
+    cfg = parse_config(MINIMAL + "[initial]\nJ0 = doping-match\n")
+    assert cfg.J0_spec == "doping-match" and cfg.J0 is cfg.doping
     cfg = parse_config(MINIMAL + "[initial]\nn0 = sine:1:0.5:1\n")
     assert cfg.n0_spec == "sine:1:0.5:1" and cfg.n0(0.25) == pytest.approx(1.5)
 
@@ -190,7 +192,8 @@ def test_inline_comments_allowed():
 
 
 def test_parse_initial_spec_shapes():
-    assert parse_initial_spec("doping-match") == "doping-match"
+    with pytest.raises(ValueError, match="malformed initial spec"):
+        parse_initial_spec("doping-match")  # parse_config resolves it
     f = parse_initial_spec("constant:0")
     assert np.all(f(np.linspace(0, 1, 5)) == 0.0)
     f = parse_initial_spec("constant:-0.3")  # currents may be negative
