@@ -1,19 +1,22 @@
-"""Build and load the C explicit step, _step.c, through ctypes.
+"""Build and load the package's C library, _step.c, through ctypes.
 
-load() returns the kernel, or None when it is unavailable: no C compiler
-(cc) on PATH, a failed build, a cache directory that cannot be written,
-or a library that does not load. solver.run then takes numpy's step,
-which gives the same bits. Nothing is printed either way.
+The library holds the explicit step that solver.run takes, and the
+shooting trial and the banded Newton solve of the stationary module.
+load() returns it, or None when it is unavailable: no C compiler (cc) on
+PATH, a failed build, a cache directory that cannot be written, or a
+library that does not load. Each caller then runs its numpy or Python
+counterpart, which gives the same bits. Nothing is printed either way.
 
 The library is built once, by the system C compiler with the fixed flags
-FLAGS (no -ffast-math, no -march), into a private per-user cache
-directory: $XDG_CACHE_HOME/semihydro, or ~/.cache/semihydro, of mode
-0700. Its name carries a hash of the source and the compile command. The
-compiler writes a temporary file, which os.replace moves into place, so
-processes that build at the same moment each load a whole library.
+FLAGS (no -ffast-math, no -march; -lm for libm's pow), into a private
+per-user cache directory: $XDG_CACHE_HOME/semihydro, or
+~/.cache/semihydro, of mode 0700. Its name carries a hash of the source,
+the compiler and the flags. The compiler writes a temporary file, which
+os.replace moves into place, so processes that build at the same moment
+each load a whole library.
 
 Importing this module neither builds nor loads the library, and does not
-import subprocess; load() does, on the first run of a process.
+import subprocess; load() does, on the first call of a process.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import ctypes
 import functools
 import os
 
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 
 
@@ -63,10 +66,9 @@ def _library() -> str | None:
     cc = shutil.which("cc")
     if cc is None:
         return None
-    command = [cc, *FLAGS]
     with open(SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read())
-    for part in (*command, platform.machine()):
+    for part in (cc, *FLAGS, platform.machine()):
         key.update(b"\0" + os.fsencode(part))
     cache = _cache_dir()
     path = os.path.join(cache, f"_step-{key.hexdigest()[:16]}.so")
@@ -75,7 +77,8 @@ def _library() -> str | None:
     fd, tmp = tempfile.mkstemp(prefix="_step-", suffix=".tmp", dir=cache)
     os.close(fd)
     try:
-        if not _compile([*command, "-o", tmp, SOURCE]):
+        # the flags after the source, so that the linker keeps -lm
+        if not _compile([cc, "-o", tmp, SOURCE, *FLAGS]):
             return None
         os.replace(tmp, path)
     finally:
@@ -95,17 +98,31 @@ class Grid(ctypes.Structure):
                 ("count", ctypes.c_long)]
 
 
+_SIGNATURES = {
+    # (grid, n, J, nn, JJ, dt)
+    "semihydro_step": [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4, ctypes.c_double],
+    # (N, N0, d2, c, ex, floor, cap, Nt, Et, at)
+    "semihydro_shoot": [ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
+                        *[ctypes.c_double] * 4, *[ctypes.c_void_p] * 2,
+                        ctypes.POINTER(ctypes.c_long)],
+    # (n, kl, ku, ab, b)
+    "semihydro_band_solve": [*[ctypes.c_long] * 3, *[ctypes.c_void_p] * 2],
+}
+
+
 @functools.cache
 def load():
-    """The kernel's semihydro_step(grid, n, J, nn, JJ, dt), or None if the
-    kernel is unavailable."""
+    """The library, its functions' signatures declared, or None if it is
+    unavailable."""
     try:
         path = _library()
         if path is None:
             return None
-        step = ctypes.CDLL(path).semihydro_step
+        lib = ctypes.CDLL(path)
+        functions = [getattr(lib, name) for name in _SIGNATURES]
     except (OSError, AttributeError):
         return None
-    step.restype = ctypes.c_int
-    step.argtypes = [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4, ctypes.c_double]
-    return step
+    for function, argtypes in zip(functions, _SIGNATURES.values()):
+        function.restype = ctypes.c_int
+        function.argtypes = argtypes
+    return lib

@@ -1,21 +1,31 @@
-/* The explicit step of semihydro.solver in C, for the run loop.
+/* The C library of semihydro: the explicit step of semihydro.solver, and
+   the two inner loops of semihydro.stationary.
+
+   Each function does what its Python counterpart does, operation by
+   operation, so every double it writes has the bits Python gives: each
+   sum, product and quotient keeps its operands and their order, divisions
+   stay divisions, and nothing is contracted into a fused multiply-add
+   (the library is built with -ffp-contract=off and without -ffast-math).
 
    semihydro_step advances (n, J) by dt into (nn, JJ) as solver._advance
-   does, operation by operation, so every double it writes has the bits
-   numpy gives: each sum, product and quotient keeps its operands and their
-   order, divisions stay divisions, and nothing is contracted into a fused
-   multiply-add (the library is built with -ffp-contract=off and without
-   -ffast-math). No power is taken here: the caller passes p(n) and, for
-   the Rusanov flux, theta * n**theta, both computed by numpy.
+   does. It takes no power: the caller passes p(n) and, for the Rusanov
+   flux, theta * n**theta, both computed by numpy.
 
-   Build: cc -O2 -fPIC -shared -ffp-contract=off -o _step.so _step.c
+   semihydro_shoot is one shooting trial of stationary._integrate. Its
+   powers are libm's pow, the function CPython's float.__pow__ calls.
+
+   semihydro_band_solve solves a banded system by LU with partial
+   pivoting, as stationary._band_solve_numpy does in numpy.
+
+   Build: cc -o _step.so _step.c -O2 -fPIC -shared -ffp-contract=off -lm
 */
 
 #include <float.h>
 #include <math.h>
 
 #if FLT_EVAL_METHOD != 0
-/* wider intermediates (x87) would round twice; the numpy step runs instead */
+/* wider intermediates (x87) would round twice; the build fails, and the
+   numpy and Python code runs instead */
 #error "double arithmetic must round to double"
 #endif
 
@@ -154,4 +164,127 @@ int semihydro_step(struct step_grid *g, const double *n, const double *J,
     for (i = 0; i < N; i++)
         g->terms[i] = (nn[i + 1] + nn[i]) * dx / 2.0;  /* dx * (n[1:] + n[:-1]) / 2.0 */
     return STEP_OK;
+}
+
+/* semihydro_shoot: classical RK4 on the inviscid steady ODE
+   N' = c E N**ex, E' = N - D from (N0, 0), over the N cells of the grid
+   (h = 1/N), with the doping d2 on the nodes and midpoints (2N + 1
+   values); Nt and Et receive the N + 1 node values. A density below
+   floor or above cap (NaN passes) ends the trial at its step's node, and
+   so does a non-finite state after a step, at the step's end node; *at
+   receives the node. A power that overflows, which float.__pow__ would
+   refuse with an OverflowError, ends the trial with SHOOT_POWER, and the
+   caller runs it in Python. */
+enum { SHOOT_OK = 0, SHOOT_BELOW = 1, SHOOT_ABOVE = 2, SHOOT_NONFINITE = 3,
+       SHOOT_POWER = 4 };
+
+int semihydro_shoot(long N, double N0, const double *d2, double c, double ex,
+                    double floor, double cap, double *Nt, double *Et, long *at)
+{
+    const double h = 1.0 / N;
+    const double hh = 0.5 * h;
+    double y1 = N0, y2 = 0.0;
+    long i;
+
+    Nt[0] = y1;
+    Et[0] = y2;
+    for (i = 0; i < N; i++) {
+        const double d0 = d2[2 * i], dm = d2[2 * i + 1], d1 = d2[2 * i + 2];
+        double a, b, p, k1a, k1b, k2a, k2b, k3a, k3b, k4a, k4b;
+        *at = i;
+#define CHECK(v) do { if ((v) < floor) return SHOOT_BELOW;             \
+                      if ((v) > cap) return SHOOT_ABOVE; } while (0)
+#define POWER(v) do { p = pow((v), ex); if (isinf(p)) return SHOOT_POWER; } while (0)
+        CHECK(y1);
+        POWER(y1);
+        k1a = c * y2 * p;
+        k1b = y1 - d0;
+        a = y1 + hh * k1a;
+        b = y2 + hh * k1b;
+        CHECK(a);
+        POWER(a);
+        k2a = c * b * p;
+        k2b = a - dm;
+        a = y1 + hh * k2a;
+        b = y2 + hh * k2b;
+        CHECK(a);
+        POWER(a);
+        k3a = c * b * p;
+        k3b = a - dm;
+        a = y1 + h * k3a;
+        b = y2 + h * k3b;
+        CHECK(a);
+        POWER(a);
+        k4a = c * b * p;
+        k4b = a - d1;
+#undef CHECK
+#undef POWER
+        y1 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0;
+        y2 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0;
+        if (!(isfinite(y1) && isfinite(y2))) {
+            *at = i + 1;
+            return SHOOT_NONFINITE;
+        }
+        Nt[i + 1] = y1;
+        Et[i + 1] = y2;
+    }
+    return SHOOT_OK;
+}
+
+/* semihydro_band_solve: solves A x = b for the n x n matrix A with kl
+   sub- and ku superdiagonals, in LAPACK's band storage with leading
+   dimension 2 kl + ku + 1: A(i, j) at ab[kl + ku + i + j * (2 kl + ku)],
+   the first kl rows of each column zero (room for the fill-in). Gaussian
+   elimination with partial pivoting, as LAPACK's dgbtf2 orders it, with
+   the row operations applied to b as they are made (dgbtrs's forward
+   solve), then back substitution by columns (dtbsv). Multipliers are
+   quotients by the pivot. Overwrites ab with the factors and b with x;
+   returns 0, or j + 1 for the first exactly zero pivot, column j. */
+int semihydro_band_solve(long n, long kl, long ku, double *ab, double *b)
+{
+    const long kv = kl + ku;
+#define A(i, j) ab[kv + (i) + (j) * (2 * kl + ku)]
+    long j, i, k, ju = 0;
+
+    for (j = 0; j < n; j++) {
+        const long km = kl < n - 1 - j ? kl : n - 1 - j;
+        long p = j;
+        double best = fabs(A(j, j));
+        /* the first largest |A(i, j)|, or the first NaN, as np.argmax */
+        for (i = j + 1; i <= j + km && !isnan(best); i++) {
+            double v = fabs(A(i, j));
+            if (isnan(v) || v > best) {
+                best = v;
+                p = i;
+            }
+        }
+        if (A(p, j) == 0.0)
+            return (int)(j + 1);
+        if (p + ku > ju)
+            ju = p + ku < n - 1 ? p + ku : n - 1;
+        if (p != j) {
+            for (k = j; k <= ju; k++) {
+                double t = A(j, k);
+                A(j, k) = A(p, k);
+                A(p, k) = t;
+            }
+            double t = b[j];
+            b[j] = b[p];
+            b[p] = t;
+        }
+        for (i = j + 1; i <= j + km; i++)
+            A(i, j) = A(i, j) / A(j, j);
+        for (k = j + 1; k <= ju; k++)
+            for (i = j + 1; i <= j + km; i++)
+                A(i, k) = A(i, k) - A(i, j) * A(j, k);
+        for (i = j + 1; i <= j + km; i++)
+            b[i] = b[i] - A(i, j) * b[j];
+    }
+    for (j = n - 1; j >= 0; j--) {
+        b[j] = b[j] / A(j, j);
+        for (i = j - kv > 0 ? j - kv : 0; i < j; i++)
+            b[i] = b[i] - b[j] * A(i, j);
+    }
+#undef A
+    return 0;
 }

@@ -79,26 +79,9 @@ def _record_or_skip(check, name: str, enabled: bool) -> dict:
         return {"name": name, "passed": True, "skipped": True, "note": str(exc)}
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> int:
-    m = cfg.model()
-    D, dx, n0, J0 = _initial_state(cfg)
-
-    # A writer process formats the snapshots, chunk by chunk, while the
-    # caller integrates; the caller then writes the rows of the last,
-    # partial chunk. After a blowup the file holds the snapshots taken
-    # before it, the partial output.
-    ensure_dir(out_dir)
-    path = f"{out_dir}/snapshots.ndjson"
-    with _worker_pool(min(1, _usable_cpus() - 1)) as pool:
-        stream = SnapshotStream(path, D(np.linspace(0.0, 1.0, cfg.N + 1)), dx, pool)
-        try:
-            traj = run(cfg, D, n0, J0, on_snapshot=stream)
-        except BlowupError as exc:
-            if exc.trajectory is not None:
-                write_snapshots(path, exc.trajectory, start=stream.wait())
-                print(f"partial snapshots in {path}", file=sys.stderr)
-            raise
-        write_snapshots(path, traj, start=stream.wait())
+def _checks(cfg: ExperimentConfig, traj, D, m, dx: float):
+    """The six check records, in CHECK_NAMES order, and the series.csv
+    columns of a finished run."""
     stat = solve_stationary(D, m, cfg.N)
 
     M = cfg.region_M
@@ -128,15 +111,40 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> 
     mass = diag.mass_series(traj)
 
     snap_idx = np.searchsorted(traj.step_times, times)
-    write_series_csv(
-        f"{out_dir}/series.csv",
-        ["t", "mass", "Phi", "L", "max_wbar", "min_zbar"],
-        [times, traj.mass[snap_idx], phi, lyap.L,
-         region.per_snapshot_wbar, region.per_snapshot_zbar],
-    )
-    # one record per check, in CHECK_NAMES order
+    columns = [times, traj.mass[snap_idx], phi, lyap.L,
+               region.per_snapshot_wbar, region.per_snapshot_zbar]
     records = [region.to_record(), density.to_record(), entropy_rec,
                decay_rec, lyap.to_record(), mass.to_record()]
+    return records, columns
+
+
+def cmd_run(cfg: ExperimentConfig, out_dir: str, quiet: bool, verbose: bool) -> int:
+    m = cfg.model()
+    D, dx, n0, J0 = _initial_state(cfg)
+
+    # A writer process formats the snapshots, chunk by chunk, while the
+    # caller integrates and then runs the steady solve and the checks; the
+    # caller then writes the rows of the last, partial chunk, however the
+    # checks end. After a blowup the file holds the snapshots taken before
+    # it, the partial output.
+    ensure_dir(out_dir)
+    path = f"{out_dir}/snapshots.ndjson"
+    with _worker_pool(min(1, _usable_cpus() - 1)) as pool:
+        stream = SnapshotStream(path, D(np.linspace(0.0, 1.0, cfg.N + 1)), dx, pool)
+        try:
+            traj = run(cfg, D, n0, J0, on_snapshot=stream)
+        except BlowupError as exc:
+            if exc.trajectory is not None:
+                write_snapshots(path, exc.trajectory, start=stream.wait())
+                print(f"partial snapshots in {path}", file=sys.stderr)
+            raise
+        try:
+            records, columns = _checks(cfg, traj, D, m, dx)
+        finally:
+            write_snapshots(path, traj, start=stream.wait())
+
+    write_series_csv(f"{out_dir}/series.csv",
+                     ["t", "mass", "Phi", "L", "max_wbar", "min_zbar"], columns)
     write_reports(f"{out_dir}/reports.ndjson", records)
 
     passed = {name: rec["passed"] for name, rec in zip(CHECK_NAMES, records)}

@@ -140,9 +140,9 @@ def write_stationary(path: str, prof) -> None:
             "iterations": prof.iterations,
         }) + "\n")
         fh.write("x,N_tilde,E_tilde\n")
-        # each column formatted once, as fmt renders a float
-        cols = (map("%.17g".__mod__, a.tolist()) for a in (prof.x, prof.N_tilde, prof.E_tilde))
-        fh.write("".join(map("%s,%s,%s\n".__mod__, zip(*cols))))
+        # each float as fmt renders it
+        rows = zip(prof.x.tolist(), prof.N_tilde.tolist(), prof.E_tilde.tolist())
+        fh.write("".join(map("%.17g,%.17g,%.17g\n".__mod__, rows)))
 
 
 def ensure_dir(path: str) -> None:

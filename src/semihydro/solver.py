@@ -442,7 +442,7 @@ def _stepper(m, cfg, d_grid, dx, bvals, forcing):
     """
     kernel = _load_kernel()
     if kernel is not None:
-        return _KernelStep(kernel, m, cfg, d_grid, dx, bvals, forcing)
+        return _KernelStep(kernel.semihydro_step, m, cfg, d_grid, dx, bvals, forcing)
 
     def advance(n, J, t, dt):
         n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing)

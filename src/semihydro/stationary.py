@@ -16,21 +16,26 @@ trials.
 At finite eps a run settles instead on the steady state of the discrete
 viscous scheme, which carries a current J ~ eps N_x and sits O(eps) away
 from the inviscid profile; solve_viscous_stationary computes it by Newton
-iteration on the scheme's own residual.
+iteration on the scheme's own residual, whose Jacobian is banded once the
+unknowns are ordered node by node.
 
-The inviscid solve runs on numpy alone: its root finder, _brentq, is a
-line-for-line port of scipy's brentq, so it makes the same trials. scipy
-is imported only by the viscous Newton solve and its Jacobian builder,
-which use scipy.sparse, at the top of those functions.
+Both inner loops run in the package's C library when it loads (see the
+_kernel module): a shooting trial is semihydro_shoot, a Newton step's
+linear solve semihydro_band_solve. Without it, _integrate runs the trial
+in Python and _band_solve_numpy the elimination in numpy, with the same
+bits. The module needs numpy alone: its root finder, _brentq, is a
+line-for-line port of scipy's brentq, so it makes the same trials.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from math import copysign, inf, isfinite
 
 import numpy as np
 
+from . import _kernel
 from .solver import _rhs
 
 
@@ -79,15 +84,28 @@ class StationaryProfile:
             self.J_tilde = np.zeros_like(self.N_tilde)
 
 
+# how a trial ends: the statuses semihydro_shoot returns
+_OK, _BELOW, _ABOVE, _NONFINITE, _POWER = range(5)
+
+
+def _abort(status: int, x: float, floor: float, cap: float) -> Exception:
+    """The exception that ends a trial near x, for its status."""
+    if status == _BELOW:
+        return InfeasibleTrial(f"density fell below {floor} near x = {x}")
+    if status == _ABOVE:
+        return DivergentTrial(f"density exceeded {cap} near x = {x}")
+    return DivergentTrial(f"integration diverged near x = {x}")
+
+
 def _check_density(a: float, floor: float, cap: float, x: float) -> None:
     """Abort a trial whose density left [floor, cap] near x.
 
     NaN passes: the finiteness check at the end of the step reports it.
     """
     if a < floor:
-        raise InfeasibleTrial(f"density fell below {floor} near x = {x}")
+        raise _abort(_BELOW, x, floor, cap)
     if a > cap:
-        raise DivergentTrial(f"density exceeded {cap} near x = {x}")
+        raise _abort(_ABOVE, x, floor, cap)
 
 
 def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
@@ -99,6 +117,30 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
     these as negative and positive residuals respectively.  The cap abort
     has to happen before float overflow because gamma < 2 makes runaway
     trials blow up in finite x.
+
+    The trial runs in C, semihydro_shoot, when the library loads, and in
+    _integrate_python otherwise; both give the same bits, and end with the
+    same exception and message.
+    """
+    lib = _kernel.load()
+    d = np.ascontiguousarray(d2, dtype=float)
+    if lib is None or d.shape != (2 * N + 1,):
+        return _integrate_python(N0, d2, m, N, floor, cap)
+    Nt, Et = np.empty(N + 1), np.empty(N + 1)
+    at = ctypes.c_long()
+    status = lib.semihydro_shoot(N, float(N0), d.ctypes.data, 1.0 / (m.p0 * m.gamma),
+                                 2.0 - m.gamma, floor, cap, Nt.ctypes.data, Et.ctypes.data,
+                                 ctypes.byref(at))
+    if status == _OK:
+        return Nt, Et
+    if status == _POWER:
+        # a power float.__pow__ refuses: Python raises its error
+        return _integrate_python(N0, d2, m, N, floor, cap)
+    raise _abort(status, at.value * (1.0 / N), floor, cap)
+
+
+def _integrate_python(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
+    """_integrate's trial in Python, the loop semihydro_shoot mirrors.
 
     The loop does its arithmetic on Python floats, which gives the same
     bits as numpy float64 scalars at a fraction of the cost per operation:
@@ -140,7 +182,7 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
         y1 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
         y2 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
         if not (isfinite(y1) and isfinite(y2)):
-            raise DivergentTrial(f"integration diverged near x = {(i + 1) * h}")
+            raise _abort(_NONFINITE, (i + 1) * h, floor, cap)
         Nt.append(y1)
         Et.append(y2)
     return np.array(Nt), np.array(Et)
@@ -308,18 +350,26 @@ def _viscous_residual(u, cfg, m, d_grid, dx, E_end):
     ))
 
 
+# The Jacobian's bandwidths in node order. A row depends only on unknowns
+# within one node of its own, E only through the trapezoid recursion and
+# through rhs_J's n E at the row's node, so no row reaches the next node's E.
+_KL, _KU = 5, 3
+
+
 def _colored_jacobian(F, u, f0, row_node, col_node, col_field):
-    """Forward-difference Jacobian of F at u in nine evaluations of F.
+    """Forward-difference Jacobian of F at u in nine evaluations of F, in
+    the band storage _band_solve takes, with bandwidths (_KL, _KU).
 
     Every row of F depends only on unknowns within one node of its own
     row_node. Perturbing one field at every third node at once therefore
-    moves each row through a single column.
+    moves each row through a single column. The rows and the unknowns
+    come in node order, so the Jacobian is banded; the differences
+    outside the band are exactly zero, and are left out.
     """
-    from scipy.sparse import csc_matrix
-
     n_nodes = int(col_node.max()) + 1
+    ab = np.zeros((u.size, 2 * _KL + _KU + 1))
+    row = np.arange(u.size)
     h_all = 1.5e-8 * np.maximum(1.0, np.abs(u))
-    rows, cols, vals = [], [], []
     for field in range(3):
         for color in range(3):
             group = np.nonzero((col_field == field) & (col_node % 3 == color))[0]
@@ -330,12 +380,67 @@ def _colored_jacobian(F, u, f0, row_node, col_node, col_field):
             col_at[col_node[group]] = group
             j_node = row_node - 1 + (color - row_node + 1) % 3
             j = col_at[np.where(j_node < 0, n_nodes, j_node)]
-            r = np.nonzero(j >= 0)[0]
-            rows.append(r)
-            cols.append(j[r])
-            vals.append(df[r] / h_all[j[r]])
-    return csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(u.size, u.size))
+            r = np.nonzero((j >= 0) & (row - j <= _KL) & (j - row <= _KU))[0]
+            ab[j[r], _KL + _KU + r - j[r]] = df[r] / h_all[j[r]]
+    return ab
+
+
+def _band_solve(ab, kl: int, ku: int, b):
+    """x with A x = b for the n x n matrix A with kl sub- and ku
+    superdiagonals, given in LAPACK's band storage: ab of shape
+    (n, 2 kl + ku + 1), A[i, j] at ab[j, kl + ku + i - j], the first kl
+    entries of each row zero (room for the fill-in).
+
+    Gaussian elimination with partial pivoting, by semihydro_band_solve
+    when the library loads and by _band_solve_numpy otherwise, with the
+    same bits. ab is overwritten with the factors. An exactly zero pivot
+    (a singular A) gives NaNs.
+    """
+    n = np.size(b)
+    if not (ab.shape == (n, 2 * kl + ku + 1) and ab.dtype == np.float64
+            and ab.flags.c_contiguous and ab.flags.writeable):
+        raise ValueError(f"ab must be a writeable C-contiguous float64 array of shape "
+                         f"{(n, 2 * kl + ku + 1)}")
+    lib = _kernel.load()
+    if lib is None:
+        return _band_solve_numpy(ab, kl, ku, b)
+    x = np.array(b, dtype=float)
+    if lib.semihydro_band_solve(n, kl, ku, ab.ctypes.data, x.ctypes.data):
+        x[:] = np.nan
+    return x
+
+
+def _band_solve_numpy(ab, kl: int, ku: int, b):
+    """_band_solve in numpy: semihydro_band_solve's operations, in its order.
+
+    The elimination (LAPACK's dgbtf2) applies each row operation to b as
+    it makes it; back substitution then runs by columns (dtbsv).
+    """
+    n, width = ab.shape
+    kv = kl + ku
+    # A[i, j] as an (n, n) view of ab's memory, exact on the band
+    A = np.lib.stride_tricks.as_strided(ab.reshape(-1)[kv:], shape=(n, n),
+                                        strides=(ab.itemsize, (width - 1) * ab.itemsize))
+    x = np.array(b, dtype=float)
+    ju = 0
+    for j in range(n):
+        km = min(kl, n - 1 - j)
+        p = j + int(np.argmax(np.abs(A[j:j + km + 1, j])))
+        if A[p, j] == 0.0:
+            return np.full(n, np.nan)
+        ju = max(ju, min(p + ku, n - 1))
+        if p != j:
+            A[[j, p], j:ju + 1] = A[[p, j], j:ju + 1]
+            x[[j, p]] = x[[p, j]]
+        lower = A[j + 1:j + km + 1, j]
+        lower /= A[j, j]
+        A[j + 1:j + km + 1, j + 1:ju + 1] -= np.outer(lower, A[j, j + 1:ju + 1])
+        x[j + 1:j + km + 1] -= lower * x[j]
+    for j in range(n - 1, -1, -1):
+        x[j] /= A[j, j]
+        lo = max(0, j - kv)
+        x[lo:j] -= x[j] * A[lo:j, j]
+    return x
 
 
 def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
@@ -343,15 +448,15 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
 
     Newton iteration on the steady residual of the time step (the same
     stencil run() advances) with E kept as an unknown through its
-    trapezoid recursion, so the Jacobian stays sparse. The mass is
-    imposed through E(1) = mass - integral(D); the float walls conserve
-    it, so one step from the returned state moves n and J by rounding.
+    trapezoid recursion. Ordered node by node, as (n_i, J_i, E_i) with
+    the rows by their node, the unknowns give a banded Jacobian, which
+    _band_solve factors. The mass is imposed through
+    E(1) = mass - integral(D); the float walls conserve it, so one step
+    from the returned state moves n and J by rounding.
 
     Starts from the inviscid profile and stops once a step no longer
     halves the residual; raises NewtonError if that leaves it above 1e-10.
     """
-    from scipy.sparse.linalg import spsolve
-
     if cfg.boundary != "float":
         raise ValueError("the viscous steady state is defined for boundary = float, "
                          f"got {cfg.boundary!r}")
@@ -363,35 +468,45 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     E_end = float(mass) - float(np.trapezoid(d_grid, dx=dx))
     guess = solve_stationary(D, m, N)
 
-    def F(u):
-        return _viscous_residual(u, cfg, m, d_grid, dx, E_end)
-
     nodes = np.arange(N + 1)
     interior = nodes[1:-1]
     row_node = np.concatenate(([0], interior, interior, [0], nodes[:-1], [N]))
     col_node = np.concatenate((nodes, interior, nodes))
     col_field = np.concatenate((np.zeros(N + 1, int), np.ones(N - 1, int),
                                 np.full(N + 1, 2)))
+    # node order: rows[k] is the k-th row of F, cols[k] the k-th unknown of u
+    rows = np.argsort(row_node, kind="stable")
+    cols = np.lexsort((col_field, col_node))
 
-    u = np.concatenate((guess.N_tilde, np.zeros(N - 1), guess.E_tilde))
-    f = F(u)
+    def unpack(v):
+        """u, the unknowns (n, interior J, E) of _viscous_residual."""
+        u = np.empty_like(v)
+        u[cols] = v
+        return u
+
+    def F(v):
+        return _viscous_residual(unpack(v), cfg, m, d_grid, dx, E_end)[rows]
+
+    v = np.concatenate((guess.N_tilde, np.zeros(N - 1), guess.E_tilde))[cols]
+    f = F(v)
     res = float(np.max(np.abs(f)))
     iterations = 0
     while res > 0.0 and iterations < 20:
-        jac = _colored_jacobian(F, u, f, row_node, col_node, col_field)
-        u_new = u + spsolve(jac, -f)
-        f_new = F(u_new)
+        ab = _colored_jacobian(F, v, f, row_node[rows], col_node[cols], col_field[cols])
+        v_new = v + _band_solve(ab, _KL, _KU, -f)
+        f_new = F(v_new)
         res_new = float(np.max(np.abs(f_new)))
         iterations += 1
         if not res_new < res:
             break
         halved = res_new <= 0.5 * res
-        u, f, res = u_new, f_new, res_new
+        v, f, res = v_new, f_new, res_new
         if not halved:
             break
     if not res <= 1e-10:
         raise NewtonError(f"viscous steady Newton stalled at residual {res:.3e} "
                           f"> 1e-10 after {iterations} steps")
+    u = unpack(v)
     J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
     return StationaryProfile(x, u[:N + 1].copy(), u[2 * N:].copy(), res,
                              iterations, J_tilde=J)

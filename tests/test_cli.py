@@ -125,9 +125,15 @@ def test_run_enabled_decay_with_short_horizon_refuses(tmp_path, capsys):
     code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "o")])
     assert code == 4
     assert "at least 10 samples" in capsys.readouterr().err
-    # the snapshots are written as the run goes, before the diagnostics
-    assert len((tmp_path / "o" / "snapshots.ndjson").read_text().splitlines()) > 64
     assert multiprocessing.active_children() == []
+    # every snapshot is written, the last partial chunk's too, though the
+    # diagnostics ran while the writer was still busy
+    p.write_text(SINE_SMALL.replace("checks = region, density, entropy, "
+                                    "lyapunov, mass", "checks = region"))
+    assert cli.main(["run", str(p), "--out-dir", str(tmp_path / "ok"), "--quiet"]) == 0
+    snapshots = (tmp_path / "o" / "snapshots.ndjson").read_bytes()
+    assert snapshots == (tmp_path / "ok" / "snapshots.ndjson").read_bytes()
+    assert len(snapshots.splitlines()) % io.SNAPSHOT_CHUNK != 0
 
 
 def test_run_with_sparse_snapshots_is_a_diagnostic_refusal(tmp_path, capsys):
@@ -257,8 +263,13 @@ def test_bracket_failure_maps_to_exit_3(eq_config, monkeypatch, tmp_path, capsys
     code = cli.main(["run", str(eq_config), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "stationary" in capsys.readouterr().err
-    assert len((tmp_path / "o" / "snapshots.ndjson").read_text().splitlines()) > 64
     assert multiprocessing.active_children() == []
+    # every snapshot is written, the last partial chunk's too
+    monkeypatch.undo()
+    assert cli.main(["run", str(eq_config), "--out-dir", str(tmp_path / "ok"), "--quiet"]) == 0
+    snapshots = (tmp_path / "o" / "snapshots.ndjson").read_bytes()
+    assert snapshots == (tmp_path / "ok" / "snapshots.ndjson").read_bytes()
+    assert len(snapshots.splitlines()) % io.SNAPSHOT_CHUNK != 0
 
 
 def test_stationary_subcommand(eq_config, tmp_path):
@@ -662,6 +673,45 @@ def test_no_command_imports_scipy(tmp_path):
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"] * 4
+
+
+_VISCOUS_IMPORTS = """
+import dataclasses, sys
+import numpy as np
+from semihydro import _kernel
+from semihydro.config import parse_config
+from semihydro.stationary import solve_viscous_stationary
+
+with open(sys.argv[1]) as fh:
+    cfg = parse_config(fh.read())
+x = np.linspace(0.0, 1.0, cfg.N + 1)
+mass = float(np.trapezoid(cfg.doping(x), dx=1.0 / cfg.N))
+for gamma in (1.5, 2.0, 3.0):
+    prof = solve_viscous_stationary(dataclasses.replace(cfg, gamma=gamma), cfg.doping, mass)
+    assert prof.shoot_residual <= 1e-10, prof.shoot_residual
+print(_kernel.load() is not None)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
+def test_viscous_solve_imports_no_scipy(kernel, tmp_path):
+    # the scenario's viscous steady states in a fresh interpreter: the band
+    # LU is the C library's, or numpy's when the library cannot be built
+    # (the cache path is a regular file)
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs")
+    env = _src_env()
+    if not kernel:
+        (tmp_path / "no_cache").write_text("")
+        env["XDG_CACHE_HOME"] = str(tmp_path / "no_cache")
+    elif not sys.platform.startswith("linux"):
+        pytest.skip("the build is checked on Linux")
+    proc = subprocess.run([sys.executable, "-c", _VISCOUS_IMPORTS,
+                           os.path.join(configs, "scenario_sine.ini")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(kernel), "[]"]
 
 
 def test_import_loads_no_process_pool():

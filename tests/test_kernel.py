@@ -1,4 +1,4 @@
-"""The C step's build, cache and fallback (semihydro._kernel)."""
+"""The C library's build, cache and fallback (semihydro._kernel)."""
 
 import os
 import stat
@@ -66,7 +66,8 @@ def test_first_run_compiles_once_and_a_fresh_process_loads_the_cache(cache, comp
     _scenario_run()
     assert len(compiles) == 1
     command = compiles[0]
-    assert command[1:5] == ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    assert command[3] == _kernel.SOURCE
+    assert command[4:] == ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm"]
     assert not any("fast-math" in a or a.startswith("-march") for a in command)
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     libraries = sorted(p.name for p in cache.iterdir())

@@ -1,16 +1,21 @@
 """Steady-profile shooting, root finding and the viscous steady state."""
 
+import dataclasses
 import dis
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
 import semihydro as sh
-from semihydro import stationary
+from semihydro import _kernel, stationary
+from semihydro.config import parse_config
 from semihydro.solver import SolverConfig
 from semihydro.stationary import (BracketError, DivergentTrial, InfeasibleTrial,
                                   solve_stationary, solve_viscous_stationary)
@@ -150,6 +155,151 @@ def test_viscous_solver_refuses_other_closures():
 
 
 # ---------------------------------------------------------------------------
+# The viscous Newton solve: its banded Jacobian and the band LU, in C and
+# in numpy, against dense and scipy references.
+
+SCENARIO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "configs", "scenario_sine.ini")
+
+
+def _scenario_viscous_inputs(gamma):
+    """The shipped scenario's grid at gamma, its doping and its neutral mass."""
+    with open(SCENARIO) as fh:
+        cfg = dataclasses.replace(parse_config(fh.read()), gamma=gamma)
+    x = np.linspace(0.0, 1.0, cfg.N + 1)
+    return cfg, cfg.doping, float(np.trapezoid(cfg.doping(x), dx=1.0 / cfg.N))
+
+
+def _band_systems(monkeypatch, gamma):
+    """The (ab, b) of every Newton step of the scenario's viscous solve."""
+    systems = []
+    solve = stationary._band_solve
+
+    def recorded(ab, kl, ku, b):
+        systems.append((ab.copy(), np.array(b)))
+        return solve(ab, kl, ku, b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(stationary, "_band_solve", recorded)
+        solve_viscous_stationary(*_scenario_viscous_inputs(gamma))
+    return systems
+
+
+def _dense(ab, kl, ku):
+    """The n x n matrix that the band storage ab holds."""
+    n = ab.shape[0]
+    A = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            A[i, j] = ab[j, kl + ku + i - j]
+    return A
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_band_solve_has_the_same_bits_in_c_and_numpy(gamma, monkeypatch):
+    if _kernel.load() is None:
+        if sys.platform.startswith("linux"):
+            pytest.fail("the C library does not load")
+        pytest.skip("the C library is unavailable on this platform")
+    kl, ku = stationary._KL, stationary._KU
+    systems = _band_systems(monkeypatch, gamma)
+    assert len(systems) == {1.5: 4, 2.0: 4, 3.0: 3}[gamma]
+    for ab, b in systems:
+        ab_c, ab_numpy = ab.copy(), ab.copy()
+        x_c = stationary._band_solve(ab_c, kl, ku, b)
+        x_numpy = stationary._band_solve_numpy(ab_numpy, kl, ku, b)
+        assert x_c.tobytes() == x_numpy.tobytes()
+        assert ab_c.tobytes() == ab_numpy.tobytes()
+        # and it solves the system the band holds
+        A = _dense(ab, kl, ku)
+        assert np.max(np.abs(A @ x_c - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+def test_band_solve_pivots_like_dense_elimination():
+    # random band matrices whose diagonal is not the largest entry, so
+    # that rows swap; both paths against numpy's dense solve
+    rng = np.random.default_rng(7)
+    for n, kl, ku in [(1, 0, 0), (2, 1, 0), (7, 2, 1), (30, 5, 3), (40, 1, 4)]:
+        ab = np.zeros((n, 2 * kl + ku + 1))
+        for j in range(n):
+            for i in range(max(0, j - ku), min(n, j + kl + 1)):
+                ab[j, kl + ku + i - j] = rng.standard_normal() * (0.1 if i == j else 1.0)
+        A = _dense(ab, kl, ku)
+        b = rng.standard_normal(n)
+        want = np.linalg.solve(A, b)
+        got = []
+        for path in _paths():
+            x = stationary._band_solve(ab.copy(), kl, ku, b)
+            assert np.allclose(x, want, rtol=1e-9, atol=1e-9), (path, n)
+            got.append(x.tobytes())
+        assert len(set(got)) == 1, n
+
+
+def test_band_solve_of_a_singular_matrix_is_nan_on_both_paths():
+    ab = np.zeros((3, 4))           # kl = 1, ku = 1
+    ab[:, 2] = [1.0, 0.0, 1.0]      # the diagonal, with a zero column in the middle
+    for path in _paths():
+        assert np.all(np.isnan(stationary._band_solve(ab.copy(), 1, 1, np.ones(3)))), path
+    with pytest.raises(ValueError, match="shape"):
+        stationary._band_solve(np.zeros((3, 3)), 1, 1, np.ones(3))
+
+
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+def test_colored_jacobian_is_the_dense_forward_difference(scheme, monkeypatch):
+    # every difference outside the band is exactly zero, and the band holds
+    # the column-by-column forward differences bit for bit
+    kl, ku = stationary._KL, stationary._KU
+    jacobian = stationary._colored_jacobian
+    checked = []
+
+    def dense_too(F, u, f0, *layout):
+        ab = jacobian(F, u, f0, *layout)
+        h = 1.5e-8 * np.maximum(1.0, np.abs(u))
+        for q in range(u.size):
+            up = u.copy()
+            up[q] += h[q]
+            column = (F(up) - f0) / h[q]
+            band = slice(max(0, q - ku), min(u.size, q + kl + 1))
+            outside = np.ones(u.size, bool)
+            outside[band] = False
+            assert np.all(column[outside] == 0.0), q
+            assert column[band].tobytes() == ab[q, kl + ku + np.arange(u.size)[band] - q].tobytes()
+        checked.append(u.size)
+        return ab
+
+    cfg = _float_config(2.0, N=30, scheme=scheme)
+    x = np.linspace(0.0, 1.0, 31)
+    with monkeypatch.context() as mp:
+        mp.setattr(stationary, "_colored_jacobian", dense_too)
+        solve_viscous_stationary(cfg, SINE, float(np.trapezoid(SINE(x), dx=1.0 / 30)))
+    assert checked and checked[0] == 91
+
+
+def _spsolve_band(ab, kl, ku, b):
+    return spsolve(csc_matrix(_dense(ab, kl, ku)), b)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_viscous_newton_matches_an_spsolve_reference(gamma, monkeypatch):
+    inputs = _scenario_viscous_inputs(gamma)
+    with monkeypatch.context() as mp:
+        mp.setattr(stationary, "_band_solve", _spsolve_band)
+        want = solve_viscous_stationary(*inputs)
+    runs = []
+    for path in _paths():
+        got = solve_viscous_stationary(*inputs)
+        for field in ("N_tilde", "J_tilde", "E_tilde"):
+            gap = np.max(np.abs(getattr(got, field) - getattr(want, field)))
+            assert gap <= 1e-13, (path, field, gap)
+        assert got.iterations == want.iterations == {1.5: 4, 2.0: 4, 3.0: 3}[gamma]
+        assert got.shoot_residual <= 1e-13
+        runs.append((got.N_tilde.tobytes(), got.J_tilde.tobytes(), got.E_tilde.tobytes(),
+                     got.shoot_residual))
+    # the same bytes with the library and without it
+    assert len(set(runs)) == 1
+
+
+# ---------------------------------------------------------------------------
 # Bit identity of the shooting solve against plain reference copies of the
 # RK4 integration on numpy scalars and of the bisection to adjacent floats.
 
@@ -251,19 +401,83 @@ def _outcome(integrate, *args):
     return Nt.tobytes(), Et.tobytes()
 
 
+def _paths():
+    """The ways the steady solvers' inner loops run: "kernel", in the C
+    library (when it builds here), and "python", with _kernel.load patched
+    to give no library. Yields each path's name inside its patch."""
+    if _kernel.load() is not None:
+        yield "kernel"
+    elif sys.platform.startswith("linux"):
+        pytest.fail("the C library does not load")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        yield "python"
+
+
 def test_integrate_matches_plain_reference():
-    outcomes = set()
-    for gamma, N in itertools.product([1.5, 2.0, 3.0], [100, 400, 2048]):
-        m = sh.GasModel(gamma)
-        d2 = SINE(np.linspace(0.0, 1.0, 2 * N + 1))
-        floor, cap = SINE.d_lo / 10.0, 1e6 * SINE.d_hi
-        # from collapse through the root to runaway, plus a NaN and an inf start
-        for N0 in [0.06, 0.3, 0.7, 1.0, 1.1, 1.2, 2.0, 5.0, 1e7, np.nan, np.inf]:
-            args = (N0, d2, m, N, floor, cap)
-            got = _outcome(stationary._integrate, *args)
-            assert got == _outcome(_plain_integrate, *args), (gamma, N, N0)
-            outcomes.add(got[0] if isinstance(got[0], type) else "ok")
-    assert outcomes == {"ok", InfeasibleTrial, DivergentTrial}
+    for path in _paths():
+        outcomes = set()
+        for gamma, N in itertools.product([1.2, 1.5, 2.0, 2.5, 3.0], [100, 400, 2048]):
+            m = sh.GasModel(gamma)
+            d2 = SINE(np.linspace(0.0, 1.0, 2 * N + 1))
+            floor, cap = SINE.d_lo / 10.0, 1e6 * SINE.d_hi
+            # from collapse through the root to runaway, plus a negative, a
+            # NaN and an inf start
+            for N0 in [0.06, 0.3, 0.7, 1.0, 1.1, 1.2, 2.0, 5.0, 1e7, -1.0, np.nan, np.inf]:
+                args = (N0, d2, m, N, floor, cap)
+                got = _outcome(stationary._integrate, *args)
+                assert got == _outcome(_plain_integrate, *args), (path, gamma, N, N0)
+                outcomes.add(got[0] if isinstance(got[0], type) else "ok")
+        assert outcomes == {"ok", InfeasibleTrial, DivergentTrial}, path
+
+
+def test_integrate_aborts_name_the_node_on_both_paths():
+    m = sh.GasModel(1.5)
+    d2 = SINE(np.linspace(0.0, 1.0, 401))
+    want = [
+        # below the floor at the start, and at the first node
+        ((-1.0, 0.05, 1.5e6), InfeasibleTrial, "density fell below 0.05 near x = 0.0"),
+        # a cap that the doping-matched start already exceeds
+        ((1.0, 0.05, 0.5), DivergentTrial, "density exceeded 0.5 near x = 0.0"),
+        ((5.0, 0.05, 1.5e6), DivergentTrial, None),
+        ((0.06, 0.05, 1.5e6), InfeasibleTrial, None),
+        ((np.nan, 0.05, 1.5e6), DivergentTrial, "integration diverged near x = 0.005"),
+    ]
+    seen = {}
+    for path in _paths():
+        for (N0, floor, cap), kind, message in want:
+            with pytest.raises(kind) as exc:
+                stationary._integrate(N0, d2, m, 200, floor, cap)
+            if message is not None:
+                assert str(exc.value) == message, path
+            seen.setdefault((N0, floor, cap), set()).add(str(exc.value))
+    # each abort has one message, x included, whichever path ran
+    assert all(len(messages) == 1 for messages in seen.values()), seen
+
+
+def test_a_power_python_refuses_raises_python_s_error_on_both_paths():
+    # a zero or subnormal density to the power 2 - gamma = -1: the C trial
+    # hands it back to Python, which raises what float.__pow__ raises
+    m = sh.GasModel(3.0)
+    d2 = SINE(np.linspace(0.0, 1.0, 401))
+    for path in _paths():
+        with pytest.raises(ZeroDivisionError):
+            stationary._integrate(0.0, d2, m, 200, 0.0, 1.5e6)
+        with pytest.raises(OverflowError):
+            stationary._integrate(1e-310, d2, m, 200, 0.0, 1.5e6)
+
+
+@pytest.mark.parametrize("spec", ["sine:1:0.5:1", "sine:1:0.9:3", "constant:1.3"])
+def test_solve_stationary_has_the_same_bytes_on_both_paths(spec):
+    D = sh.DopingProfile.from_spec(spec)
+    runs = {}
+    for path in _paths():
+        for gamma, N in itertools.product([1.2, 1.5, 2.0, 3.0], [64, 400, 4096]):
+            prof = solve_stationary(D, sh.GasModel(gamma), N)
+            runs.setdefault((gamma, N), []).append(
+                (prof.N_tilde.tobytes(), prof.E_tilde.tobytes(), prof.shoot_residual,
+                 prof.iterations))
+    assert all(len(r) == 2 and r[0] == r[1] for r in runs.values())
 
 
 @pytest.mark.parametrize("spec", ["sine:1:0.5:1", "constant:1.3", "constant:1",
