@@ -16,8 +16,9 @@ trials.
 At finite eps a run settles instead on the steady state of the discrete
 viscous scheme, which carries a current J ~ eps N_x and sits O(eps) away
 from the inviscid profile; solve_viscous_stationary computes it by Newton
-iteration on the scheme's own residual, whose Jacobian is banded once the
-unknowns are ordered node by node.
+iteration on the scheme's own residual. That residual takes its unknowns
+and gives its rows node by node, so its Jacobian is banded, and is found
+in _KL + _KU + 1 evaluations whatever the grid.
 
 Both inner loops run in the package's C library when it loads (see the
 _kernel module): a shooting trial is semihydro_shoot, a Newton step's
@@ -329,25 +330,32 @@ def solve_stationary(D, m, N: int, tol: float = 1e-10) -> StationaryProfile:
     return StationaryProfile(np.linspace(0.0, 1.0, N + 1), Nt, Et, res_abs, len(trials))
 
 
-def _viscous_residual(u, cfg, m, d_grid, dx, E_end):
-    """Steady residual of the time step under the float closure.
+def _node_fields(v):
+    """n, J and E on the nodes, from the unknowns v of _viscous_residual.
 
-    u packs n (N+1 nodes), the interior J (N-1) and E (N+1). Rows: zero
-    density flux through the face next to x = 0, the density equation
-    rhs_n = 0 and the current equation rhs_J = 0 at the interior nodes,
-    E(0) = 0, the trapezoid recursion for E, and E(1) = E_end, which fixes
+    v holds (n_0, E_0), then (n_i, J_i, E_i) at each interior node, then
+    (n_N, E_N); J is zero at the walls. The copy makes each field
+    contiguous, as the step takes it.
+    """
+    return np.insert(v, (1, v.size - 1), 0.0).reshape(-1, 3).T.copy()
+
+
+def _viscous_residual(v, cfg, m, d_grid, dx, E_end):
+    """Steady residual of the time step under the float closure, node by node.
+
+    The unknowns v are those of _node_fields. The rows follow them: node 0
+    holds the zero density flux through the face next to x = 0, E(0) = 0
+    and the trapezoid recursion from E_0 to E_1; interior node i holds the
+    density equation rhs_n = 0, the current equation rhs_J = 0 and the
+    recursion from E_i to E_i+1; the last row is E(1) = E_end, which fixes
     the mass. Zero flux at the face next to x = 1 follows by conservation.
     """
-    N = cfg.N
-    n = u[:N + 1]
-    J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
-    E = u[2 * N:]
+    n, J, E = _node_fields(v)
     rhs_n, rhs_J, (flux_lo, _) = _rhs(n, J, E, 0.0, m, cfg, dx, None)
     y = n - d_grid
-    return np.concatenate((
-        [flux_lo], rhs_n, rhs_J,
-        [E[0]], E[1:] - E[:-1] - dx * (y[1:] + y[:-1]) / 2.0, [E[-1] - E_end],
-    ))
+    by_node = np.stack((np.concatenate(([flux_lo], rhs_n)), np.concatenate(([E[0]], rhs_J)),
+                        E[1:] - E[:-1] - dx * (y[1:] + y[:-1]) / 2.0), axis=1)
+    return np.append(by_node, E[-1] - E_end)
 
 
 # The Jacobian's bandwidths in node order. A row depends only on unknowns
@@ -356,32 +364,27 @@ def _viscous_residual(u, cfg, m, d_grid, dx, E_end):
 _KL, _KU = 5, 3
 
 
-def _colored_jacobian(F, u, f0, row_node, col_node, col_field):
-    """Forward-difference Jacobian of F at u in nine evaluations of F, in
-    the band storage _band_solve takes, with bandwidths (_KL, _KU).
+def _banded_jacobian(F, u, f0):
+    """Forward-difference Jacobian of F at u in _KL + _KU + 1 evaluations
+    of F, in the band storage _band_solve takes, with bandwidths (_KL, _KU).
 
-    Every row of F depends only on unknowns within one node of its own
-    row_node. Perturbing one field at every third node at once therefore
-    moves each row through a single column. The rows and the unknowns
-    come in node order, so the Jacobian is banded; the differences
+    Columns _KL + _KU + 1 apart share no row of a banded matrix (Curtis,
+    Powell and Reid, 1974), so one evaluation perturbs every column of a
+    group j = c mod (_KL + _KU + 1) at once, and row r's difference belongs
+    to the one column of the group in r - _KL ... r + _KU. The differences
     outside the band are exactly zero, and are left out.
     """
-    n_nodes = int(col_node.max()) + 1
+    w = _KL + _KU + 1
     ab = np.zeros((u.size, 2 * _KL + _KU + 1))
     row = np.arange(u.size)
-    h_all = 1.5e-8 * np.maximum(1.0, np.abs(u))
-    for field in range(3):
-        for color in range(3):
-            group = np.nonzero((col_field == field) & (col_node % 3 == color))[0]
-            up = u.copy()
-            up[group] += h_all[group]
-            df = F(up) - f0
-            col_at = np.full(n_nodes + 1, -1)
-            col_at[col_node[group]] = group
-            j_node = row_node - 1 + (color - row_node + 1) % 3
-            j = col_at[np.where(j_node < 0, n_nodes, j_node)]
-            r = np.nonzero((j >= 0) & (row - j <= _KL) & (j - row <= _KU))[0]
-            ab[j[r], _KL + _KU + r - j[r]] = df[r] / h_all[j[r]]
+    h = 1.5e-8 * np.maximum(1.0, np.abs(u))
+    for c in range(w):
+        up = u.copy()
+        up[c::w] += h[c::w]
+        df = F(up) - f0
+        j = row - _KL + (c - row + _KL) % w
+        r = np.nonzero((j >= 0) & (j < u.size))[0]
+        ab[j[r], _KL + _KU + r - j[r]] = df[r] / h[j[r]]
     return ab
 
 
@@ -448,9 +451,9 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
 
     Newton iteration on the steady residual of the time step (the same
     stencil run() advances) with E kept as an unknown through its
-    trapezoid recursion. Ordered node by node, as (n_i, J_i, E_i) with
-    the rows by their node, the unknowns give a banded Jacobian, which
-    _band_solve factors. The mass is imposed through
+    trapezoid recursion. The unknowns and the rows of _viscous_residual
+    come node by node, so its Jacobian is banded (_banded_jacobian) and
+    _band_solve factors it. The mass is imposed through
     E(1) = mass - integral(D); the float walls conserve it, so one step
     from the returned state moves n and J by rounding.
 
@@ -468,31 +471,16 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     E_end = float(mass) - float(np.trapezoid(d_grid, dx=dx))
     guess = solve_stationary(D, m, N)
 
-    nodes = np.arange(N + 1)
-    interior = nodes[1:-1]
-    row_node = np.concatenate(([0], interior, interior, [0], nodes[:-1], [N]))
-    col_node = np.concatenate((nodes, interior, nodes))
-    col_field = np.concatenate((np.zeros(N + 1, int), np.ones(N - 1, int),
-                                np.full(N + 1, 2)))
-    # node order: rows[k] is the k-th row of F, cols[k] the k-th unknown of u
-    rows = np.argsort(row_node, kind="stable")
-    cols = np.lexsort((col_field, col_node))
-
-    def unpack(v):
-        """u, the unknowns (n, interior J, E) of _viscous_residual."""
-        u = np.empty_like(v)
-        u[cols] = v
-        return u
-
     def F(v):
-        return _viscous_residual(unpack(v), cfg, m, d_grid, dx, E_end)[rows]
+        return _viscous_residual(v, cfg, m, d_grid, dx, E_end)
 
-    v = np.concatenate((guess.N_tilde, np.zeros(N - 1), guess.E_tilde))[cols]
+    v = np.delete(np.column_stack((guess.N_tilde, np.zeros(N + 1), guess.E_tilde)).ravel(),
+                  (1, 3 * N + 1))
     f = F(v)
     res = float(np.max(np.abs(f)))
     iterations = 0
     while res > 0.0 and iterations < 20:
-        ab = _colored_jacobian(F, v, f, row_node[rows], col_node[cols], col_field[cols])
+        ab = _banded_jacobian(F, v, f)
         v_new = v + _band_solve(ab, _KL, _KU, -f)
         f_new = F(v_new)
         res_new = float(np.max(np.abs(f_new)))
@@ -506,7 +494,5 @@ def solve_viscous_stationary(cfg, D, mass: float) -> StationaryProfile:
     if not res <= 1e-10:
         raise NewtonError(f"viscous steady Newton stalled at residual {res:.3e} "
                           f"> 1e-10 after {iterations} steps")
-    u = unpack(v)
-    J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
-    return StationaryProfile(x, u[:N + 1].copy(), u[2 * N:].copy(), res,
-                             iterations, J_tilde=J)
+    n, J, E = _node_fields(v)
+    return StationaryProfile(x, n, E, res, iterations, J_tilde=J)

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
@@ -16,7 +18,7 @@ from scipy.sparse.linalg import spsolve
 import semihydro as sh
 from semihydro import _kernel, stationary
 from semihydro.config import parse_config
-from semihydro.solver import SolverConfig
+from semihydro.solver import SolverConfig, _rhs
 from semihydro.stationary import (BracketError, DivergentTrial, InfeasibleTrial,
                                   solve_stationary, solve_viscous_stationary)
 
@@ -170,19 +172,18 @@ def _scenario_viscous_inputs(gamma):
     return cfg, cfg.doping, float(np.trapezoid(cfg.doping(x), dx=1.0 / cfg.N))
 
 
-def _band_systems(monkeypatch, gamma):
-    """The (ab, b) of every Newton step of the scenario's viscous solve."""
+def _solve_recording_systems(solve, *args):
+    """solve(*args), and the (ab, b) of every Newton system it factors."""
+    band_solve = stationary._band_solve
     systems = []
-    solve = stationary._band_solve
 
     def recorded(ab, kl, ku, b):
         systems.append((ab.copy(), np.array(b)))
-        return solve(ab, kl, ku, b)
+        return band_solve(ab, kl, ku, b)
 
-    with monkeypatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stationary, "_band_solve", recorded)
-        solve_viscous_stationary(*_scenario_viscous_inputs(gamma))
-    return systems
+        return solve(*args), systems
 
 
 def _dense(ab, kl, ku):
@@ -196,13 +197,14 @@ def _dense(ab, kl, ku):
 
 
 @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
-def test_band_solve_has_the_same_bits_in_c_and_numpy(gamma, monkeypatch):
+def test_band_solve_has_the_same_bits_in_c_and_numpy(gamma):
     if _kernel.load() is None:
         if sys.platform.startswith("linux"):
             pytest.fail("the C library does not load")
         pytest.skip("the C library is unavailable on this platform")
     kl, ku = stationary._KL, stationary._KU
-    systems = _band_systems(monkeypatch, gamma)
+    _, systems = _solve_recording_systems(solve_viscous_stationary,
+                                          *_scenario_viscous_inputs(gamma))
     assert len(systems) == {1.5: 4, 2.0: 4, 3.0: 3}[gamma]
     for ab, b in systems:
         ab_c, ab_numpy = ab.copy(), ab.copy()
@@ -245,15 +247,15 @@ def test_band_solve_of_a_singular_matrix_is_nan_on_both_paths():
 
 
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
-def test_colored_jacobian_is_the_dense_forward_difference(scheme, monkeypatch):
+def test_banded_jacobian_is_the_dense_forward_difference(scheme, monkeypatch):
     # every difference outside the band is exactly zero, and the band holds
     # the column-by-column forward differences bit for bit
     kl, ku = stationary._KL, stationary._KU
-    jacobian = stationary._colored_jacobian
+    jacobian = stationary._banded_jacobian
     checked = []
 
-    def dense_too(F, u, f0, *layout):
-        ab = jacobian(F, u, f0, *layout)
+    def dense_too(F, u, f0):
+        ab = jacobian(F, u, f0)
         h = 1.5e-8 * np.maximum(1.0, np.abs(u))
         for q in range(u.size):
             up = u.copy()
@@ -270,9 +272,51 @@ def test_colored_jacobian_is_the_dense_forward_difference(scheme, monkeypatch):
     cfg = _float_config(2.0, N=30, scheme=scheme)
     x = np.linspace(0.0, 1.0, 31)
     with monkeypatch.context() as mp:
-        mp.setattr(stationary, "_colored_jacobian", dense_too)
+        mp.setattr(stationary, "_banded_jacobian", dense_too)
         solve_viscous_stationary(cfg, SINE, float(np.trapezoid(SINE(x), dx=1.0 / 30)))
     assert checked and checked[0] == 91
+
+
+def _banded_function(n, rng):
+    """A generic smooth F on n unknowns whose row r depends on exactly the
+    columns r - _KL ... r + _KU, elementwise, and the number of its calls."""
+    kl, ku = stationary._KL, stationary._KU
+    a = rng.standard_normal((kl + ku + 1, n))
+    calls = []
+
+    def F(u):
+        calls.append(1)
+        pad = np.concatenate((np.zeros(kl), u, np.zeros(ku)))
+        f = u**3
+        for k in range(kl + ku + 1):
+            f = f + a[k] * np.sin(pad[k:k + n])
+        return f
+    return F, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 23, 40])
+def test_banded_jacobian_of_a_generic_band_function(n):
+    # fewer unknowns than colours, and rows that the band cuts at both ends:
+    # the band holds the column-by-column forward differences bit for bit,
+    # and every other slot of the storage stays zero
+    kl, ku = stationary._KL, stationary._KU
+    rng = np.random.default_rng(n)
+    F, calls = _banded_function(n, rng)
+    u = rng.standard_normal(n) * 3.0
+    f0 = F(u)
+    calls.clear()
+    ab = stationary._banded_jacobian(F, u, f0)
+    assert len(calls) == kl + ku + 1
+    want = np.zeros((n, 2 * kl + ku + 1))
+    h = 1.5e-8 * np.maximum(1.0, np.abs(u))
+    for q in range(n):
+        up = u.copy()
+        up[q] += h[q]
+        column = (F(up) - f0) / h[q]
+        band = np.arange(max(0, q - ku), min(n, q + kl + 1))
+        want[q, kl + ku + band - q] = column[band]
+        assert np.all(np.delete(column, band) == 0.0), q
+    assert ab.tobytes() == want.tobytes()
 
 
 def _spsolve_band(ab, kl, ku, b):
@@ -614,3 +658,121 @@ def test_solve_with_the_port_is_solve_with_scipy_brentq(spec, monkeypatch):
                          prof.shoot_residual, prof.iterations, trials))
         assert runs[0] == runs[1], (gamma, N)
         assert runs[0][3] == len(runs[0][4])
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the viscous Newton solve against a plain copy of the
+# design it replaces: the residual in field order, its rows and unknowns
+# permuted into node order by index arrays, and a Jacobian coloured by
+# field and node mod 3 through a node map.
+
+def _plain_viscous_residual(u, cfg, m, d_grid, dx, E_end):
+    N = cfg.N
+    n = u[:N + 1]
+    J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
+    E = u[2 * N:]
+    rhs_n, rhs_J, (flux_lo, _) = _rhs(n, J, E, 0.0, m, cfg, dx, None)
+    y = n - d_grid
+    return np.concatenate((
+        [flux_lo], rhs_n, rhs_J,
+        [E[0]], E[1:] - E[:-1] - dx * (y[1:] + y[:-1]) / 2.0, [E[-1] - E_end],
+    ))
+
+
+def _plain_colored_jacobian(F, u, f0, row_node, col_node, col_field):
+    kl, ku = stationary._KL, stationary._KU
+    n_nodes = int(col_node.max()) + 1
+    ab = np.zeros((u.size, 2 * kl + ku + 1))
+    row = np.arange(u.size)
+    h_all = 1.5e-8 * np.maximum(1.0, np.abs(u))
+    for field in range(3):
+        for color in range(3):
+            group = np.nonzero((col_field == field) & (col_node % 3 == color))[0]
+            up = u.copy()
+            up[group] += h_all[group]
+            df = F(up) - f0
+            col_at = np.full(n_nodes + 1, -1)
+            col_at[col_node[group]] = group
+            j_node = row_node - 1 + (color - row_node + 1) % 3
+            j = col_at[np.where(j_node < 0, n_nodes, j_node)]
+            r = np.nonzero((j >= 0) & (row - j <= kl) & (j - row <= ku))[0]
+            ab[j[r], kl + ku + r - j[r]] = df[r] / h_all[j[r]]
+    return ab
+
+
+def _plain_viscous_solve(cfg, D, mass):
+    m = cfg.model()
+    N = cfg.N
+    x = np.linspace(0.0, 1.0, N + 1)
+    dx = 1.0 / N
+    d_grid = D(x)
+    E_end = float(mass) - float(np.trapezoid(d_grid, dx=dx))
+    guess = solve_stationary(D, m, N)
+    nodes = np.arange(N + 1)
+    interior = nodes[1:-1]
+    row_node = np.concatenate(([0], interior, interior, [0], nodes[:-1], [N]))
+    col_node = np.concatenate((nodes, interior, nodes))
+    col_field = np.concatenate((np.zeros(N + 1, int), np.ones(N - 1, int), np.full(N + 1, 2)))
+    rows = np.argsort(row_node, kind="stable")
+    cols = np.lexsort((col_field, col_node))
+
+    def unpack(v):
+        u = np.empty_like(v)
+        u[cols] = v
+        return u
+
+    def F(v):
+        return _plain_viscous_residual(unpack(v), cfg, m, d_grid, dx, E_end)[rows]
+
+    v = np.concatenate((guess.N_tilde, np.zeros(N - 1), guess.E_tilde))[cols]
+    f = F(v)
+    res = float(np.max(np.abs(f)))
+    iterations = 0
+    while res > 0.0 and iterations < 20:
+        ab = _plain_colored_jacobian(F, v, f, row_node[rows], col_node[cols], col_field[cols])
+        v_new = v + stationary._band_solve(ab, stationary._KL, stationary._KU, -f)
+        f_new = F(v_new)
+        res_new = float(np.max(np.abs(f_new)))
+        iterations += 1
+        if not res_new < res:
+            break
+        halved = res_new <= 0.5 * res
+        v, f, res = v_new, f_new, res_new
+        if not halved:
+            break
+    u = unpack(v)
+    J = np.concatenate(([0.0], u[N + 1:2 * N], [0.0]))
+    return stationary.StationaryProfile(x, u[:N + 1].copy(), u[2 * N:].copy(), res,
+                                        iterations, J_tilde=J)
+
+
+def _viscous_bytes(prof, systems):
+    return (prof.N_tilde.tobytes(), prof.J_tilde.tobytes(), prof.E_tilde.tobytes(),
+            prof.shoot_residual, prof.iterations,
+            [(ab.tobytes(), b.tobytes()) for ab, b in systems])
+
+
+def _assert_viscous_matches_plain(scheme, gamma, N):
+    cfg, D, _ = _scenario_viscous_inputs(gamma)
+    cfg = dataclasses.replace(cfg, scheme=scheme, N=N)
+    mass = float(np.trapezoid(D(np.linspace(0.0, 1.0, N + 1)), dx=1.0 / N))
+    for path in _paths():
+        want = _viscous_bytes(*_solve_recording_systems(_plain_viscous_solve, cfg, D, mass))
+        got = _viscous_bytes(*_solve_recording_systems(solve_viscous_stationary, cfg, D, mass))
+        assert got == want, (path, N)
+
+
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_viscous_solve_matches_the_permuted_layout_it_replaces(scheme, gamma):
+    for N in [30, 101, 400]:
+        _assert_viscous_matches_plain(scheme, gamma, N)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["central", "rusanov"]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.integers(16, 64))
+def test_viscous_solve_matches_the_permuted_layout_on_drawn_grids(scheme, gamma, N):
+    # colours now follow the index mod 9, not the node mod 3, so grids of
+    # every size modulo 9 and 3 meet both walls in another colour
+    _assert_viscous_matches_plain(scheme, gamma, N)
