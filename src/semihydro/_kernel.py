@@ -1,7 +1,9 @@
 """Build and load the package's C library, _step.c, through ctypes.
 
-The library holds the explicit step that solver.run takes, and the
-shooting trial and the banded Newton solve of the stationary module.
+The library holds the explicit step that solver.run takes and the
+manufactured forcing that solver.manufactured_forcing builds (its power
+stays numpy's), and the shooting trial and the banded Newton solve of the
+stationary module.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
@@ -98,15 +100,32 @@ class Grid(ctypes.Structure):
                 ("count", ctypes.c_long)]
 
 
+class Forcing(ctypes.Structure):
+    """struct forcing_grid of _step.c: the forcing's x-only factors and
+    constants."""
+
+    _fields_ = [("size", ctypes.c_long),
+                *((name, ctypes.c_double) for name in ("eps", "two_eps", "two_pi", "p0_gamma")),
+                *((name, ctypes.c_void_p)
+                  for name in ("a_t", "a_x", "a_xx", "b_n", "b_J", "b_nx", "b_Jx", "b_Jxx", "b_E"))]
+
+
+# name: (restype, argtypes)
 _SIGNATURES = {
     # (grid, n, J, nn, JJ, dt)
-    "semihydro_step": [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4, ctypes.c_double],
+    "semihydro_step": (ctypes.c_int, [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4,
+                                      ctypes.c_double]),
+    # (forcing, et, out)
+    "semihydro_forcing_n": (None, [ctypes.POINTER(Forcing), ctypes.c_double, ctypes.c_void_p]),
+    # (forcing, et, pw, out)
+    "semihydro_forcing_J": (None, [ctypes.POINTER(Forcing), ctypes.c_double,
+                                   *[ctypes.c_void_p] * 2]),
     # (N, N0, d2, c, ex, floor, cap, Nt, Et, at)
-    "semihydro_shoot": [ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
-                        *[ctypes.c_double] * 4, *[ctypes.c_void_p] * 2,
-                        ctypes.POINTER(ctypes.c_long)],
+    "semihydro_shoot": (ctypes.c_int, [ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
+                                       *[ctypes.c_double] * 4, *[ctypes.c_void_p] * 2,
+                                       ctypes.POINTER(ctypes.c_long)]),
     # (n, kl, ku, ab, b)
-    "semihydro_band_solve": [*[ctypes.c_long] * 3, *[ctypes.c_void_p] * 2],
+    "semihydro_band_solve": (ctypes.c_int, [*[ctypes.c_long] * 3, *[ctypes.c_void_p] * 2]),
 }
 
 
@@ -122,7 +141,7 @@ def load():
         functions = [getattr(lib, name) for name in _SIGNATURES]
     except (OSError, AttributeError):
         return None
-    for function, argtypes in zip(functions, _SIGNATURES.values()):
-        function.restype = ctypes.c_int
+    for function, (restype, argtypes) in zip(functions, _SIGNATURES.values()):
+        function.restype = restype
         function.argtypes = argtypes
     return lib

@@ -1,5 +1,6 @@
-/* The C library of semihydro: the explicit step of semihydro.solver, and
-   the two inner loops of semihydro.stationary.
+/* The C library of semihydro: the explicit step of semihydro.solver and
+   its manufactured forcing, and the two inner loops of
+   semihydro.stationary.
 
    Each function does what its Python counterpart does, operation by
    operation, so every double it writes has the bits Python gives: each
@@ -10,6 +11,11 @@
    semihydro_step advances (n, J) by dt into (nn, JJ) as solver._advance
    does. It takes no power: the caller passes p(n) and, for the Rusanov
    flux, theta * n**theta, both computed by numpy.
+
+   semihydro_forcing_n and semihydro_forcing_J evaluate the manufactured
+   forcing of solver.manufactured_forcing at one time. They take no power
+   either: the caller passes (1 + b_n e^-t)**(gamma - 1), computed by
+   numpy, and e^-t itself.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
    powers are libm's pow, the function CPython's float.__pow__ calls.
@@ -164,6 +170,55 @@ int semihydro_step(struct step_grid *g, const double *n, const double *J,
     for (i = 0; i < N; i++)
         g->terms[i] = (nn[i + 1] + nn[i]) * dx / 2.0;  /* dx * (n[1:] + n[:-1]) / 2.0 */
     return STEP_OK;
+}
+
+/* Mirrored field by field by _kernel.Forcing: the factors of the forcing
+   that depend on x alone, each on the size points it is built on, and its
+   constants. */
+struct forcing_grid {
+    long size;
+    double eps, two_eps, two_pi, p0_gamma;  /* eps, 2 eps, 2 pi, p0 gamma */
+    const double *a_t, *a_x, *a_xx;         /* f_n */
+    const double *b_n, *b_J, *b_nx, *b_Jx, *b_Jxx, *b_E;  /* f_J */
+};
+
+/* f_n at et = e^-t: a_t et + 0.1 (1 - et) a_x - eps (a_xx et) */
+void semihydro_forcing_n(const struct forcing_grid *f, double et, double *out)
+{
+    const long size = f->size;
+    const double eps = f->eps, c = 0.1 * (1.0 - et);
+    const double *a_t = f->a_t, *a_x = f->a_x, *a_xx = f->a_xx;
+    long i;
+
+    for (i = 0; i < size; i++)
+        out[i] = a_t[i] * et + c * a_x[i] - eps * (a_xx[i] * et);
+}
+
+/* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points */
+void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
+                         double *out)
+{
+    const long size = f->size;
+    const double eps = f->eps, two_eps = f->two_eps, two_pi = f->two_pi;
+    const double p0_gamma = f->p0_gamma;
+    const double c = 0.1 * (1.0 - et), one_et = 1.0 - et, e4 = 0.25 * et;
+    const double *b_n = f->b_n, *b_J = f->b_J, *b_nx = f->b_nx;
+    const double *b_Jx = f->b_Jx, *b_Jxx = f->b_Jxx, *b_E = f->b_E;
+    long i;
+
+    for (i = 0; i < size; i++) {
+        const double n = 1.0 + b_n[i] * et;
+        const double J = b_J[i] * one_et;
+        const double n_x = b_nx[i] * et;
+        const double J_x = c * b_Jx[i];
+        const double J_t = b_J[i] * et;
+        const double J_xx = c * b_Jxx[i];
+        const double E = e4 * b_E[i] / two_pi;
+        const double conv_x = (2.0 * J * J_x * n - J * J * n_x) / (n * n);
+        const double p_x = p0_gamma * pw[i] * n_x;
+        /* J_t + (J^2/n + p)_x - eps J_xx - nE + J + 2 eps n_x */
+        out[i] = J_t + conv_x + p_x - eps * J_xx - n * E + J + two_eps * n_x;
+    }
 }
 
 /* semihydro_shoot: classical RK4 on the inviscid steady ODE

@@ -22,6 +22,8 @@ The run loop takes each step in C when it can: _step.c, built by the
 system C compiler on the first run and loaded through ctypes (see the
 _kernel module). Without a compiler, or if the build or its cache fails,
 it takes _advance, the step in numpy, at a few times the cost per step.
+The manufactured forcing of the mms checks does its per-call arithmetic
+in the same library when it loads, and in numpy otherwise.
 
 Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
@@ -32,12 +34,15 @@ operation's operands and their order, and divisions by 2 dx and dx**2
 stay divisions. The C step does the same arithmetic on doubles, built
 without -ffast-math and with -ffp-contract=off so that nothing fuses into
 a multiply-add; it takes no power itself, so p(n), theta * n**theta, the
-forcing and the CFL speeds still come from numpy, and the mass is numpy's
-sum of the trapezoid terms it writes. tests/test_solver.py checks both
-paths against a plain copy of the step, and against each other. Between
-hosts the bits may differ for gamma != 2: numpy's SIMD power routine may
-round n**gamma differently on another CPU. At gamma = 2 the powers
-(n**2.0, n**0.5) are exact, and CI's byte comparisons use gamma = 2 only.
+forcing's power and exp(-t), and the CFL speeds still come from numpy, and
+the mass is numpy's sum of the trapezoid terms it writes. The forcing's
+other arithmetic runs in C. tests/test_solver.py checks both paths
+against a plain copy of the step and of the forcing, and against each
+other. Between hosts the bits may differ for gamma != 2: numpy's SIMD
+power routine may round n**gamma differently on another CPU. At gamma = 2
+the powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between
+runs use gamma = 2, except one that compares the two paths of mms at
+gamma = 1.5 on one host.
 
 The module imports numpy alone: E comes from field._efield, which is
 scipy's cumulative_trapezoid formula in numpy, and the kernel is built
@@ -46,6 +51,7 @@ and loaded on the first run, not on import.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, fields, replace
 from math import inf
@@ -56,7 +62,7 @@ import numpy as np
 
 from .field import DopingProfile, _efield, project_neutral
 from .gas import GasModel, eigenvalues, pressure
-from ._kernel import Grid as _Grid, load as _load_kernel
+from ._kernel import Forcing as _Forcing, Grid as _Grid, load as _load_kernel
 
 # _advance takes E through this module-level name, so a wrapper bound to it
 # (the benchmark's per-layer tracer times the E integral that way) sees
@@ -377,9 +383,9 @@ class _KernelStep:
     """The explicit step by the C kernel, called as _stepper's advance.
 
     The state alternates between two pairs of preallocated buffers, and
-    the arrays returned are overwritten by the step after next. p(n),
-    theta * n**theta and the forcing come from numpy through buffers of
-    their own, so the kernel's only arguments per step are the buffers'
+    the arrays returned are overwritten by the step after next. p(n) and
+    theta * n**theta from numpy, and the forcing from its closures, come
+    through buffers of their own, so the kernel's only arguments per step are the buffers'
     addresses and dt.
     """
 
@@ -614,6 +620,11 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     per-call arithmetic keeps every operand and its order, so the forcing
     has the bits of those formulas for any x and t (tests/test_solver.py
     checks this against a plain copy).
+
+    For a 1-d x of doubles, when the C library loads, the closures do that
+    arithmetic in C (_step.c), element by element in the same order. numpy
+    still takes exp(-t) and the power (1 + b_n e^-t)**(gamma - 1), so the
+    bits do not depend on libm. Otherwise the numpy closures below run.
     """
     pi = np.pi
     # In the comments s2, c2, sp, cp are sin(2 pi x), cos(2 pi x),
@@ -629,6 +640,33 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     b_Jx = pi * cp * poly + sp * (1.0 - 2.0 * x)
     b_Jxx = -pi * pi * sp * poly + 2.0 * pi * cp * (1.0 - 2.0 * x) - 2.0 * sp
     b_E = 1.0 - c2
+
+    factors = (a_t, a_x, a_xx, b_n, b_J, b_nx, b_Jx, b_Jxx, b_E)
+    lib = _load_kernel()
+    if lib is not None and np.ndim(x) == 1 and all(f.dtype == np.float64 for f in factors):
+        # the struct holds the factors' addresses and keeps the arrays alive;
+        # Buf views an array as the doubles the C loops read or write
+        arrays = [np.ascontiguousarray(f) for f in factors]
+        grid = _Forcing(x.size, eps, 2.0 * eps, 2.0 * pi, m.p0 * m.gamma,
+                        *(a.ctypes.data for a in arrays))
+        grid.arrays = arrays
+        Buf = ctypes.c_double * x.size
+        g1 = m.gamma - 1.0
+        forcing_n, forcing_J = lib.semihydro_forcing_n, lib.semihydro_forcing_J
+
+        def f_n(t):
+            out = np.empty(x.size)
+            forcing_n(grid, np.exp(-t), Buf.from_buffer(out))
+            return out
+
+        def f_J(t):
+            et = np.exp(-t)
+            pw = (1.0 + b_n * et) ** g1
+            out = np.empty(x.size)
+            forcing_J(grid, et, Buf.from_buffer(pw), Buf.from_buffer(out))
+            return out
+
+        return f_n, f_J
 
     def f_n(t):
         et = np.exp(-t)
@@ -677,11 +715,16 @@ def mms_resolutions(cfg: SolverConfig, resolutions, solution: str = "standard") 
     """Check mms_convergence's arguments and return the resolutions as ints.
 
     Raises ValueError unless there are at least 3 resolutions, each double
-    the last, the solution is known and T_final is positive.
+    the last and each a valid N, the solution is known and T_final is
+    positive.
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
+    for N in resolutions:
+        problems = setting_problems({"N": N})
+        if problems:
+            raise ValueError(problems["N"])
     for a, b in zip(resolutions, resolutions[1:]):
         if b != 2 * a:
             raise ValueError(f"resolutions must double: {b} != 2 * {a}")

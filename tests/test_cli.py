@@ -768,6 +768,15 @@ def test_mms_rejects_bad_resolutions(eq_config, tmp_path, capsys):
     assert "double" in capsys.readouterr().err
 
 
+def test_mms_rejects_a_coarse_resolution_before_making_out_dir(eq_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["mms", str(eq_config), "--resolutions", "8,16,32",
+                     "--out-dir", str(out)])
+    assert code == 4
+    assert "N must be at least 16, got 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fmt_round_trips_floats():
     rng = np.random.default_rng(59)
     for v in rng.standard_normal(200) * 10.0**rng.integers(-20, 20, 200):

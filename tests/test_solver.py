@@ -409,40 +409,61 @@ def _plain_forcing(m, eps):
     return f_n, f_J
 
 
-def _forcing_same_bits(forcing, plain, x, t):
-    return all(_same_bits(f(t), p(x, t)) for f, p in zip(forcing, plain))
+def _assert_forcing_is_plain(m, eps, x, ts):
+    """On both paths, the forcing built on x has the bits of the plain
+    formulas at each t, and each call returns a fresh array with the shape
+    and dtype of x."""
+    plain = _plain_forcing(m, eps)
+    for _ in _both_paths():
+        forcing = solver.manufactured_forcing(m, eps, x)
+        for t in ts:
+            for f, p in zip(forcing, plain):
+                a, b = f(t), f(t)
+                assert _same_bits(a, p(x, t))
+                assert np.shape(a) == np.shape(x) and a.dtype == x.dtype
+                assert not np.shares_memory(a, b)
 
 
 _interior_grids = st.integers(16, 800).map(lambda N: np.linspace(0.0, 1.0, N + 1)[1:-1])
-_sorted_points = hnp.arrays(np.float64, st.integers(1, 300),
-                            elements=st.floats(-2.0, 2.0)).map(np.sort)
+_points = hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-2.0, 2.0))
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=st.one_of(_interior_grids, _sorted_points),
+@given(x=st.one_of(_interior_grids, _points, _points.map(np.sort)),
        ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
        gamma=st.floats(1.0, 3.0, exclude_min=True),
        eps=st.floats(1e-6, 1.0))
 def test_forcing_has_the_bits_of_the_plain_formulas(x, ts, gamma, eps):
-    m = sh.GasModel(gamma)
-    forcing = solver.manufactured_forcing(m, eps, x)
-    plain = _plain_forcing(m, eps)
-    for t in ts:
-        assert _forcing_same_bits(forcing, plain, x, t)
+    _assert_forcing_is_plain(sh.GasModel(gamma), eps, x, ts)
 
 
 def test_forcing_follows_the_grid_it_is_given():
     # each forcing has the bits of the plain formulas on the points it was
     # built on: two interior grids, one of the same shape and other values,
-    # points equal as numbers but not as bits, and a scalar point
+    # points equal as numbers but not as bits, unsorted points and a scalar
+    # point
     m = sh.GasModel(2.0)
-    plain = _plain_forcing(m, 0.02)
     a = np.linspace(0.0, 1.0, 101)[1:-1]
     b = np.linspace(0.0, 1.0, 201)[1:-1]
-    for x in (a, b, a**2, np.array([0.0, 0.5]), np.array([-0.0, 0.5]), np.float64(0.3)):
-        forcing = solver.manufactured_forcing(m, 0.02, x)
-        for t in (0.0, 0.3, 0.7):
-            assert _forcing_same_bits(forcing, plain, x, t)
+    for x in (a, b, a**2, np.array([0.0, 0.5]), np.array([-0.0, 0.5]), a[::-7],
+              np.float64(0.3)):
+        _assert_forcing_is_plain(m, 0.02, x, (0.0, 0.3, 0.7))
+
+
+def test_forcing_runs_in_the_library_when_it_loads(monkeypatch):
+    _require_kernel()
+    lib = solver._load_kernel()
+    calls = []
+    for name in ("semihydro_forcing_n", "semihydro_forcing_J"):
+        def counted(*args, name=name, function=getattr(lib, name)):
+            calls.append(name)
+            return function(*args)
+        monkeypatch.setattr(lib, name, counted)
+    f_n, f_J = solver.manufactured_forcing(sh.GasModel(1.5), 0.02,
+                                           np.linspace(0.0, 1.0, 101)[1:-1])
+    f_n(0.1)
+    f_J(0.1)
+    assert calls == ["semihydro_forcing_n", "semihydro_forcing_J"]
 
 
 def test_mms_constant_solution_is_exact():
@@ -458,6 +479,8 @@ def test_mms_input_validation():
         solver.mms_convergence(cfg, [100, 200])
     with pytest.raises(ValueError, match="double"):
         solver.mms_convergence(cfg, [100, 150, 200])
+    with pytest.raises(ValueError, match="N must be at least 16, got 8"):
+        solver.mms_convergence(cfg, [8, 16, 32])
     with pytest.raises(ValueError, match="manufactured solution"):
         solver.mms_convergence(cfg, [50, 100, 200], solution="weird")
 
@@ -546,14 +569,15 @@ def _require_kernel():
         pytest.skip("the C step is unavailable on this platform")
 
 
-def _both_step_paths(monkeypatch):
-    """Iterate once on the C step, then once on numpy's (no kernel loads).
-    On Linux the C step must load; elsewhere only numpy's runs without it."""
+def _both_paths():
+    """Iterate once with the C library, then once without it, on numpy's
+    step and forcing. On Linux the library must load; elsewhere only
+    numpy's path runs without it."""
     if solver._load_kernel() is not None:
         yield "kernel"
     elif sys.platform.startswith("linux"):
         pytest.fail("the C step did not load")
-    with monkeypatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_load_kernel", lambda: None)
         yield "numpy"
 
@@ -587,45 +611,45 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
 @pytest.mark.parametrize("relaxation", ["explicit"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "float"])
-def test_step_matches_plain_step_bit_for_bit(scheme, relaxation, boundary, monkeypatch):
+def test_step_matches_plain_step_bit_for_bit(scheme, relaxation, boundary):
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 65)
     n = D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x))
     J = 0.3 * np.sin(np.pi * x) ** 2
-    for _ in _both_step_paths(monkeypatch):
+    for _ in _both_paths():
         for gamma in (1.5, 2.0, 3.0):
             cfg = _cfg(N=64, epsilon=2e-3, scheme=scheme, relaxation=relaxation,
                        boundary=boundary, gamma=gamma)
             _march_both(cfg, D, n, J)
 
 
-def test_step_matches_plain_step_while_clamping(monkeypatch):
+def test_step_matches_plain_step_while_clamping():
     # a floor above part of the density clamps cells on every step
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 65)
-    for _ in _both_step_paths(monkeypatch):
+    for _ in _both_paths():
         for scheme in ("central", "rusanov"):
             cfg = _cfg(N=64, n_floor=0.6, boundary="float", scheme=scheme)
             assert _march_both(cfg, D, D(x), np.zeros(65), steps=10) > 0
 
 
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
-def test_step_matches_plain_step_with_mms_forcing(scheme, monkeypatch):
+def test_step_matches_plain_step_with_mms_forcing(scheme):
     cfg = _cfg(N=64, epsilon=0.02, scheme=scheme)
     n_star, J_star = solver.manufactured_solution()
     x = np.linspace(0.0, 1.0, 65)
-    for _ in _both_step_paths(monkeypatch):
+    for _ in _both_paths():
         forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
         _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
                     plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
 
 
-def _run_on_both_paths(monkeypatch, *args, **kwargs):
+def _run_on_both_paths(*args, **kwargs):
     """run(*args, **kwargs) on the C step and on numpy's: for each path, the
     Trajectory or the BlowupError raised, and the rows passed to on_snapshot."""
     _require_kernel()
     outcomes = []
-    for _ in _both_step_paths(monkeypatch):
+    for _ in _both_paths():
         rows, hook = _recorder()
         try:
             got = solver.run(*args, on_snapshot=hook, **kwargs)
@@ -654,21 +678,20 @@ def _assert_same_runs(a, b):
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
 @pytest.mark.parametrize("relaxation", ["explicit"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "float"])
-def test_kernel_and_numpy_runs_have_the_same_bytes(scheme, relaxation, boundary, gamma,
-                                                   monkeypatch):
+def test_kernel_and_numpy_runs_have_the_same_bytes(scheme, relaxation, boundary, gamma):
     cfg = _cfg(N=64, epsilon=2e-3, T_final=0.3, scheme=scheme, relaxation=relaxation,
                boundary=boundary, gamma=gamma, output_stride=7)
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     x = np.linspace(0.0, 1.0, 65)
     n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / 64)
     J0 = 0.3 * np.sin(np.pi * x) ** 2
-    kernel, numpy_step = _run_on_both_paths(monkeypatch, cfg, D, n0, J0)
+    kernel, numpy_step = _run_on_both_paths(cfg, D, n0, J0)
     assert kernel[0].n_steps > 20
     _assert_same_runs(kernel, numpy_step)
 
 
 @pytest.mark.parametrize("case", ["clamping", "mms"])
-def test_kernel_and_numpy_runs_agree_on_clamps_and_forcing(case, monkeypatch):
+def test_kernel_and_numpy_runs_agree_on_clamps_and_forcing(case):
     if case == "clamping":
         cfg = _cfg(N=64, n_floor=0.6, boundary="float", T_final=0.05, output_stride=3)
         D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
@@ -681,7 +704,7 @@ def test_kernel_and_numpy_runs_agree_on_clamps_and_forcing(case, monkeypatch):
         forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
         args = (cfg, D1, n_star(x, 0.0), J_star(x, 0.0))
         kwargs = {"forcing": forcing, "mollify": False}
-    kernel, numpy_step = _run_on_both_paths(monkeypatch, *args, **kwargs)
+    kernel, numpy_step = _run_on_both_paths(*args, **kwargs)
     if case == "clamping":
         # the clamps soon exceed the budget; the partial trajectory counts them
         assert kernel[0].trajectory.clamp_counts.sum() > 0
@@ -698,7 +721,7 @@ def _late_inf_forcing(x):
 
 @pytest.mark.parametrize("floor, message", [(None, "non-finite"), (0.0, "vacuum"),
                                             (1e-3, "budget")])
-def test_kernel_and_numpy_runs_blow_up_alike(floor, message, monkeypatch):
+def test_kernel_and_numpy_runs_blow_up_alike(floor, message):
     # the density of test_on_snapshot_sees_every_recorded_row, which reaches
     # vacuum near x = 0.09 by t = 0.55
     cfg = _cfg(epsilon=1e-4, N=200, T_final=2.0, boundary="float", n_floor=floor,
@@ -708,7 +731,7 @@ def test_kernel_and_numpy_runs_blow_up_alike(floor, message, monkeypatch):
     n0 = sh.project_neutral(1.0 + 0.99 * np.sin(2.0 * np.pi * x), D, 1.0 / 200)
     forcing = _late_inf_forcing(x[1:-1]) if message == "non-finite" else None
     with pytest.warns(UserWarning, match="mollifier"):
-        kernel, numpy_step = _run_on_both_paths(monkeypatch, cfg, D, n0, np.zeros(201),
+        kernel, numpy_step = _run_on_both_paths(cfg, D, n0, np.zeros(201),
                                                 forcing=forcing)
     assert isinstance(kernel[0], BlowupError) and message in str(kernel[0])
     assert kernel[0].trajectory.times.size > 3
