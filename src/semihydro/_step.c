@@ -12,13 +12,13 @@
    does. It takes no power: the caller passes p(n) and, for the Rusanov
    flux, theta * n**theta, both computed by numpy.
 
-   semihydro_forcing_n and semihydro_forcing_J evaluate the manufactured
-   forcing of solver.manufactured_forcing at one time. They take no power
-   either: the caller passes (1 + b_n e^-t)**(gamma - 1), computed by
-   numpy, and e^-t itself.
+   semihydro_forcing_n and semihydro_forcing_J evaluate the forcing of
+   solver.manufactured_forcing at one time. They take no power either: the
+   caller passes (1 + b_n e^-t)**(gamma - 1) and e^-t, computed by numpy.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
-   powers are libm's pow, the function CPython's float.__pow__ calls.
+   powers are libm's pow, the function CPython's float.__pow__ calls; a
+   power that float.__pow__ refuses ends the trial as non-finite.
 
    semihydro_band_solve solves a banded system by LU with partial
    pivoting, as stationary._band_solve_numpy does in numpy.
@@ -227,11 +227,10 @@ void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *
    values); Nt and Et receive the N + 1 node values. A density below
    floor or above cap (NaN passes) ends the trial at its step's node, and
    so does a non-finite state after a step, at the step's end node; *at
-   receives the node. A power that overflows, which float.__pow__ would
-   refuse with an OverflowError, ends the trial with SHOOT_POWER, and the
-   caller runs it in Python. */
-enum { SHOOT_OK = 0, SHOOT_BELOW = 1, SHOOT_ABOVE = 2, SHOOT_NONFINITE = 3,
-       SHOOT_POWER = 4 };
+   receives the node. A power of a finite base that float.__pow__ refuses
+   (pow gives an infinity: 0 to a negative power, or an overflow) ends the
+   trial as non-finite at its step's start node; an infinite base runs on. */
+enum { SHOOT_OK = 0, SHOOT_BELOW = 1, SHOOT_ABOVE = 2, SHOOT_NONFINITE = 3 };
 
 int semihydro_shoot(long N, double N0, const double *d2, double c, double ex,
                     double floor, double cap, double *Nt, double *Et, long *at)
@@ -249,7 +248,8 @@ int semihydro_shoot(long N, double N0, const double *d2, double c, double ex,
         *at = i;
 #define CHECK(v) do { if ((v) < floor) return SHOOT_BELOW;             \
                       if ((v) > cap) return SHOOT_ABOVE; } while (0)
-#define POWER(v) do { p = pow((v), ex); if (isinf(p)) return SHOOT_POWER; } while (0)
+#define POWER(v) do { p = pow((v), ex);                                \
+                      if (isinf(p) && isfinite(v)) return SHOOT_NONFINITE; } while (0)
         CHECK(y1);
         POWER(y1);
         k1a = c * y2 * p;

@@ -146,15 +146,11 @@ def _efield(y, dx: float):
     the last axis (one row per snapshot for a 2-D y).
 
     This is scipy's cumulative_trapezoid(y, dx=dx, initial=0.0, axis=-1)
-    written out: the same formula, so the same bits, at half the call cost.
+    written out: the cumulative sum of the same trapezoid terms, started at
+    zero, so the same bits.
     """
-    out = np.empty_like(y)
-    out[..., 0] = 0.0
-    s = out[..., 1:]
-    np.add(y[..., 1:], y[..., :-1], out=s)
-    s *= dx
-    s /= 2.0                                            # dx * (y[1:] + y[:-1]) / 2.0
-    np.add.accumulate(s, axis=-1, out=s)                # np.cumsum without its wrapper
+    out = np.zeros(y.shape)
+    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
     return out
 
 

@@ -29,19 +29,19 @@ Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
 scipy's cumulative_trapezoid, the mass by np.trapezoid, the max speed as
 max|lambda| over both families, and the stencils exactly as the comments
-in _rhs spell them). The numpy step updates in place but keeps each
-operation's operands and their order, and divisions by 2 dx and dx**2
-stay divisions. The C step does the same arithmetic on doubles, built
-without -ffast-math and with -ffp-contract=off so that nothing fuses into
-a multiply-add; it takes no power itself, so p(n), theta * n**theta, the
-forcing's power and exp(-t), and the CFL speeds still come from numpy, and
-the mass is numpy's sum of the trapezoid terms it writes. The forcing's
-other arithmetic runs in C. tests/test_solver.py checks both paths
-against a plain copy of the step and of the forcing, and against each
-other. Between hosts the bits may differ for gamma != 2: numpy's SIMD
-power routine may round n**gamma differently on another CPU. At gamma = 2
-the powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between
-runs use gamma = 2, except one that compares the two paths of mms at
+in _rhs spell them). The numpy step writes each stencil as one expression
+in the order of semihydro_step's lines, and divisions stay divisions. The
+C step does that arithmetic on doubles, built without -ffast-math and
+with -ffp-contract=off so that nothing fuses into a multiply-add; it
+takes no power itself, so p(n), theta * n**theta, the forcing's power
+and exp(-t), and the CFL speeds still come from numpy, and the mass is
+numpy's sum of the trapezoid terms it writes. The forcing's other
+arithmetic runs in C. tests/test_solver.py checks both paths against a
+plain copy of the step and of the forcing, and against each other.
+Between hosts the bits may differ for gamma != 2: numpy's SIMD power
+routine may round n**gamma differently on another CPU. At gamma = 2 the
+powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between runs
+use gamma = 2, except one that compares the two paths of mms at
 gamma = 1.5 on one host.
 
 The module imports numpy alone: E comes from field._efield, which is
@@ -62,7 +62,7 @@ import numpy as np
 
 from .field import DopingProfile, _efield, project_neutral
 from .gas import GasModel, eigenvalues, pressure
-from ._kernel import Forcing as _Forcing, Grid as _Grid, load as _load_kernel
+from . import _kernel
 
 # _advance takes E through this module-level name, so a wrapper bound to it
 # (the benchmark's per-layer tracer times the E integral that way) sees
@@ -250,14 +250,6 @@ def initial_data(cfg: SolverConfig, D: DopingProfile, n0, J0):
     return project_neutral(n, D(np.linspace(0.0, 1.0, cfg.N + 1)), dx), J
 
 
-def _mass(n, dx: float) -> float:
-    """np.trapezoid(n, dx=dx) written out: the same formula and bits."""
-    s = n[1:] + n[:-1]
-    s *= dx
-    s /= 2.0                                            # dx * (n[1:] + n[:-1]) / 2.0
-    return float(s.sum())
-
-
 def _dt(m: GasModel, n, J, cfg: SolverConfig, dx: float) -> float:
     """dt = cfl_safety * min(dx/max|lambda|, dx**2/(2 eps), 1).
 
@@ -281,18 +273,13 @@ def _rhs(n, J, E, t, m, cfg, dx, forcing):
     forcing, if given, is a pair (f_n, f_J) of functions of t that return
     the N-1 interior values; the -J relaxation is the last term of rhs_J.
     The steady solver in the stationary module evaluates the same stencil.
-    Every array is fresh and updated in place; each sum keeps the operand
-    order of the plain expressions in the comments, so the bits match.
+    Each expression is semihydro_step's, operand for operand: the same bits.
     """
     eps = cfg.epsilon
-    f2 = J * J
-    f2 /= n
-    f2 += pressure(m, n)                                # J*J/n + p(n)
+    f2 = J * J / n + pressure(m, n)
     if cfg.scheme == "central":
-        div_n = J[2:] - J[:-2]
-        div_n /= 2.0 * dx                               # (J[2:] - J[:-2]) / (2 dx)
-        div_J = f2[2:] - f2[:-2]
-        div_J /= 2.0 * dx
+        div_n = (J[2:] - J[:-2]) / (2.0 * dx)
+        div_J = (f2[2:] - f2[:-2]) / (2.0 * dx)
         h_lo = (J.item(0) + J.item(1)) / 2.0
         h_hi = (J.item(-2) + J.item(-1)) / 2.0
     else:
@@ -308,30 +295,16 @@ def _rhs(n, J, E, t, m, cfg, dx, forcing):
                  h_hi - eps * (n.item(-1) - n.item(-2)) / dx)
 
     # rhs_n = -div_n + eps * lap_n,  lap_n = (n[2:] - 2 n[1:-1] + n[:-2]) / dx^2
-    rhs_n = n[1:-1] * 2.0
-    np.subtract(n[2:], rhs_n, out=rhs_n)
-    rhs_n += n[:-2]
-    rhs_n /= dx * dx
-    rhs_n *= eps
-    rhs_n -= div_n
+    rhs_n = (n[2:] - n[1:-1] * 2.0 + n[:-2]) / (dx * dx) * eps - div_n
     # rhs_J = -div_J + eps * lap_J + n E - 2 eps grad_n,  grad_n = (n[2:] - n[:-2]) / (2 dx)
-    rhs_J = J[1:-1] * 2.0
-    np.subtract(J[2:], rhs_J, out=rhs_J)
-    rhs_J += J[:-2]
-    rhs_J /= dx * dx
-    rhs_J *= eps
-    rhs_J -= div_J
-    rhs_J += n[1:-1] * E[1:-1]
-    grad_n = n[2:] - n[:-2]
-    grad_n /= 2.0 * dx
-    grad_n *= 2.0 * eps
-    rhs_J -= grad_n
+    grad_n = (n[2:] - n[:-2]) / (2.0 * dx)
+    rhs_J = ((J[2:] - J[1:-1] * 2.0 + J[:-2]) / (dx * dx) * eps - div_J
+             + n[1:-1] * E[1:-1] - grad_n * (2.0 * eps))
     if forcing is not None:
         f_n, f_J = forcing
-        rhs_n += f_n(t)
-        rhs_J += f_J(t)
-    rhs_J -= J[1:-1]
-    return rhs_n, rhs_J, wall_flux
+        rhs_n = rhs_n + f_n(t)
+        rhs_J = rhs_J + f_J(t)
+    return rhs_n, rhs_J - J[1:-1], wall_flux
 
 
 def _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing):
@@ -341,11 +314,8 @@ def _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing):
 
     nn = np.empty_like(n)
     JJ = np.empty_like(J)
-    rhs_n *= dt
-    np.add(n[1:-1], rhs_n, out=nn[1:-1])                # n + dt * rhs_n
-    rhs_J *= dt
-    np.add(J[1:-1], rhs_J, out=JJ[1:-1])                # J + dt * rhs_J
-
+    nn[1:-1] = n[1:-1] + rhs_n * dt                     # n + dt * rhs_n
+    JJ[1:-1] = J[1:-1] + rhs_J * dt                     # J + dt * rhs_J
     if cfg.boundary == "dirichlet":
         nn[0], nn[-1] = bvals
     else:
@@ -365,7 +335,7 @@ def _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing):
         raise _vacuum(cell, nn[cell], dx, t + dt)
     clamped = int(np.count_nonzero(nn < floor))
     if clamped:
-        np.maximum(nn, floor, out=nn)
+        nn = np.maximum(nn, floor)
     return nn, JJ, clamped
 
 
@@ -403,10 +373,10 @@ class _KernelStep:
         self._f = np.empty((2, N - 1))
         self._terms = np.empty(N)
         fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
-        self._grid = _Grid(N, cfg.epsilon, dx, cfg.floor, *bvals, self._rusanov,
-                          cfg.boundary == "float", self._d.ctypes.data, self._p.ctypes.data,
-                          self._c.ctypes.data, fn, fJ, *(a.ctypes.data for a in scratch),
-                          self._terms.ctypes.data, 0)
+        self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, *bvals, self._rusanov,
+                                  cfg.boundary == "float", self._d.ctypes.data,
+                                  self._p.ctypes.data, self._c.ctypes.data, fn, fJ,
+                                  *(a.ctypes.data for a in scratch), self._terms.ctypes.data, 0)
         # (n, J, their addresses), one pair to read and one to write
         self._pairs = [(*self._state[k:k + 2], *(a.ctypes.data for a in self._state[k:k + 2]))
                        for k in (0, 2)]
@@ -446,13 +416,13 @@ def _stepper(m, cfg, d_grid, dx, bvals, forcing):
     The C step's arrays are its own buffers, overwritten by the step after
     next; copy a state that must outlive that.
     """
-    kernel = _load_kernel()
+    kernel = _kernel.load()
     if kernel is not None:
         return _KernelStep(kernel.semihydro_step, m, cfg, d_grid, dx, bvals, forcing)
 
     def advance(n, J, t, dt):
         n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing)
-        return n, J, clamped, _mass(n, dx)
+        return n, J, clamped, float(np.trapezoid(n, dx=dx))
     return advance
 
 
@@ -520,7 +490,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     advance = _stepper(m, cfg, d_grid, dx, bvals, forcing)
     record(0.0, n, J)
     step_times = [0.0]
-    mass = [_mass(n, dx)]
+    mass = [float(np.trapezoid(n, dx=dx))]
     clamps = []
 
     T = cfg.T_final
@@ -642,13 +612,13 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     b_E = 1.0 - c2
 
     factors = (a_t, a_x, a_xx, b_n, b_J, b_nx, b_Jx, b_Jxx, b_E)
-    lib = _load_kernel()
+    lib = _kernel.load()
     if lib is not None and np.ndim(x) == 1 and all(f.dtype == np.float64 for f in factors):
         # the struct holds the factors' addresses and keeps the arrays alive;
         # Buf views an array as the doubles the C loops read or write
         arrays = [np.ascontiguousarray(f) for f in factors]
-        grid = _Forcing(x.size, eps, 2.0 * eps, 2.0 * pi, m.p0 * m.gamma,
-                        *(a.ctypes.data for a in arrays))
+        grid = _kernel.Forcing(x.size, eps, 2.0 * eps, 2.0 * pi, m.p0 * m.gamma,
+                               *(a.ctypes.data for a in arrays))
         grid.arrays = arrays
         Buf = ctypes.c_double * x.size
         g1 = m.gamma - 1.0

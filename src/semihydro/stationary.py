@@ -24,8 +24,9 @@ Both inner loops run in the package's C library when it loads (see the
 _kernel module): a shooting trial is semihydro_shoot, a Newton step's
 linear solve semihydro_band_solve. Without it, _integrate runs the trial
 in Python and _band_solve_numpy the elimination in numpy, with the same
-bits. The module needs numpy alone: its root finder, _brentq, is a
-line-for-line port of scipy's brentq, so it makes the same trials.
+bits; a power that Python refuses ends a trial as divergent on both. The
+module needs numpy alone: its root finder, _brentq, is a line-for-line
+port of scipy's brentq, so it makes the same trials.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class StationaryProfile:
 
 
 # how a trial ends: the statuses semihydro_shoot returns
-_OK, _BELOW, _ABOVE, _NONFINITE, _POWER = range(5)
+_OK, _BELOW, _ABOVE, _NONFINITE = range(4)
 
 
 def _abort(status: int, x: float, floor: float, cap: float) -> Exception:
@@ -117,7 +118,8 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
     with DivergentTrial when it climbs above `cap`; solve_stationary treats
     these as negative and positive residuals respectively.  The cap abort
     has to happen before float overflow because gamma < 2 makes runaway
-    trials blow up in finite x.
+    trials blow up in finite x. A power that Python refuses (0 to a negative
+    power, an overflow) ends the trial with DivergentTrial at its step's node.
 
     The trial runs in C, semihydro_shoot, when the library loads, and in
     _integrate_python otherwise; both give the same bits, and end with the
@@ -134,9 +136,6 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
                                  ctypes.byref(at))
     if status == _OK:
         return Nt, Et
-    if status == _POWER:
-        # a power float.__pow__ refuses: Python raises its error
-        return _integrate_python(N0, d2, m, N, floor, cap)
     raise _abort(status, at.value * (1.0 / N), floor, cap)
 
 
@@ -158,28 +157,32 @@ def _integrate_python(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: f
     Nt = [y1]
     Et = [y2]
     for i, (d0, dm, d1) in enumerate(zip(d[0:-1:2], d[1::2], d[2::2])):
-        if not floor <= y1 <= cap:
-            _check_density(y1, floor, cap, i * h)
-        k1a = c * y2 * y1**ex
-        k1b = y1 - d0
-        a = y1 + hh * k1a
-        b = y2 + hh * k1b
-        if not floor <= a <= cap:
-            _check_density(a, floor, cap, i * h)
-        k2a = c * b * a**ex
-        k2b = a - dm
-        a = y1 + hh * k2a
-        b = y2 + hh * k2b
-        if not floor <= a <= cap:
-            _check_density(a, floor, cap, i * h)
-        k3a = c * b * a**ex
-        k3b = a - dm
-        a = y1 + h * k3a
-        b = y2 + h * k3b
-        if not floor <= a <= cap:
-            _check_density(a, floor, cap, i * h)
-        k4a = c * b * a**ex
-        k4b = a - d1
+        try:
+            if not floor <= y1 <= cap:
+                _check_density(y1, floor, cap, i * h)
+            k1a = c * y2 * y1**ex
+            k1b = y1 - d0
+            a = y1 + hh * k1a
+            b = y2 + hh * k1b
+            if not floor <= a <= cap:
+                _check_density(a, floor, cap, i * h)
+            k2a = c * b * a**ex
+            k2b = a - dm
+            a = y1 + hh * k2a
+            b = y2 + hh * k2b
+            if not floor <= a <= cap:
+                _check_density(a, floor, cap, i * h)
+            k3a = c * b * a**ex
+            k3b = a - dm
+            a = y1 + h * k3a
+            b = y2 + h * k3b
+            if not floor <= a <= cap:
+                _check_density(a, floor, cap, i * h)
+            k4a = c * b * a**ex
+            k4b = a - d1
+        except (OverflowError, ZeroDivisionError):
+            # a power of a finite base that pow makes infinite, as C's trial sees it
+            raise _abort(_NONFINITE, i * h, floor, cap) from None
         y1 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
         y2 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
         if not (isfinite(y1) and isfinite(y2)):

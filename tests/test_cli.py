@@ -272,6 +272,34 @@ def test_bracket_failure_maps_to_exit_3(eq_config, monkeypatch, tmp_path, capsys
     assert len(snapshots.splitlines()) % io.SNAPSHOT_CHUNK != 0
 
 
+# a doping so small that the steady trials' power 2 - gamma = -1 overflows
+SUBNORMAL = """
+[model]
+gamma = 3.0
+[doping]
+profile = constant:1e-320
+[solver]
+epsilon = 1e-3
+N = 100
+T_final = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["stationary", "run"])
+def test_an_overflowing_shooting_power_exits_3(command, tmp_path):
+    # every trial diverges, so the steady solve finds no bracket: exit 3, no
+    # traceback; the run has written its one snapshot by then
+    p = tmp_path / "subnormal.ini"
+    p.write_text(SUBNORMAL)
+    out = tmp_path / "out"
+    proc = _command([command, str(p), "--out-dir", str(out), "--quiet"])
+    assert proc.returncode == 3, proc.stderr
+    assert "stationary solve failed: no sign change" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if command == "run":
+        assert len((out / "snapshots.ndjson").read_text().splitlines()) == 1
+
+
 def test_stationary_subcommand(eq_config, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["stationary", str(eq_config), "--out-dir", str(out),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import semihydro as sh
-from semihydro import _kernel, solver
+from semihydro import _kernel, solver, stationary
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -62,7 +62,7 @@ def _require_linux():
 def test_first_run_compiles_once_and_a_fresh_process_loads_the_cache(cache, compiles):
     _require_linux()
     first = _scenario_run()
-    assert solver._load_kernel() is not None
+    assert _kernel.load() is not None
     _scenario_run()
     assert len(compiles) == 1
     command = compiles[0]
@@ -84,7 +84,7 @@ def test_first_run_compiles_once_and_a_fresh_process_loads_the_cache(cache, comp
 
     # the numpy step gives the kernel's bytes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_load_kernel", lambda: None)
+        mp.setattr(_kernel, "load", lambda: None)
         assert _scenario_run() == first
 
 
@@ -113,7 +113,7 @@ def test_without_the_kernel_run_falls_back_silently_with_the_same_bytes(
         break_build, cache, tmp_path, monkeypatch, capfd):
     _require_linux()
     expected = _scenario_run()
-    assert solver._load_kernel() is not None
+    assert _kernel.load() is not None
     _kernel.load.cache_clear()
     capfd.readouterr()
     with monkeypatch.context() as mp:
@@ -123,6 +123,44 @@ def test_without_the_kernel_run_falls_back_silently_with_the_same_bytes(
     assert capfd.readouterr() == ("", "")
     # a failed build leaves no temporary file behind
     assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+def _callers_of_the_library():
+    """A run, the mms forcing and a steady solve, each as its module calls it."""
+    _scenario_run()
+    f_n, f_J = solver.manufactured_forcing(sh.GasModel(1.5), 0.02,
+                                           np.linspace(0.0, 1.0, 101)[1:-1])
+    f_n(0.1)
+    f_J(0.1)
+    stationary.solve_stationary(sh.DopingProfile.sine(1.0, 0.5, 1.0), sh.GasModel(2.0), 64)
+
+
+def test_patching_load_alone_sends_every_caller_down_its_fallback(monkeypatch):
+    _require_linux()
+    lib = _kernel.load()
+    assert lib is not None
+    calls = []
+    for name in _kernel._SIGNATURES:
+        def counted(*args, name=name, function=getattr(lib, name)):
+            calls.append(name)
+            return function(*args)
+        monkeypatch.setattr(lib, name, counted)
+    fallbacks = []
+    for module, name in ((solver, "_advance"), (stationary, "_integrate_python")):
+        def recorded(*args, name=name, function=getattr(module, name)):
+            fallbacks.append(name)
+            return function(*args)
+        monkeypatch.setattr(module, name, recorded)
+
+    _callers_of_the_library()
+    assert {"semihydro_step", "semihydro_forcing_n", "semihydro_forcing_J",
+            "semihydro_shoot"} <= set(calls)
+    assert fallbacks == []
+    calls.clear()
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    _callers_of_the_library()
+    assert calls == []
+    assert set(fallbacks) == {"_advance", "_integrate_python"}
 
 
 def test_import_builds_and_loads_nothing(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid, quad
 
 import semihydro as sh
-from semihydro import gas, solver
+from semihydro import _kernel, gas, solver
 from semihydro.solver import BlowupError, SolverConfig, State
 
 D1 = sh.DopingProfile.constant(1.0)
@@ -452,7 +452,7 @@ def test_forcing_follows_the_grid_it_is_given():
 
 def test_forcing_runs_in_the_library_when_it_loads(monkeypatch):
     _require_kernel()
-    lib = solver._load_kernel()
+    lib = _kernel.load()
     calls = []
     for name in ("semihydro_forcing_n", "semihydro_forcing_J"):
         def counted(*args, name=name, function=getattr(lib, name)):
@@ -563,22 +563,23 @@ def _same_bits(a, b):
 
 def _require_kernel():
     """Fail if the C step did not load on Linux; skip elsewhere."""
-    if solver._load_kernel() is None:
+    if _kernel.load() is None:
         if sys.platform.startswith("linux"):
             pytest.fail("the C step did not load")
         pytest.skip("the C step is unavailable on this platform")
 
 
 def _both_paths():
-    """Iterate once with the C library, then once without it, on numpy's
-    step and forcing. On Linux the library must load; elsewhere only
-    numpy's path runs without it."""
-    if solver._load_kernel() is not None:
+    """Iterate once with the C library, then once without it
+    (semihydro._kernel.load patched to give None), on numpy's step and
+    forcing. On Linux the library must load; elsewhere only numpy's path
+    runs without it."""
+    if _kernel.load() is not None:
         yield "kernel"
     elif sys.platform.startswith("linux"):
         pytest.fail("the C step did not load")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_load_kernel", lambda: None)
+        mp.setattr(_kernel, "load", lambda: None)
         yield "numpy"
 
 

@@ -499,16 +499,24 @@ def test_integrate_aborts_name_the_node_on_both_paths():
     assert all(len(messages) == 1 for messages in seen.values()), seen
 
 
-def test_a_power_python_refuses_raises_python_s_error_on_both_paths():
-    # a zero or subnormal density to the power 2 - gamma = -1: the C trial
-    # hands it back to Python, which raises what float.__pow__ raises
-    m = sh.GasModel(3.0)
+def test_a_power_python_refuses_diverges_on_both_paths():
+    # a zero or subnormal density to the power 2 - gamma = -1, which
+    # float.__pow__ refuses and libm's pow makes infinite: the trial
+    # diverges at its step's start node; an infinite start runs on to the
+    # end-of-step check, whatever the power
     d2 = SINE(np.linspace(0.0, 1.0, 401))
+    want = [(3.0, 0.0, 1.5e6, "integration diverged near x = 0.0"),
+            (3.0, 1e-310, 1.5e6, "integration diverged near x = 0.0"),
+            (3.0, np.inf, np.inf, "integration diverged near x = 0.005"),
+            (1.5, np.inf, np.inf, "integration diverged near x = 0.005")]
     for path in _paths():
-        with pytest.raises(ZeroDivisionError):
-            stationary._integrate(0.0, d2, m, 200, 0.0, 1.5e6)
-        with pytest.raises(OverflowError):
-            stationary._integrate(1e-310, d2, m, 200, 0.0, 1.5e6)
+        for gamma, N0, cap, message in want:
+            with pytest.raises(DivergentTrial) as exc:
+                stationary._integrate(N0, d2, sh.GasModel(gamma), 200, 0.0, cap)
+            assert str(exc.value) == message, (path, gamma, N0)
+        # so a doping that small leaves no sign change to bracket
+        with pytest.raises(BracketError, match=r"residuals \(inf, inf\)"):
+            solve_stationary(sh.DopingProfile.constant(1e-320), sh.GasModel(3.0), 64)
 
 
 @pytest.mark.parametrize("spec", ["sine:1:0.5:1", "sine:1:0.9:3", "constant:1.3"])
