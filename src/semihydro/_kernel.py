@@ -1,17 +1,18 @@
 """Build and load the package's C library, _step.c, through ctypes.
 
-The library holds the explicit step that solver.run takes and the
-manufactured forcing that solver.manufactured_forcing builds (its power
-stays numpy's), and the shooting trial and the banded Newton solve of the
-stationary module.
+The library holds the explicit step that solver.run takes, and the
+manufactured forcing that solver.manufactured_forcing builds; the powers
+of both stay numpy's, and so do the characteristic speeds, which the
+step reduces to its dt. It also holds the shooting trial and the banded
+Newton solve of the stationary module.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
 counterpart, which gives the same bits. Nothing is printed either way.
 
 The library is built once, by the system C compiler with the fixed flags
-FLAGS (no -ffast-math, no -march; -lm for libm's pow), into a private
-per-user cache directory: $XDG_CACHE_HOME/semihydro, or
+FLAGS: -O3 -ffp-contract=off, no -ffast-math and no -march. It goes into
+a private per-user cache directory: $XDG_CACHE_HOME/semihydro, or
 ~/.cache/semihydro, of mode 0700. Its name carries a hash of the source,
 the compiler and the flags. The compiler writes a temporary file, which
 os.replace moves into place, so processes that build at the same moment
@@ -27,7 +28,11 @@ import ctypes
 import functools
 import os
 
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
+# -O3 vectorizes the step's loops; -ffp-contract=off, and no -ffast-math,
+# keep each operation IEEE's, so the vector loops give the scalar bits. No
+# -march, so the library runs on any CPU of the machine type; -lm for
+# libm's pow.
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 
 
@@ -93,11 +98,13 @@ class Grid(ctypes.Structure):
     """struct step_grid of _step.c: the step's settings and buffers."""
 
     _fields_ = [("N", ctypes.c_long),
-                *((name, ctypes.c_double) for name in ("eps", "dx", "floor", "n_lo", "n_hi")),
+                *((name, ctypes.c_double)
+                  for name in ("eps", "dx", "floor", "cfl", "n_lo", "n_hi")),
                 *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
-                  for name in ("d", "p", "c", "fn", "fJ", "E", "f2", "h1", "h2", "terms")),
-                ("count", ctypes.c_long)]
+                  for name in ("d", "p", "c", "lam1", "lam2", "fn", "fJ",
+                               "E", "f2", "r", "h1", "h2", "terms")),
+                ("dt", ctypes.c_double), ("count", ctypes.c_long), ("last", ctypes.c_int)]
 
 
 class Forcing(ctypes.Structure):
@@ -112,9 +119,12 @@ class Forcing(ctypes.Structure):
 
 # name: (restype, argtypes)
 _SIGNATURES = {
-    # (grid, n, J, nn, JJ, dt)
+    # (grid, n, J, nn, JJ, t, T)
     "semihydro_step": (ctypes.c_int, [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4,
-                                      ctypes.c_double]),
+                                      *[ctypes.c_double] * 2]),
+    # (grid, n, J, nn, JJ, dt)
+    "semihydro_advance": (ctypes.c_int, [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4,
+                                         ctypes.c_double]),
     # (forcing, et, out)
     "semihydro_forcing_n": (None, [ctypes.POINTER(Forcing), ctypes.c_double, ctypes.c_void_p]),
     # (forcing, et, pw, out)

@@ -5,12 +5,18 @@
    Each function does what its Python counterpart does, operation by
    operation, so every double it writes has the bits Python gives: each
    sum, product and quotient keeps its operands and their order, divisions
-   stay divisions, and nothing is contracted into a fused multiply-add
-   (the library is built with -ffp-contract=off and without -ffast-math).
+   stay divisions, and nothing is contracted into a fused multiply-add.
+   The library is built at -O3, which vectorizes the step's loops, with
+   -ffp-contract=off and without -ffast-math: the compiler then neither
+   reassociates nor fuses, so a vector loop gives the scalar loop's bits.
 
-   semihydro_step advances (n, J) by dt into (nn, JJ) as solver._advance
-   does. It takes no power: the caller passes p(n) and, for the Rusanov
-   flux, theta * n**theta, both computed by numpy.
+   semihydro_step is one step of solver.run: it reduces the characteristic
+   speeds to solver._dt's dt, applies the run's last-step rule, and
+   advances (n, J) by that dt into (nn, JJ) as semihydro_advance does, in
+   one call. A loop over a whole stride between snapshots could call it as
+   its body. semihydro_advance is the step by a given dt, solver._advance.
+   Neither takes a power: the caller passes the speeds lam1 and lam2, p(n)
+   and, for the Rusanov flux, theta * n**theta, all computed by numpy.
 
    semihydro_forcing_n and semihydro_forcing_J evaluate the forcing of
    solver.manufactured_forcing at one time. They take no power either: the
@@ -23,7 +29,7 @@
    semihydro_band_solve solves a banded system by LU with partial
    pivoting, as stationary._band_solve_numpy does in numpy.
 
-   Build: cc -o _step.so _step.c -O2 -fPIC -shared -ffp-contract=off -lm
+   Build: cc -o _step.so _step.c -O3 -fPIC -shared -ffp-contract=off -lm
 */
 
 #include <float.h>
@@ -35,99 +41,128 @@
 #error "double arithmetic must round to double"
 #endif
 
-/* Mirrored field by field by solver._Grid. */
+/* Mirrored field by field by _kernel.Grid. */
 struct step_grid {
     long N;                     /* cells; every node array holds N + 1 */
     double eps, dx, floor;
+    double cfl;                 /* cfl_safety */
     double n_lo, n_hi;          /* the wall densities of dirichlet walls */
     int rusanov, float_walls;
     const double *d;            /* doping on the nodes */
     const double *p;            /* p(n) on the nodes */
     const double *c;            /* theta * n**theta on the nodes (rusanov) */
+    const double *lam1, *lam2;  /* the characteristic speeds on the nodes */
     const double *fn, *fJ;      /* forcing on the N - 1 interior nodes, or NULL */
-    double *E, *f2, *h1, *h2;   /* scratch, N + 1 each */
+    double *E, *f2, *r, *h1, *h2;   /* scratch, N + 1 each */
     double *terms;              /* out: the N trapezoid mass terms of nn */
+    double dt;                  /* out of semihydro_step: the step's dt */
     long count;                 /* out: clamped cells, or the blowup's cell */
+    int last;                   /* out of semihydro_step: the step ends on T */
 };
 
 enum { STEP_OK = 0, STEP_NONFINITE = 1, STEP_VACUUM = 2 };
 
-/* np.maximum: NaN if either operand is NaN */
-static double maximum(double a, double b)
+/* np.maximum: NaN if either operand is NaN, the first if both are */
+static inline double maximum(double a, double b)
 {
-    if (isnan(a))
-        return a;
-    if (isnan(b))
-        return b;
-    return a >= b ? a : b;
+    return isnan(a) || a >= b ? a : b;
 }
 
-int semihydro_step(struct step_grid *g, const double *n, const double *J,
-                   double *nn, double *JJ, double dt)
+/* The interior nodes 1 .. N - 1, one loop per scheme and forcing: the
+   callers pass constants, so each inlined copy runs without a branch. */
+static inline __attribute__((always_inline)) void
+interior(const struct step_grid *g, const double *restrict n, const double *restrict J,
+         double *restrict nn, double *restrict JJ, double dt, const int rusanov,
+         const int forced)
 {
     const long N = g->N;
     const double eps = g->eps, dx = g->dx;
-    double *E = g->E, *f2 = g->f2, *h1 = g->h1, *h2 = g->h2;
-    double h_lo, h_hi, flux_lo, flux_hi;
+    const double dx2 = dx * dx, two_dx = 2.0 * dx, two_eps = 2.0 * eps;
+    const double *restrict E = g->E, *restrict f2 = g->f2;
+    const double *restrict h1 = g->h1, *restrict h2 = g->h2;
+    const double *restrict fn = g->fn, *restrict fJ = g->fJ;
     long i;
-
-    /* E: cumulative trapezoid of n - d with E[0] = 0; the first partial
-       sum is the first term itself, as np.add.accumulate takes it */
-    E[0] = 0.0;
-    for (i = 1; i <= N; i++) {
-        double s = (n[i] - g->d[i]) + (n[i - 1] - g->d[i - 1]);
-        s = s * dx / 2.0;
-        E[i] = i == 1 ? s : E[i - 1] + s;
-    }
-
-    for (i = 0; i <= N; i++)
-        f2[i] = J[i] * J[i] / n[i] + g->p[i];           /* J*J/n + p(n) */
-
-    if (g->rusanov) {
-        /* interface fluxes with the local spectral radius; h1, h2 hold
-           hat1, hat2 on the N faces */
-        double r1 = fabs(J[0] / n[0]) + g->c[0];
-        for (i = 0; i < N; i++) {
-            double r0 = r1;
-            double a;
-            r1 = fabs(J[i + 1] / n[i + 1]) + g->c[i + 1];
-            a = maximum(r0, r1);
-            h1[i] = 0.5 * (J[i] + J[i + 1]) - 0.5 * a * (n[i + 1] - n[i]);
-            h2[i] = 0.5 * (f2[i] + f2[i + 1]) - 0.5 * a * (J[i + 1] - J[i]);
-        }
-        h_lo = h1[0];
-        h_hi = h1[N - 1];
-    } else {
-        h_lo = (J[0] + J[1]) / 2.0;
-        h_hi = (J[N - 1] + J[N]) / 2.0;
-    }
-    flux_lo = h_lo - eps * (n[1] - n[0]) / dx;
-    flux_hi = h_hi - eps * (n[N] - n[N - 1]) / dx;
 
     for (i = 1; i < N; i++) {
         double div_n, div_J, rhs_n, rhs_J, grad_n;
-        if (g->rusanov) {
+        if (rusanov) {
             div_n = (h1[i] - h1[i - 1]) / dx;
             div_J = (h2[i] - h2[i - 1]) / dx;
         } else {
-            div_n = (J[i + 1] - J[i - 1]) / (2.0 * dx);
-            div_J = (f2[i + 1] - f2[i - 1]) / (2.0 * dx);
+            div_n = (J[i + 1] - J[i - 1]) / two_dx;
+            div_J = (f2[i + 1] - f2[i - 1]) / two_dx;
         }
         /* rhs_n = -div_n + eps * lap_n */
-        rhs_n = (n[i + 1] - n[i] * 2.0 + n[i - 1]) / (dx * dx) * eps - div_n;
+        rhs_n = (n[i + 1] - n[i] * 2.0 + n[i - 1]) / dx2 * eps - div_n;
         /* rhs_J = -div_J + eps * lap_J + n E - 2 eps grad_n, then - J */
-        rhs_J = (J[i + 1] - J[i] * 2.0 + J[i - 1]) / (dx * dx) * eps - div_J;
+        rhs_J = (J[i + 1] - J[i] * 2.0 + J[i - 1]) / dx2 * eps - div_J;
         rhs_J += n[i] * E[i];
-        grad_n = (n[i + 1] - n[i - 1]) / (2.0 * dx);
-        rhs_J -= grad_n * (2.0 * eps);
-        if (g->fn) {
-            rhs_n += g->fn[i - 1];
-            rhs_J += g->fJ[i - 1];
+        grad_n = (n[i + 1] - n[i - 1]) / two_dx;
+        rhs_J -= grad_n * two_eps;
+        if (forced) {
+            rhs_n += fn[i - 1];
+            rhs_J += fJ[i - 1];
         }
         rhs_J -= J[i];
         nn[i] = n[i] + rhs_n * dt;                      /* n + dt * rhs_n */
         JJ[i] = J[i] + rhs_J * dt;                      /* J + dt * rhs_J */
     }
+}
+
+/* semihydro_advance: advances (n, J) by dt into (nn, JJ) as
+   solver._advance does, and writes the mass terms of nn. Returns STEP_OK,
+   with the clamped cells in g->count, or the blowup and its cell. */
+int semihydro_advance(struct step_grid *g, const double *restrict n,
+                      const double *restrict J, double *restrict nn,
+                      double *restrict JJ, double dt)
+{
+    const long N = g->N;
+    const double eps = g->eps, dx = g->dx, floor = g->floor;
+    const double *restrict d = g->d, *restrict p = g->p, *restrict c = g->c;
+    /* not restrict: interior() reads E, f2, h1 and h2 through g */
+    double *E = g->E, *f2 = g->f2, *r = g->r, *h1 = g->h1, *h2 = g->h2;
+    double *terms = g->terms;
+    double h_lo, h_hi, flux_lo, flux_hi;
+    long i, count;
+    int bad;
+
+    /* E: cumulative trapezoid of n - d with E[0] = 0; the first partial
+       sum is the first term itself, as np.add.accumulate takes it */
+    E[0] = 0.0;
+    for (i = 1; i <= N; i++)
+        E[i] = ((n[i] - d[i]) + (n[i - 1] - d[i - 1])) * dx / 2.0;
+    for (i = 2; i <= N; i++)
+        E[i] = E[i - 1] + E[i];
+
+    for (i = 0; i <= N; i++)
+        f2[i] = J[i] * J[i] / n[i] + p[i];              /* J*J/n + p(n) */
+
+    if (g->rusanov) {
+        /* interface fluxes with the local spectral radius; h1, h2 hold
+           hat1, hat2 on the N faces */
+        for (i = 0; i <= N; i++)
+            r[i] = fabs(J[i] / n[i]) + c[i];
+        for (i = 0; i < N; i++) {
+            const double a = maximum(r[i], r[i + 1]);
+            h1[i] = 0.5 * (J[i] + J[i + 1]) - 0.5 * a * (n[i + 1] - n[i]);
+            h2[i] = 0.5 * (f2[i] + f2[i + 1]) - 0.5 * a * (J[i + 1] - J[i]);
+        }
+        h_lo = h1[0];
+        h_hi = h1[N - 1];
+        if (g->fn)
+            interior(g, n, J, nn, JJ, dt, 1, 1);
+        else
+            interior(g, n, J, nn, JJ, dt, 1, 0);
+    } else {
+        h_lo = (J[0] + J[1]) / 2.0;
+        h_hi = (J[N - 1] + J[N]) / 2.0;
+        if (g->fn)
+            interior(g, n, J, nn, JJ, dt, 0, 1);
+        else
+            interior(g, n, J, nn, JJ, dt, 0, 0);
+    }
+    flux_lo = h_lo - eps * (n[1] - n[0]) / dx;
+    flux_hi = h_hi - eps * (n[N] - n[N - 1]) / dx;
 
     if (g->float_walls) {
         /* zero-flux half cells of width dx/2: the trapezoid mass telescopes */
@@ -140,36 +175,85 @@ int semihydro_step(struct step_grid *g, const double *n, const double *J,
     JJ[0] = 0.0;
     JJ[N] = 0.0;
 
-    for (i = 0; i <= N; i++) {
-        if (!isfinite(nn[i]) || !isfinite(JJ[i])) {
-            g->count = i;
-            return STEP_NONFINITE;
-        }
+    bad = 0;
+    for (i = 0; i <= N; i++)
+        bad |= !isfinite(nn[i]) | !isfinite(JJ[i]);
+    if (bad) {
+        for (i = 0; isfinite(nn[i]) && isfinite(JJ[i]); i++)
+            ;
+        g->count = i;
+        return STEP_NONFINITE;
     }
-    if (g->floor <= 0.0) {
-        long low = 0;
-        int vacuum = 0;
-        for (i = 0; i <= N; i++) {
-            vacuum |= !(nn[i] > 0.0);
-            if (nn[i] < nn[low])
-                low = i;                                /* np.argmin: the first */
-        }
-        if (vacuum) {
+    if (floor <= 0.0) {
+        for (i = 0; i <= N; i++)
+            bad |= !(nn[i] > 0.0);
+        if (bad) {
+            long low = 0;
+            for (i = 1; i <= N; i++)
+                if (nn[i] < nn[low])
+                    low = i;                            /* np.argmin: the first */
             g->count = low;
             return STEP_VACUUM;
         }
     }
-    g->count = 0;
+    count = 0;
     for (i = 0; i <= N; i++) {
-        if (nn[i] < g->floor) {
-            nn[i] = g->floor;
-            g->count++;
-        }
+        const int below = nn[i] < floor;
+        count += below;
+        nn[i] = below ? floor : nn[i];
     }
+    g->count = count;
 
     for (i = 0; i < N; i++)
-        g->terms[i] = (nn[i + 1] + nn[i]) * dx / 2.0;  /* dx * (n[1:] + n[:-1]) / 2.0 */
+        terms[i] = (nn[i + 1] + nn[i]) * dx / 2.0;     /* dx * (n[1:] + n[:-1]) / 2.0 */
     return STEP_OK;
+}
+
+/* semihydro_step: the step of solver.run from t toward T. Its dt is
+   solver._dt's, from the speeds in g->lam1 and g->lam2:
+
+       speed = max(lam2.max(), -lam1.min())
+       dt = cfl * min(dx / speed, dx * dx / (2 eps), 1)
+
+   with numpy's NaN propagation in the reductions and Python's max and
+   min, which keep their first argument unless a later one is strictly
+   larger (smaller). A step that would stop within 1e-13 of T ends on it:
+   dt = T - t, and g->last is set. g->dt receives dt; then the step is
+   semihydro_advance's. */
+int semihydro_step(struct step_grid *g, const double *restrict n,
+                   const double *restrict J, double *restrict nn,
+                   double *restrict JJ, double t, double T)
+{
+    const long N = g->N;
+    const double *restrict lam1 = g->lam1, *restrict lam2 = g->lam2;
+    const double dx = g->dx;
+    double hi = lam2[0], lo = lam1[0], speed, dt, bound;
+    int nan_hi = 0, nan_lo = 0;
+    long i;
+
+    for (i = 0; i <= N; i++) {
+        hi = lam2[i] > hi ? lam2[i] : hi;
+        lo = lam1[i] < lo ? lam1[i] : lo;
+        nan_hi |= isnan(lam2[i]);
+        nan_lo |= isnan(lam1[i]);
+    }
+    if (nan_hi)
+        hi = NAN;
+    if (nan_lo)
+        lo = NAN;
+    speed = -lo > hi ? -lo : hi;                        /* Python's max(hi, -lo) */
+    dt = dx / speed;
+    bound = dx * dx / (2.0 * g->eps);
+    if (bound < dt)
+        dt = bound;
+    if (1.0 < dt)
+        dt = 1.0;
+    dt = g->cfl * dt;
+    g->last = t + dt >= T - 1e-13;
+    if (g->last)
+        dt = T - t;
+    g->dt = dt;
+    return semihydro_advance(g, n, J, nn, JJ, dt);
 }
 
 /* Mirrored field by field by _kernel.Forcing: the factors of the forcing

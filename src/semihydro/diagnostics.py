@@ -212,6 +212,10 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
             eta[k], q[k], eta_J[k] = weak_entropy_pair(m, n, J, g, dg)
     src = eta_J * (traj.n * traj.E - traj.J)
 
+    # Each bump's integrand is taken on the rows of its time support alone.
+    # The rows outside it sum to +-0.0 in the full-grid loop, and leaving
+    # them at +0.0 keeps every residual's bits (a signed zero added to the
+    # trapezoid's nonzero sums changes nothing).
     residuals = np.empty((nx_c, nt_c))
     for i in range(nx_c):
         xc = (i + 1) * rx
@@ -221,9 +225,14 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
             tc = (j + 1) * rt
             bt = _bump((times - tc) / rt)
             btp = _bump_prime((times - tc) / rt) / rt
-            integrand = (eta * np.outer(btp, bx) + q * np.outer(bt, bxp)
-                         + src * np.outer(bt, bx))
-            per_t = np.trapezoid(integrand, dx=dx, axis=1)
+            # times increase, so the support is one run of rows
+            support = np.flatnonzero((bt != 0.0) | (btp != 0.0))
+            rows = slice(support[0], support[-1] + 1)
+            integrand = (eta[rows] * np.outer(btp[rows], bx)
+                         + q[rows] * np.outer(bt[rows], bxp)
+                         + src[rows] * np.outer(bt[rows], bx))
+            per_t = np.zeros(times.size)
+            per_t[rows] = np.trapezoid(integrand, dx=dx, axis=1)
             residuals[i, j] = np.trapezoid(per_t, x=times)
 
     tol = tol_factor * (dx + traj.dt_mean)

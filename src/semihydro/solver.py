@@ -20,24 +20,32 @@ mass to rounding.
 
 The run loop takes each step in C when it can: _step.c, built by the
 system C compiler on the first run and loaded through ctypes (see the
-_kernel module). Without a compiler, or if the build or its cache fails,
-it takes _advance, the step in numpy, at a few times the cost per step.
-The manufactured forcing of the mms checks does its per-call arithmetic
-in the same library when it loads, and in numpy otherwise.
+_kernel module). Each step is then one call of semihydro_step, after
+numpy has computed the step's powers: the characteristic speeds by
+eigenvalues, p(n) by pressure, and theta * n**theta for the Rusanov
+flux. The C call reduces the speeds to max|lambda|, takes dt from the
+CFL bound, applies the last-step rule and advances the state; a loop
+that takes a whole stride between snapshots in C could call it as its
+body. Without a compiler, or if the build or its cache fails, the step
+is _dt and _advance, in numpy, at a few times the cost per step. The
+manufactured forcing of the mms checks does its per-call arithmetic in
+the same library when it loads, and in numpy otherwise.
 
 Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
 scipy's cumulative_trapezoid, the mass by np.trapezoid, the max speed as
 max|lambda| over both families, and the stencils exactly as the comments
 in _rhs spell them). The numpy step writes each stencil as one expression
-in the order of semihydro_step's lines, and divisions stay divisions. The
-C step does that arithmetic on doubles, built without -ffast-math and
-with -ffp-contract=off so that nothing fuses into a multiply-add; it
-takes no power itself, so p(n), theta * n**theta, the forcing's power
-and exp(-t), and the CFL speeds still come from numpy, and the mass is
-numpy's sum of the trapezoid terms it writes. The forcing's other
-arithmetic runs in C. tests/test_solver.py checks both paths against a
-plain copy of the step and of the forcing, and against each other.
+in the order of semihydro_advance's lines, and divisions stay divisions. The
+C step does that arithmetic on doubles, built at -O3 with
+-ffp-contract=off and without -ffast-math, so that the compiler neither
+reassociates nor fuses into a multiply-add, and its vector loops give the
+scalar bits. It takes no power itself: the speeds, p(n), theta *
+n**theta, and the forcing's power and exp(-t) still come from numpy, and
+the mass is numpy's sum of the trapezoid terms it writes. The forcing's
+other arithmetic runs in C. tests/test_solver.py checks both paths
+against a plain copy of the step, of dt and of the forcing, and against
+each other.
 Between hosts the bits may differ for gamma != 2: numpy's SIMD power
 routine may round n**gamma differently on another CPU. At gamma = 2 the
 powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between runs
@@ -273,7 +281,7 @@ def _rhs(n, J, E, t, m, cfg, dx, forcing):
     forcing, if given, is a pair (f_n, f_J) of functions of t that return
     the N-1 interior values; the -J relaxation is the last term of rhs_J.
     The steady solver in the stationary module evaluates the same stencil.
-    Each expression is semihydro_step's, operand for operand: the same bits.
+    Each expression is semihydro_advance's, operand for operand: the same bits.
     """
     eps = cfg.epsilon
     f2 = J * J / n + pressure(m, n)
@@ -350,18 +358,20 @@ def _vacuum(cell: int, density: float, dx: float, t: float) -> BlowupError:
 
 
 class _KernelStep:
-    """The explicit step by the C kernel, called as _stepper's advance.
+    """The explicit step by the C kernel: _stepper's stepper when the
+    library loads.
 
     The state alternates between two pairs of preallocated buffers, and
-    the arrays returned are overwritten by the step after next. p(n) and
-    theta * n**theta from numpy, and the forcing from its closures, come
-    through buffers of their own, so the kernel's only arguments per step are the buffers'
-    addresses and dt.
+    the arrays returned are overwritten by the step after next. The
+    speeds from eigenvalues, p(n) and theta * n**theta from numpy, and
+    the forcing from its closures are copied into buffers of their own,
+    so the kernel's only arguments per step are the buffers' addresses
+    and t and T_final, or dt.
     """
 
-    def __init__(self, kernel, m, cfg, d_grid, dx, bvals, forcing):
+    def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
         N = cfg.N
-        self._step = kernel
+        self._lib = lib
         self._m = m
         self._rusanov = cfg.scheme == "rusanov"
         self._forcing = forcing
@@ -369,28 +379,36 @@ class _KernelStep:
         # every array the kernel reads or writes, kept alive here
         self._state = np.empty((4, N + 1))
         self._d = np.array(d_grid, dtype=float)
-        self._p, self._c, *scratch = np.empty((6, N + 1))
+        # p, c, lam1, lam2, then the kernel's scratch E, f2, r, h1, h2
+        self._p, self._c, self._lam1, self._lam2, *scratch = np.empty((9, N + 1))
         self._f = np.empty((2, N - 1))
         self._terms = np.empty(N)
         fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
-        self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, *bvals, self._rusanov,
-                                  cfg.boundary == "float", self._d.ctypes.data,
-                                  self._p.ctypes.data, self._c.ctypes.data, fn, fJ,
-                                  *(a.ctypes.data for a in scratch), self._terms.ctypes.data, 0)
+        self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
+                                  self._rusanov, cfg.boundary == "float",
+                                  *(a.ctypes.data for a in (self._d, self._p, self._c,
+                                                            self._lam1, self._lam2)),
+                                  fn, fJ, *(a.ctypes.data for a in scratch),
+                                  self._terms.ctypes.data)
         # (n, J, their addresses), one pair to read and one to write
         self._pairs = [(*self._state[k:k + 2], *(a.ctypes.data for a in self._state[k:k + 2]))
                        for k in (0, 2)]
 
-    def __call__(self, n, J, t, dt):
+    def _load(self, n, J):
+        """(src, dst): the pair that holds the state (n, J), copied in
+        unless it is already there, and the pair to write."""
         src, dst = self._pairs
         if n is dst[0] and J is dst[1]:
-            src, dst = dst, src
-        elif n is not src[0] or J is not src[1]:
+            return dst, src
+        if n is not src[0] or J is not src[1]:
             if np.shape(n) != src[0].shape or np.shape(J) != src[1].shape:
                 raise ValueError(f"the state must have {src[0].size} nodes")
             src[0][...] = n
             src[1][...] = J
-        n = src[0]
+        return src, dst
+
+    def _fill(self, n, t):
+        """The numpy inputs of a step from density n at time t."""
         m = self._m
         self._p[...] = pressure(m, n)
         if self._rusanov:
@@ -399,31 +417,74 @@ class _KernelStep:
             f_n, f_J = self._forcing
             self._f[0] = f_n(t)
             self._f[1] = f_J(t)
-        status = self._step(self._grid, src[2], src[3], dst[2], dst[3], dt)
+
+    def _outcome(self, status, dst, t_new):
+        """(n, J, clamped_cells, mass) of a step that ended with status."""
         cell = self._grid.count
         if status == 1:
-            raise _nonfinite(cell, self._dx, t + dt)
+            raise _nonfinite(cell, self._dx, t_new)
         if status == 2:
-            raise _vacuum(cell, dst[0][cell], self._dx, t + dt)
+            raise _vacuum(cell, dst[0][cell], self._dx, t_new)
         return dst[0], dst[1], cell, float(self._terms.sum())
+
+    def advance(self, n, J, t, dt):
+        src, dst = self._load(n, J)
+        self._fill(src[0], t)
+        status = self._lib.semihydro_advance(self._grid, src[2], src[3], dst[2], dst[3], dt)
+        return self._outcome(status, dst, t + dt)
+
+    def step(self, n, J, t, T):
+        src, dst = self._load(n, J)
+        # the speeds before p(n), in the order of _dt and _advance, so that a
+        # bad density raises the same error on both paths
+        lam1, lam2 = eigenvalues(self._m, src[0], src[1])
+        self._lam1[...] = lam1
+        self._lam2[...] = lam2
+        self._fill(src[0], t)
+        grid = self._grid
+        status = self._lib.semihydro_step(grid, src[2], src[3], dst[2], dst[3], t, T)
+        dt = grid.dt
+        return (*self._outcome(status, dst, t + dt), dt, bool(grid.last))
+
+
+class _NumpyStep:
+    """The explicit step by _dt and _advance: _stepper's stepper when the C
+    library does not load."""
+
+    def __init__(self, m, cfg, d_grid, dx, bvals, forcing):
+        self._args = (m, cfg, d_grid, dx, bvals, forcing)
+
+    def advance(self, n, J, t, dt):
+        n, J, clamped = _advance(n, J, t, dt, *self._args)
+        return n, J, clamped, float(np.trapezoid(n, dx=self._args[3]))
+
+    def step(self, n, J, t, T):
+        m, cfg, _, dx, _, _ = self._args
+        dt = _dt(m, n, J, cfg, dx)
+        # a step that would stop within 1e-13 of T ends on it exactly
+        last = t + dt >= T - 1e-13
+        if last:
+            dt = T - t
+        return (*self.advance(n, J, t, dt), dt, last)
 
 
 def _stepper(m, cfg, d_grid, dx, bvals, forcing):
-    """advance(n, J, t, dt) -> (n, J, clamped_cells, mass), one explicit
-    step: by the C kernel if it loads, else by _advance. Either raises
-    the same BlowupError, and gives the same bits.
+    """The explicit step, by the C kernel if it loads, else by numpy's
+    _dt and _advance. Both give the same bits and raise the same
+    BlowupError. The stepper has two methods:
+
+    - advance(n, J, t, dt) -> (n, J, clamped_cells, mass), the step by dt;
+    - step(n, J, t, T) -> (n, J, clamped_cells, mass, dt, last), run's
+      step toward T_final = T: dt is _dt's, or T - t if last, when t + dt
+      would stop within 1e-13 of T.
 
     The C step's arrays are its own buffers, overwritten by the step after
     next; copy a state that must outlive that.
     """
-    kernel = _kernel.load()
-    if kernel is not None:
-        return _KernelStep(kernel.semihydro_step, m, cfg, d_grid, dx, bvals, forcing)
-
-    def advance(n, J, t, dt):
-        n, J, clamped = _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing)
-        return n, J, clamped, float(np.trapezoid(n, dx=dx))
-    return advance
+    lib = _kernel.load()
+    if lib is not None:
+        return _KernelStep(lib, m, cfg, d_grid, dx, bvals, forcing)
+    return _NumpyStep(m, cfg, d_grid, dx, bvals, forcing)
 
 
 def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float) -> State:
@@ -435,8 +496,8 @@ def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float) -> State:
     dx = 1.0 / cfg.N
     d_grid = D(np.linspace(0.0, 1.0, cfg.N + 1))
     bvals = (float(state.n[0]), float(state.n[-1]))
-    advance = _stepper(cfg.model(), cfg, d_grid, dx, bvals, None)
-    n, J, _, _ = advance(state.n, state.J, state.t, dt)
+    stepper = _stepper(cfg.model(), cfg, d_grid, dx, bvals, None)
+    n, J, _, _ = stepper.advance(state.n, state.J, state.t, dt)
     return State(state.t + dt, n, J, _efield(n - d_grid, dx))
 
 
@@ -487,7 +548,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
         if on_snapshot is not None:
             on_snapshot(*row)
 
-    advance = _stepper(m, cfg, d_grid, dx, bvals, forcing)
+    stepper = _stepper(m, cfg, d_grid, dx, bvals, forcing)
     record(0.0, n, J)
     step_times = [0.0]
     mass = [float(np.trapezoid(n, dx=dx))]
@@ -499,13 +560,8 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     total_clamped = 0
     with np.errstate(all="ignore"):
         while t < T - 1e-13:
-            dt = _dt(m, n, J, cfg, dx)
-            # a step that would stop within 1e-13 of T_final ends on it exactly
-            last = t + dt >= T - 1e-13
-            if last:
-                dt = T - t
             try:
-                n, J, clamped, step_mass = advance(n, J, t, dt)
+                n, J, clamped, step_mass, dt, last = stepper.step(n, J, t, T)
             except BlowupError as exc:
                 exc.trajectory = _package(rows, step_times, mass, clamps, cfg, D)
                 raise

@@ -119,7 +119,9 @@ def _integrate(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: float):
     these as negative and positive residuals respectively.  The cap abort
     has to happen before float overflow because gamma < 2 makes runaway
     trials blow up in finite x. A power that Python refuses (0 to a negative
-    power, an overflow) ends the trial with DivergentTrial at its step's node.
+    power, an overflow) ends the trial with DivergentTrial at its step's node;
+    a negative base to a fractional power, which only a negative floor lets
+    through, ends it so at the step's end node.
 
     The trial runs in C, semihydro_shoot, when the library loads, and in
     _integrate_python otherwise; both give the same bits, and end with the
@@ -180,12 +182,19 @@ def _integrate_python(N0: float, d2: np.ndarray, m, N: int, floor: float, cap: f
                 _check_density(a, floor, cap, i * h)
             k4a = c * b * a**ex
             k4b = a - d1
+            y1 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+            y2 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+            finite = isfinite(y1) and isfinite(y2)
         except (OverflowError, ZeroDivisionError):
             # a power of a finite base that pow makes infinite, as C's trial sees it
             raise _abort(_NONFINITE, i * h, floor, cap) from None
-        y1 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        y2 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
-        if not (isfinite(y1) and isfinite(y2)):
+        except TypeError:
+            # a negative base (below a negative floor) to a fractional power:
+            # complex here, NaN in C, where it runs on to the step's end and
+            # ends the trial there as non-finite; the next comparison of the
+            # complex value lands here
+            finite = False
+        if not finite:
             raise _abort(_NONFINITE, (i + 1) * h, floor, cap)
         Nt.append(y1)
         Et.append(y2)

@@ -67,7 +67,7 @@ def test_first_run_compiles_once_and_a_fresh_process_loads_the_cache(cache, comp
     assert len(compiles) == 1
     command = compiles[0]
     assert command[3] == _kernel.SOURCE
-    assert command[4:] == ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm"]
+    assert command[4:] == ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-lm"]
     assert not any("fast-math" in a or a.startswith("-march") for a in command)
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     libraries = sorted(p.name for p in cache.iterdir())

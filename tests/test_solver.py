@@ -1,5 +1,6 @@
 """Time integrator: config validation, mollifier, stepping, blowup, MMS."""
 
+import itertools
 import pickle
 import sys
 import warnings
@@ -586,27 +587,44 @@ def _both_paths():
 def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
     """Step the package's and the plain step side by side from the same state;
     forcing is a pair of functions of t, plain_forcing the same terms as
-    functions of (x, t)."""
+    functions of (x, t).
+
+    Each step is taken twice, by two steppers: by advance, with the dt of
+    _dt, and by step, which takes its dt itself; every third step, step's
+    T_final lies short of t + dt, so that step ends on it."""
     m = cfg.model()
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
     d_grid = D(x)
     bvals = (float(n[0]), float(n[-1]))
-    advance = solver._stepper(m, cfg, d_grid, dx, bvals, forcing)
+    advance = solver._stepper(m, cfg, d_grid, dx, bvals, forcing).advance
+    step = solver._stepper(m, cfg, d_grid, dx, bvals, forcing).step
     t = 0.0
     total_clamped = 0
-    for _ in range(steps):
+    for k in range(steps):
         dt = solver._dt(m, n, J, cfg, dx)
         assert _same_bits(dt, _plain_dt(m, n, J, cfg, dx))
+        T = t + 0.75 * dt if k % 3 == 2 else 1e9
+        last = t + dt >= T - 1e-13
+        if last:
+            dt = T - t
+        stepped = step(n, J, t, T)
+        assert _same_bits(stepped[4], dt) and stepped[5] is last
         lean = advance(n, J, t, dt)
         plain = _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, plain_forcing)
-        assert _same_bits(lean[0], plain[0]) and _same_bits(lean[1], plain[1])
-        assert lean[2] == plain[2]
-        assert _same_bits(lean[3], float(np.trapezoid(plain[0], dx=dx)))
+        for got in (lean, stepped):
+            assert _same_bits(got[0], plain[0]) and _same_bits(got[1], plain[1])
+            assert got[2] == plain[2]
+            assert _same_bits(got[3], float(np.trapezoid(plain[0], dx=dx)))
         n, J = lean[:2]
         t += dt
         total_clamped += lean[2]
     return total_clamped
+
+
+# odd and even node counts, so that every vector loop of the C step runs a
+# scalar tail in some run, and the sweep's grid
+GRIDS = (17, 64, 400)
 
 
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
@@ -614,12 +632,12 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
 @pytest.mark.parametrize("boundary", ["dirichlet", "float"])
 def test_step_matches_plain_step_bit_for_bit(scheme, relaxation, boundary):
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
-    x = np.linspace(0.0, 1.0, 65)
-    n = D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x))
-    J = 0.3 * np.sin(np.pi * x) ** 2
     for _ in _both_paths():
-        for gamma in (1.5, 2.0, 3.0):
-            cfg = _cfg(N=64, epsilon=2e-3, scheme=scheme, relaxation=relaxation,
+        for N, gamma in itertools.product(GRIDS, (1.5, 2.0, 3.0)):
+            x = np.linspace(0.0, 1.0, N + 1)
+            n = D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x))
+            J = 0.3 * np.sin(np.pi * x) ** 2
+            cfg = _cfg(N=N, epsilon=2e-3, scheme=scheme, relaxation=relaxation,
                        boundary=boundary, gamma=gamma)
             _march_both(cfg, D, n, J)
 
@@ -636,13 +654,14 @@ def test_step_matches_plain_step_while_clamping():
 
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])
 def test_step_matches_plain_step_with_mms_forcing(scheme):
-    cfg = _cfg(N=64, epsilon=0.02, scheme=scheme)
     n_star, J_star = solver.manufactured_solution()
-    x = np.linspace(0.0, 1.0, 65)
     for _ in _both_paths():
-        forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
-        _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
-                    plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
+        for N in GRIDS:
+            cfg = _cfg(N=N, epsilon=0.02, scheme=scheme)
+            x = np.linspace(0.0, 1.0, N + 1)
+            forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
+            _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
+                        plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
 
 
 def _run_on_both_paths(*args, **kwargs):
@@ -680,15 +699,18 @@ def _assert_same_runs(a, b):
 @pytest.mark.parametrize("relaxation", ["explicit"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "float"])
 def test_kernel_and_numpy_runs_have_the_same_bytes(scheme, relaxation, boundary, gamma):
-    cfg = _cfg(N=64, epsilon=2e-3, T_final=0.3, scheme=scheme, relaxation=relaxation,
-               boundary=boundary, gamma=gamma, output_stride=7)
     D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
-    x = np.linspace(0.0, 1.0, 65)
-    n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / 64)
-    J0 = 0.3 * np.sin(np.pi * x) ** 2
-    kernel, numpy_step = _run_on_both_paths(cfg, D, n0, J0)
-    assert kernel[0].n_steps > 20
-    _assert_same_runs(kernel, numpy_step)
+    # the coarsest grid takes larger steps, so it runs longer, and with more
+    # viscosity: at eps = 2e-3 central's dirichlet run at gamma 3 clamps
+    for N, eps, T_final in zip(GRIDS, (5e-3, 2e-3, 2e-3), (2.0, 0.3, 0.3)):
+        cfg = _cfg(N=N, epsilon=eps, T_final=T_final, scheme=scheme, relaxation=relaxation,
+                   boundary=boundary, gamma=gamma, output_stride=7)
+        x = np.linspace(0.0, 1.0, N + 1)
+        n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / N)
+        J0 = 0.3 * np.sin(np.pi * x) ** 2
+        kernel, numpy_step = _run_on_both_paths(cfg, D, n0, J0)
+        assert kernel[0].n_steps > 20
+        _assert_same_runs(kernel, numpy_step)
 
 
 @pytest.mark.parametrize("case", ["clamping", "mms"])

@@ -519,6 +519,25 @@ def test_a_power_python_refuses_diverges_on_both_paths():
             solve_stationary(sh.DopingProfile.constant(1e-320), sh.GasModel(3.0), 64)
 
 
+def test_a_negative_base_below_a_negative_floor_diverges_on_both_paths():
+    # (-0.5)**0.5 is complex in Python and NaN in C, which runs on to the
+    # end-of-step check: the trial diverges at the step's end node
+    d2 = SINE(np.linspace(0.0, 1.0, 401))
+    outcomes = {}
+    for path in _paths():
+        with pytest.raises(DivergentTrial) as exc:
+            stationary._integrate(-0.5, d2, sh.GasModel(1.5), 200, -1.0, 1e6)
+        assert str(exc.value) == "integration diverged near x = 0.005", path
+        # starts above zero that the field drives below it, at later nodes
+        # and in any of the four stages
+        for gamma, N0 in itertools.product((1.2, 1.5, 2.5), (0.02, 0.1, 0.3)):
+            args = (N0, d2, sh.GasModel(gamma), 200, -1.0, 1e6)
+            outcomes.setdefault((gamma, N0), []).append(_outcome(stationary._integrate, *args))
+    for key, (first, *rest) in outcomes.items():
+        assert first[0] is DivergentTrial and first[1] != "integration diverged near x = 0.005"
+        assert all(other == first for other in rest), key
+
+
 @pytest.mark.parametrize("spec", ["sine:1:0.5:1", "sine:1:0.9:3", "constant:1.3"])
 def test_solve_stationary_has_the_same_bytes_on_both_paths(spec):
     D = sh.DopingProfile.from_spec(spec)

@@ -245,6 +245,17 @@ def test_entropy_residual_pairs_match_plain_loop(gamma):
         assert _same(rep.residuals, _plain_entropy_residuals(states, m, pair, centers))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_entropy_residual_on_bump_supports_is_the_full_grid_loop(sign):
+    # a long trajectory: each bump's time support holds a small share of
+    # the rows, and the rows outside it are left out of its integrand
+    traj, states = _both(_config(T_final=4.0, output_stride=2), sign)
+    assert len(states) > 150
+    for centers in ((5, 5), (2, 9), (1, 1)):
+        rep = diag.entropy_residual(traj, M2, centers=centers)
+        assert _same(rep.residuals, _plain_entropy_residuals(states, M2, "mechanical", centers))
+
+
 def test_single_snapshot_trajectory_matches_plain_loops(tmp_path):
     traj, states = _both(_config(T_final=0.0))
     assert len(states) == 1 and traj.n_steps == 0
