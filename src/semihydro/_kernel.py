@@ -3,8 +3,11 @@
 The library holds the explicit step that solver.run takes, and the
 manufactured forcing that solver.manufactured_forcing builds; the powers
 of both stay numpy's, and so do the characteristic speeds, which the
-step reduces to its dt. It also holds the shooting trial and the banded
-Newton solve of the stationary module.
+step reduces to its dt. The step keeps the state in two buffer pairs of
+its Grid and reads its inputs (the pair, t, T_final) from the Grid's
+fields, where it leaves dt, the clamp count and the mass, which it sums
+as np.sum does (semihydro_sum). The library also holds the shooting
+trial and the banded Newton solve of the stationary module.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
@@ -102,9 +105,11 @@ class Grid(ctypes.Structure):
                   for name in ("eps", "dx", "floor", "cfl", "n_lo", "n_hi")),
                 *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
-                  for name in ("d", "p", "c", "lam1", "lam2", "fn", "fJ",
+                  for name in ("state", "d", "p", "c", "lam1", "lam2", "fn", "fJ",
                                "E", "f2", "r", "h1", "h2", "terms")),
-                ("dt", ctypes.c_double), ("count", ctypes.c_long), ("last", ctypes.c_int)]
+                ("k", ctypes.c_int),
+                *((name, ctypes.c_double) for name in ("t", "T", "dt", "mass")),
+                ("count", ctypes.c_long), ("last", ctypes.c_int)]
 
 
 class Forcing(ctypes.Structure):
@@ -119,12 +124,12 @@ class Forcing(ctypes.Structure):
 
 # name: (restype, argtypes)
 _SIGNATURES = {
-    # (grid, n, J, nn, JJ, t, T)
-    "semihydro_step": (ctypes.c_int, [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4,
-                                      *[ctypes.c_double] * 2]),
-    # (grid, n, J, nn, JJ, dt)
-    "semihydro_advance": (ctypes.c_int, [ctypes.POINTER(Grid), *[ctypes.c_void_p] * 4,
-                                         ctypes.c_double]),
+    # (grid): its inputs k, t and T are fields of the grid
+    "semihydro_step": (ctypes.c_int, [ctypes.POINTER(Grid)]),
+    # (grid, dt)
+    "semihydro_advance": (ctypes.c_int, [ctypes.POINTER(Grid), ctypes.c_double]),
+    # (a, n)
+    "semihydro_sum": (ctypes.c_double, [ctypes.c_void_p, ctypes.c_long]),
     # (forcing, et, out)
     "semihydro_forcing_n": (None, [ctypes.POINTER(Forcing), ctypes.c_double, ctypes.c_void_p]),
     # (forcing, et, pw, out)

@@ -11,12 +11,24 @@
    reassociates nor fuses, so a vector loop gives the scalar loop's bits.
 
    semihydro_step is one step of solver.run: it reduces the characteristic
-   speeds to solver._dt's dt, applies the run's last-step rule, and
-   advances (n, J) by that dt into (nn, JJ) as semihydro_advance does, in
-   one call. A loop over a whole stride between snapshots could call it as
-   its body. semihydro_advance is the step by a given dt, solver._advance.
-   Neither takes a power: the caller passes the speeds lam1 and lam2, p(n)
-   and, for the Rusanov flux, theta * n**theta, all computed by numpy.
+   speeds to solver._dt's dt, applies the run's last-step rule, advances
+   the state by that dt as semihydro_advance does, and sums the new
+   state's trapezoid mass as np.sum does, in one call. The state lives in
+   the grid's two buffer pairs: a step reads pair g->k and writes the
+   other. semihydro_step takes its inputs (g->k, g->t, g->T) from the
+   grid, so that its ctypes call converts no argument, and leaves dt,
+   the mass and the clamp count there. semihydro_advance is the step by a
+   given dt, solver._advance.
+   Neither takes a power: the caller passes the speeds lam1 and lam2,
+   p(n) and, for the Rusanov flux, theta * n**theta, all computed by
+   numpy. So the run's loop stays in Python, one call per step: a loop
+   over a whole stride between snapshots would have to take the powers in
+   C, and the benchmark counts two numpy calls (eigenvalues and pressure)
+   per step, an assertion of bench/test_bench.py that only a change of
+   the benchmark may drop.
+
+   semihydro_sum is np.sum of a contiguous array of doubles: numpy's
+   pairwise summation, whose order the mass sum keeps.
 
    semihydro_forcing_n and semihydro_forcing_J evaluate the forcing of
    solver.manufactured_forcing at one time. They take no power either: the
@@ -48,14 +60,18 @@ struct step_grid {
     double cfl;                 /* cfl_safety */
     double n_lo, n_hi;          /* the wall densities of dirichlet walls */
     int rusanov, float_walls;
+    double *state;              /* n, J of pair 0, then n, J of pair 1 */
     const double *d;            /* doping on the nodes */
     const double *p;            /* p(n) on the nodes */
     const double *c;            /* theta * n**theta on the nodes (rusanov) */
     const double *lam1, *lam2;  /* the characteristic speeds on the nodes */
     const double *fn, *fJ;      /* forcing on the N - 1 interior nodes, or NULL */
     double *E, *f2, *r, *h1, *h2;   /* scratch, N + 1 each */
-    double *terms;              /* out: the N trapezoid mass terms of nn */
+    double *terms;              /* scratch: the N trapezoid mass terms of nn */
+    int k;                      /* in: the buffer pair (0 or 1) that holds the state */
+    double t, T;                /* in of semihydro_step: the time, and T_final */
     double dt;                  /* out of semihydro_step: the step's dt */
+    double mass;                /* out: np.sum of the mass terms */
     long count;                 /* out: clamped cells, or the blowup's cell */
     int last;                   /* out of semihydro_step: the step ends on T */
 };
@@ -109,12 +125,53 @@ interior(const struct step_grid *g, const double *restrict n, const double *rest
     }
 }
 
-/* semihydro_advance: advances (n, J) by dt into (nn, JJ) as
-   solver._advance does, and writes the mass terms of nn. Returns STEP_OK,
-   with the clamped cells in g->count, or the blowup and its cell. */
-int semihydro_advance(struct step_grid *g, const double *restrict n,
-                      const double *restrict J, double *restrict nn,
-                      double *restrict JJ, double dt)
+/* numpy's pairwise summation of a[0 .. n - 1], the order of np.sum on a
+   contiguous array: fewer than 8 terms in turn, blocks of at most 128
+   with 8 accumulators, and longer ranges split in two at a multiple of 8
+   below the middle. */
+static double pairwise(const double *a, long n)
+{
+    double r[8], res;
+    long i, n2;
+    int j;
+
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* np.sum(a) for the n doubles at a: the reduction adds the pairwise sum
+   to its initial value, 0.0 */
+double semihydro_sum(const double *a, long n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* advances (n, J) by dt into (nn, JJ) as solver._advance does, and sums
+   the trapezoid mass of nn into g->mass. Returns STEP_OK, with the
+   clamped cells in g->count, or the blowup and its cell. Kept out of
+   line: its four arrays are restrict parameters here, while in
+   semihydro_advance they are offsets into the one array g->state. */
+static __attribute__((noinline)) int
+advance(struct step_grid *g, const double *restrict n, const double *restrict J,
+        double *restrict nn, double *restrict JJ, double dt)
 {
     const long N = g->N;
     const double eps = g->eps, dx = g->dx, floor = g->floor;
@@ -206,10 +263,22 @@ int semihydro_advance(struct step_grid *g, const double *restrict n,
 
     for (i = 0; i < N; i++)
         terms[i] = (nn[i + 1] + nn[i]) * dx / 2.0;     /* dx * (n[1:] + n[:-1]) / 2.0 */
+    g->mass = semihydro_sum(terms, N);                  /* np.trapezoid(nn, dx=dx) */
     return STEP_OK;
 }
 
-/* semihydro_step: the step of solver.run from t toward T. Its dt is
+/* semihydro_advance: the step by dt from the state in buffer pair g->k
+   into the other pair; see advance. */
+int semihydro_advance(struct step_grid *g, double dt)
+{
+    const long size = g->N + 1;
+    double *src = g->state + 2 * size * g->k, *dst = g->state + 2 * size * (1 - g->k);
+
+    return advance(g, src, src + size, dst, dst + size, dt);
+}
+
+/* semihydro_step: the step of solver.run from t = g->t toward T = g->T,
+   from the state in buffer pair g->k into the other pair. Its dt is
    solver._dt's, from the speeds in g->lam1 and g->lam2:
 
        speed = max(lam2.max(), -lam1.min())
@@ -217,30 +286,38 @@ int semihydro_advance(struct step_grid *g, const double *restrict n,
 
    with numpy's NaN propagation in the reductions and Python's max and
    min, which keep their first argument unless a later one is strictly
-   larger (smaller). A step that would stop within 1e-13 of T ends on it:
-   dt = T - t, and g->last is set. g->dt receives dt; then the step is
-   semihydro_advance's. */
-int semihydro_step(struct step_grid *g, const double *restrict n,
-                   const double *restrict J, double *restrict nn,
-                   double *restrict JJ, double t, double T)
+   larger (smaller). Each reduction runs two accumulators, on the even and
+   the odd nodes, so that consecutive comparisons do not wait for each
+   other; without NaN the extreme value is the same. A step that would
+   stop within 1e-13 of T ends on it: dt = T - t, and g->last is set.
+   g->dt receives dt; then the step is semihydro_advance's. */
+int semihydro_step(struct step_grid *g)
 {
     const long N = g->N;
+    const double t = g->t, T = g->T;
     const double *restrict lam1 = g->lam1, *restrict lam2 = g->lam2;
     const double dx = g->dx;
-    double hi = lam2[0], lo = lam1[0], speed, dt, bound;
-    int nan_hi = 0, nan_lo = 0;
+    double hi0 = lam2[0], hi1 = lam2[0], lo0 = lam1[0], lo1 = lam1[0];
+    double hi, lo, speed, dt, bound;
+    int nan_hi = isnan(lam2[0]), nan_lo = isnan(lam1[0]);
     long i;
 
-    for (i = 0; i <= N; i++) {
-        hi = lam2[i] > hi ? lam2[i] : hi;
-        lo = lam1[i] < lo ? lam1[i] : lo;
-        nan_hi |= isnan(lam2[i]);
-        nan_lo |= isnan(lam1[i]);
+    for (i = 1; i < N; i += 2) {
+        hi0 = lam2[i] > hi0 ? lam2[i] : hi0;
+        hi1 = lam2[i + 1] > hi1 ? lam2[i + 1] : hi1;
+        lo0 = lam1[i] < lo0 ? lam1[i] : lo0;
+        lo1 = lam1[i + 1] < lo1 ? lam1[i + 1] : lo1;
+        nan_hi |= isnan(lam2[i]) | isnan(lam2[i + 1]);
+        nan_lo |= isnan(lam1[i]) | isnan(lam1[i + 1]);
     }
-    if (nan_hi)
-        hi = NAN;
-    if (nan_lo)
-        lo = NAN;
+    if (i == N) {                                       /* N odd: node N is left */
+        hi0 = lam2[N] > hi0 ? lam2[N] : hi0;
+        lo0 = lam1[N] < lo0 ? lam1[N] : lo0;
+        nan_hi |= isnan(lam2[N]);
+        nan_lo |= isnan(lam1[N]);
+    }
+    hi = nan_hi ? NAN : hi1 > hi0 ? hi1 : hi0;
+    lo = nan_lo ? NAN : lo1 < lo0 ? lo1 : lo0;
     speed = -lo > hi ? -lo : hi;                        /* Python's max(hi, -lo) */
     dt = dx / speed;
     bound = dx * dx / (2.0 * g->eps);
@@ -253,7 +330,7 @@ int semihydro_step(struct step_grid *g, const double *restrict n,
     if (g->last)
         dt = T - t;
     g->dt = dt;
-    return semihydro_advance(g, n, J, nn, JJ, dt);
+    return semihydro_advance(g, dt);
 }
 
 /* Mirrored field by field by _kernel.Forcing: the factors of the forcing

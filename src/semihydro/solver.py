@@ -24,9 +24,13 @@ _kernel module). Each step is then one call of semihydro_step, after
 numpy has computed the step's powers: the characteristic speeds by
 eigenvalues, p(n) by pressure, and theta * n**theta for the Rusanov
 flux. The C call reduces the speeds to max|lambda|, takes dt from the
-CFL bound, applies the last-step rule and advances the state; a loop
-that takes a whole stride between snapshots in C could call it as its
-body. Without a compiler, or if the build or its cache fails, the step
+CFL bound, applies the last-step rule, advances the state and sums its
+trapezoid mass, and leaves dt, the mass and the clamp count in its grid
+for Python to read. The run's loop stays in Python, one call per step:
+a loop over a whole stride between snapshots would have to take the
+powers in C as well, and the benchmark counts two gas calls, eigenvalues
+and pressure, per step (bench/test_bench.py asserts it), which only a
+change of the benchmark may drop. Without a compiler, or if the build or its cache fails, the step
 is _dt and _advance, in numpy, at a few times the cost per step. The
 manufactured forcing of the mms checks does its per-call arithmetic in
 the same library when it loads, and in numpy otherwise.
@@ -41,9 +45,11 @@ C step does that arithmetic on doubles, built at -O3 with
 -ffp-contract=off and without -ffast-math, so that the compiler neither
 reassociates nor fuses into a multiply-add, and its vector loops give the
 scalar bits. It takes no power itself: the speeds, p(n), theta *
-n**theta, and the forcing's power and exp(-t) still come from numpy, and
-the mass is numpy's sum of the trapezoid terms it writes. The forcing's
-other arithmetic runs in C. tests/test_solver.py checks both paths
+n**theta, and the forcing's power and exp(-t) still come from numpy. It
+sums the mass's trapezoid terms in np.sum's pairwise order (8
+accumulators over blocks of at most 128 terms, longer ranges split in
+two at a multiple of 8), so the mass keeps np.trapezoid's bits. The
+forcing's other arithmetic runs in C. tests/test_solver.py checks both paths
 against a plain copy of the step, of dt and of the forcing, and against
 each other.
 Between hosts the bits may differ for gamma != 2: numpy's SIMD power
@@ -365,8 +371,10 @@ class _KernelStep:
     the arrays returned are overwritten by the step after next. The
     speeds from eigenvalues, p(n) and theta * n**theta from numpy, and
     the forcing from its closures are copied into buffers of their own,
-    so the kernel's only arguments per step are the buffers' addresses
-    and t and T_final, or dt.
+    so the kernel's only inputs per step are the index of the pair that
+    holds the state, and t and T_final, or dt, set in the grid; the
+    kernel leaves the step's dt, mass, clamp count and last-step flag
+    there.
     """
 
     def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
@@ -386,29 +394,29 @@ class _KernelStep:
         fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
                                   self._rusanov, cfg.boundary == "float",
-                                  *(a.ctypes.data for a in (self._d, self._p, self._c,
-                                                            self._lam1, self._lam2)),
+                                  *(a.ctypes.data for a in (self._state, self._d, self._p,
+                                                            self._c, self._lam1, self._lam2)),
                                   fn, fJ, *(a.ctypes.data for a in scratch),
                                   self._terms.ctypes.data)
-        # (n, J, their addresses), one pair to read and one to write
-        self._pairs = [(*self._state[k:k + 2], *(a.ctypes.data for a in self._state[k:k + 2]))
-                       for k in (0, 2)]
+        # (n, J) of buffer pair 0 and of pair 1
+        self._pairs = (tuple(self._state[:2]), tuple(self._state[2:]))
 
     def _load(self, n, J):
-        """(src, dst): the pair that holds the state (n, J), copied in
-        unless it is already there, and the pair to write."""
-        src, dst = self._pairs
-        if n is dst[0] and J is dst[1]:
-            return dst, src
-        if n is not src[0] or J is not src[1]:
-            if np.shape(n) != src[0].shape or np.shape(J) != src[1].shape:
-                raise ValueError(f"the state must have {src[0].size} nodes")
-            src[0][...] = n
-            src[1][...] = J
-        return src, dst
+        """The buffer pair k that holds the state (n, J): 1 if it is pair
+        1, else 0, copied in unless it is already there."""
+        (n0, J0), (n1, J1) = self._pairs
+        if n is n1 and J is J1:
+            return 1
+        if n is not n0 or J is not J0:
+            if np.shape(n) != n0.shape or np.shape(J) != J0.shape:
+                raise ValueError(f"the state must have {n0.size} nodes")
+            n0[...] = n
+            J0[...] = J
+        return 0
 
     def _fill(self, n, t):
-        """The numpy inputs of a step from density n at time t."""
+        """The numpy inputs of a step from density n at time t, other than
+        the speeds: p(n), theta * n**theta and the forcing."""
         m = self._m
         self._p[...] = pressure(m, n)
         if self._rusanov:
@@ -418,33 +426,48 @@ class _KernelStep:
             self._f[0] = f_n(t)
             self._f[1] = f_J(t)
 
-    def _outcome(self, status, dst, t_new):
-        """(n, J, clamped_cells, mass) of a step that ended with status."""
+    def _outcome(self, status, k, t_new):
+        """Raise the BlowupError of a step into pair k that ended with a
+        nonzero status."""
         cell = self._grid.count
         if status == 1:
             raise _nonfinite(cell, self._dx, t_new)
-        if status == 2:
-            raise _vacuum(cell, dst[0][cell], self._dx, t_new)
-        return dst[0], dst[1], cell, float(self._terms.sum())
+        raise _vacuum(cell, self._pairs[k][0][cell], self._dx, t_new)
 
     def advance(self, n, J, t, dt):
-        src, dst = self._load(n, J)
-        self._fill(src[0], t)
-        status = self._lib.semihydro_advance(self._grid, src[2], src[3], dst[2], dst[3], dt)
-        return self._outcome(status, dst, t + dt)
+        k = self._load(n, J)
+        self._fill(self._pairs[k][0], t)
+        grid = self._grid
+        grid.k = k
+        status = self._lib.semihydro_advance(grid, dt)
+        if status:
+            self._outcome(status, 1 - k, t + dt)
+        return (*self._pairs[1 - k], grid.count, grid.mass)
 
     def step(self, n, J, t, T):
-        src, dst = self._load(n, J)
+        k = self._load(n, J)
+        n, J = self._pairs[k]
+        m = self._m
         # the speeds before p(n), in the order of _dt and _advance, so that a
-        # bad density raises the same error on both paths
-        lam1, lam2 = eigenvalues(self._m, src[0], src[1])
-        self._lam1[...] = lam1
-        self._lam2[...] = lam2
-        self._fill(src[0], t)
+        # bad density raises the same error on both paths; then _fill's
+        # lines, written out, since this is the run's loop
+        self._lam1[...], self._lam2[...] = eigenvalues(m, n, J)
+        self._p[...] = pressure(m, n)
+        if self._rusanov:
+            self._c[...] = m.theta * n**m.theta
+        if self._forcing is not None:
+            f_n, f_J = self._forcing
+            self._f[0] = f_n(t)
+            self._f[1] = f_J(t)
         grid = self._grid
-        status = self._lib.semihydro_step(grid, src[2], src[3], dst[2], dst[3], t, T)
-        dt = grid.dt
-        return (*self._outcome(status, dst, t + dt), dt, bool(grid.last))
+        grid.k = k
+        grid.t = t
+        grid.T = T
+        status = self._lib.semihydro_step(grid)
+        if status:
+            self._outcome(status, 1 - k, t + grid.dt)
+        n, J = self._pairs[1 - k]
+        return n, J, grid.count, grid.mass, grid.dt, bool(grid.last)
 
 
 class _NumpyStep:

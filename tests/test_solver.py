@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid, quad
@@ -711,6 +711,57 @@ def test_kernel_and_numpy_runs_have_the_same_bytes(scheme, relaxation, boundary,
         kernel, numpy_step = _run_on_both_paths(cfg, D, n0, J0)
         assert kernel[0].n_steps > 20
         _assert_same_runs(kernel, numpy_step)
+
+
+# the largest grid whose N mass terms np.sum adds as one block, and the
+# smallest it splits in two
+SUM_SPLIT_GRIDS = (128, 129)
+
+
+@pytest.mark.parametrize("N", SUM_SPLIT_GRIDS)
+@pytest.mark.parametrize("boundary", ["dirichlet", "float"])
+def test_kernel_and_numpy_runs_have_the_same_mass_where_the_sum_splits(N, boundary):
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
+    cfg = _cfg(N=N, epsilon=2e-3, T_final=0.3, boundary=boundary, output_stride=7)
+    x = np.linspace(0.0, 1.0, N + 1)
+    n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / N)
+    kernel, numpy_step = _run_on_both_paths(cfg, D, n0, 0.3 * np.sin(np.pi * x) ** 2)
+    assert kernel[0].n_steps > 20
+    _assert_same_runs(kernel, numpy_step)
+
+
+# sizes below one 8-term unroll, around one and two 128-term blocks, the
+# scenario's and finer grids, and a size past numpy's 8192-element buffer
+SUM_SIZES = (*range(1, 10), 127, 128, 129, 255, 256, 257, 400, 1600, 16384)
+# signed zeros, the smallest and largest subnormals, infinities and NaN
+SUM_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                -2.225073858507201e-308, np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.sampled_from(SUM_SIZES), seed=st.integers(0, 2**32 - 1),
+       exponents=st.sampled_from([(-3, 3), (-20, 20), (-320, -300), (290, 308), (-320, 308)]),
+       specials=st.lists(st.sampled_from(SUM_SPECIALS), max_size=4),
+       share=st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+@example(size=16, seed=0, exponents=(-3, 3), specials=[-0.0], share=1.0)
+def test_library_sum_is_numpy_sum(size, seed, exponents, specials, share):
+    # the mass of the C step is semihydro_sum of its trapezoid terms; it must
+    # be np.sum's, which adds pairwise in a fixed order
+    _require_kernel()
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        a = rng.standard_normal(size) * 10.0 ** rng.integers(*exponents, size, endpoint=True)
+    if specials:
+        hit = rng.random(size) < share
+        a[hit] = rng.choice(specials, hit.sum())
+    expected = np.sum(a)
+    got = np.float64(_kernel.load().semihydro_sum(a.ctypes.data, a.size))
+    if np.isnan(expected):
+        # which NaN an addition of two NaNs gives depends on its operand
+        # order, which neither C nor numpy fixes
+        assert np.isnan(got)
+    else:
+        assert _same_bits(got, expected)
 
 
 @pytest.mark.parametrize("case", ["clamping", "mms"])

@@ -18,12 +18,19 @@ once in each checkout, the parent first in even pairs and the change
 first in odd ones. The output holds, per workload and side, the revision,
 each run's wall_s, setup_s and peak_rss_mb, their median and quartiles,
 and in how many pairs the change's wall_s was the lower one.
+
+Each bench/run.py call runs in a session of its own, and its process
+group is killed when the call returns or is interrupted, so no workload
+process outlives it. SIGTERM ends the recording like an exception: the
+running call's group is killed and the temporary directory removed, and
+the exit code is 143.
 """
 
 import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -38,9 +45,8 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _checkout(rev: str, root: str) -> str:
-    """Extract the tree of rev into root/<rev>; return that directory."""
-    path = os.path.join(root, rev)
+def _checkout(rev: str, path: str) -> str:
+    """Extract the tree of rev into the new directory path; return path."""
     os.makedirs(path)
     archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
                              capture_output=True).stdout
@@ -50,18 +56,31 @@ def _checkout(rev: str, root: str) -> str:
 
 def _run(checkout: str, env: dict, workload: str, seed: int, seconds: float) -> dict:
     """One bench/run.py call in checkout; its result line as a dict."""
-    done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
+    proc = subprocess.Popen([sys.executable, "bench/run.py", "--workload", workload,
+                             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                            cwd=checkout, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    finally:
+        # the workers too, should the call be interrupted or leave any
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    if proc.returncode != 0:
         raise RuntimeError(f"bench/run.py --workload {workload} in {checkout} exited "
-                           f"with {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+                           f"with {proc.returncode}:\n{err}")
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def summary(values: list) -> dict:
     """The median and quartiles of values, and the values themselves."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -81,7 +100,12 @@ def record(results: dict) -> dict:
     return out
 
 
+def _exit_on_sigterm(signum, frame):
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--change", required=True, help="git revision (or tree) of the change")
@@ -106,7 +130,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_record-") as root:
         checkouts, envs = {}, {}
         for side, rev in revs.items():
-            checkouts[side] = _checkout(rev, root)
+            checkouts[side] = _checkout(rev, os.path.join(root, side))
             src = os.path.join(checkouts[side], "src")
             envs[side] = {**os.environ, "XDG_CACHE_HOME": os.path.join(root, f"cache-{side}"),
                           "PYTHONPATH": src}
