@@ -2,6 +2,10 @@
 
 Floats are rendered with %.17g so that identical runs produce
 byte-identical files and values round-trip exactly through text.
+A snapshot line and a CSV row are each formatted by one % operation on
+a format string of %.17g fields, which converts every float as
+"%.17g" % x does; _snapshot_line is the one place a snapshot line is
+made, for the writer process, the caller's tail and library callers.
 """
 
 from __future__ import annotations
@@ -36,15 +40,12 @@ def record_json(d: dict) -> str:
     return "{" + ",".join(items) + "}"
 
 
-def _json_floats(row) -> str:
-    """A float array as a JSON list, each entry as fmt renders it."""
-    return "[" + ",".join(map("%.17g".__mod__, row.tolist())) + "]"
-
-
 def _snapshot_line(t, n, J, E) -> str:
-    """One snapshot as an NDJSON line: t and the n, J, E node arrays."""
-    return (f'{{"t":{fmt(t)},"n":{_json_floats(n)},"J":{_json_floats(J)},'
-            f'"E":{_json_floats(E)}}}\n')
+    """One snapshot as an NDJSON line: t and the n, J, E node arrays, each
+    float as fmt renders it, formatted by one % operation."""
+    row = ",".join(["%.17g"] * len(n))
+    return (('{"t":%.17g,"n":[' + row + '],"J":[' + row + '],"E":[' + row + ']}\n')
+            % (t, *n.tolist(), *J.tolist(), *E.tolist()))
 
 
 def write_snapshots(path: str, traj, start: int = 0) -> None:
@@ -113,15 +114,17 @@ class SnapshotStream:
 
 
 def write_series_csv(path: str, header: list, columns: list) -> None:
-    """CSV with a header row; columns are equal-length sequences."""
+    """CSV with a header row; columns are equal-length sequences of floats,
+    each rendered as fmt renders a float, one % operation a row."""
     rows = len(columns[0])
     for col in columns:
         if len(col) != rows:
             raise ValueError("series columns must have equal length")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
+        fh.write("".join(map(row.__mod__,
+                             zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))))
 
 
 def write_reports(path: str, records: list) -> None:

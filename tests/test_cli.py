@@ -864,6 +864,53 @@ def test_snapshot_lines_load_back_to_the_arrays(traj):
     assert np.array([rec["t"] for rec in lines]).tobytes() == traj.times.tobytes()
 
 
+# the whole float64 range, with signed zeros, subnormals, infinities and NaN mixed in
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]),
+)
+
+
+def _line_by_fmt(t, n, J, E) -> str:
+    def floats(row):
+        return "[" + ",".join(map(io.fmt, row)) + "]"
+    return ('{"t":' + io.fmt(t) + ',"n":' + floats(n) + ',"J":' + floats(J)
+            + ',"E":' + floats(E) + "}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(401), st.integers(1, 450)), min_size=2, max_size=2,
+                unique=True), st.data())
+def test_snapshot_line_has_the_bytes_of_fmt(sizes, data):
+    # two node counts in one example (often the scenario's 401), so a line
+    # cannot reuse another's format
+    for size in sizes:
+        t = data.draw(_ANY_FLOAT)
+        n, J, E = (data.draw(hnp.arrays(np.float64, size, elements=_ANY_FLOAT))
+                   for _ in range(3))
+        assert io._snapshot_line(t, n, J, E) == _line_by_fmt(t, n, J, E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 20), st.booleans(), st.data())
+def test_series_csv_has_the_bytes_of_fmt(width, rows, as_lists, data):
+    columns = [data.draw(hnp.arrays(np.float64, rows, elements=_ANY_FLOAT))
+               for _ in range(width)]
+    if as_lists:
+        # as cmd_sweep_eps passes them
+        columns = [c.tolist() for c in columns]
+    header = [f"c{j}" for j in range(width)]
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(io.fmt(c[i]) for c in columns) + "\n" for i in range(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        io.write_series_csv(path, header, columns)
+        with open(path) as fh:
+            assert fh.read() == expected
+
+
 def test_percent_in_a_config_value_is_literal(tmp_path):
     # configparser interpolation would read "50%" as a broken reference
     out = tmp_path / "out" / "50%"
