@@ -1,9 +1,10 @@
 """Build and load the package's C library, _step.c, through ctypes.
 
 The library holds the explicit step that solver.run takes, and the
-manufactured forcing that solver.manufactured_forcing builds; the powers
-of both stay numpy's, and so do the characteristic speeds, which the
-step reduces to its dt. The step keeps the state in two buffer pairs of
+manufactured forcing that solver.manufactured_forcing builds, which the
+step evaluates itself when its Grid holds the forcing; the powers of
+both stay numpy's, and so do the characteristic speeds, which the step
+reduces to its dt. The step keeps the state in two buffer pairs of
 its Grid and reads its inputs (the pair, t, T_final) from the Grid's
 fields, where it leaves dt, the clamp count and the mass, which it sums
 as np.sum does (semihydro_sum). The library also holds the shooting
@@ -98,7 +99,13 @@ def _library() -> str | None:
 
 
 class Grid(ctypes.Structure):
-    """struct step_grid of _step.c: the step's settings and buffers."""
+    """struct step_grid of _step.c: the step's settings and buffers.
+
+    forcing is the address of the Forcing of manufactured_forcing, or None:
+    with it set, the step evaluates that forcing itself into the buffers
+    fn and fJ, at e^-t = et and with pw = (1 + b_n et)**(gamma - 1), both
+    set by the caller. Without it, fn and fJ hold what the caller put
+    there, or are None for an unforced step."""
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double)
@@ -106,9 +113,9 @@ class Grid(ctypes.Structure):
                 *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
                   for name in ("state", "d", "p", "c", "lam1", "lam2", "fn", "fJ",
-                               "E", "f2", "r", "h1", "h2", "terms")),
+                               "forcing", "pw", "E", "f2", "r", "h1", "h2", "terms")),
                 ("k", ctypes.c_int),
-                *((name, ctypes.c_double) for name in ("t", "T", "dt", "mass")),
+                *((name, ctypes.c_double) for name in ("t", "T", "et", "dt", "mass")),
                 ("count", ctypes.c_long), ("last", ctypes.c_int)]
 
 

@@ -33,6 +33,10 @@
    semihydro_forcing_n and semihydro_forcing_J evaluate the forcing of
    solver.manufactured_forcing at one time. They take no power either: the
    caller passes (1 + b_n e^-t)**(gamma - 1) and e^-t, computed by numpy.
+   The step calls them itself when its grid holds the forcing (g->forcing,
+   with g->et and g->pw set by the caller), before its interior loop: a
+   forced step of the mms runs is then one C call, as an unforced one is.
+   Any other forcing the caller evaluates into g->fn and g->fJ.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
    powers are libm's pow, the function CPython's float.__pow__ calls; a
@@ -53,6 +57,55 @@
 #error "double arithmetic must round to double"
 #endif
 
+/* Mirrored field by field by _kernel.Forcing: the factors of the forcing
+   that depend on x alone, each on the size points it is built on, and its
+   constants. */
+struct forcing_grid {
+    long size;
+    double eps, two_eps, two_pi, p0_gamma;  /* eps, 2 eps, 2 pi, p0 gamma */
+    const double *a_t, *a_x, *a_xx;         /* f_n */
+    const double *b_n, *b_J, *b_nx, *b_Jx, *b_Jxx, *b_E;  /* f_J */
+};
+
+/* f_n at et = e^-t: a_t et + 0.1 (1 - et) a_x - eps (a_xx et) */
+void semihydro_forcing_n(const struct forcing_grid *f, double et, double *out)
+{
+    const long size = f->size;
+    const double eps = f->eps, c = 0.1 * (1.0 - et);
+    const double *a_t = f->a_t, *a_x = f->a_x, *a_xx = f->a_xx;
+    long i;
+
+    for (i = 0; i < size; i++)
+        out[i] = a_t[i] * et + c * a_x[i] - eps * (a_xx[i] * et);
+}
+
+/* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points */
+void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
+                         double *out)
+{
+    const long size = f->size;
+    const double eps = f->eps, two_eps = f->two_eps, two_pi = f->two_pi;
+    const double p0_gamma = f->p0_gamma;
+    const double c = 0.1 * (1.0 - et), one_et = 1.0 - et, e4 = 0.25 * et;
+    const double *b_n = f->b_n, *b_J = f->b_J, *b_nx = f->b_nx;
+    const double *b_Jx = f->b_Jx, *b_Jxx = f->b_Jxx, *b_E = f->b_E;
+    long i;
+
+    for (i = 0; i < size; i++) {
+        const double n = 1.0 + b_n[i] * et;
+        const double J = b_J[i] * one_et;
+        const double n_x = b_nx[i] * et;
+        const double J_x = c * b_Jx[i];
+        const double J_t = b_J[i] * et;
+        const double J_xx = c * b_Jxx[i];
+        const double E = e4 * b_E[i] / two_pi;
+        const double conv_x = (2.0 * J * J_x * n - J * J * n_x) / (n * n);
+        const double p_x = p0_gamma * pw[i] * n_x;
+        /* J_t + (J^2/n + p)_x - eps J_xx - nE + J + 2 eps n_x */
+        out[i] = J_t + conv_x + p_x - eps * J_xx - n * E + J + two_eps * n_x;
+    }
+}
+
 /* Mirrored field by field by _kernel.Grid. */
 struct step_grid {
     long N;                     /* cells; every node array holds N + 1 */
@@ -65,11 +118,14 @@ struct step_grid {
     const double *p;            /* p(n) on the nodes */
     const double *c;            /* theta * n**theta on the nodes (rusanov) */
     const double *lam1, *lam2;  /* the characteristic speeds on the nodes */
-    const double *fn, *fJ;      /* forcing on the N - 1 interior nodes, or NULL */
+    double *fn, *fJ;            /* forcing on the N - 1 interior nodes, or NULL */
+    const struct forcing_grid *forcing;  /* evaluated into fn, fJ by the step, or NULL */
+    const double *pw;           /* with forcing: (1 + b_n et)**(gamma - 1) on its points */
     double *E, *f2, *r, *h1, *h2;   /* scratch, N + 1 each */
     double *terms;              /* scratch: the N trapezoid mass terms of nn */
     int k;                      /* in: the buffer pair (0 or 1) that holds the state */
     double t, T;                /* in of semihydro_step: the time, and T_final */
+    double et;                  /* in, with forcing: e^-t at the step's start */
     double dt;                  /* out of semihydro_step: the step's dt */
     double mass;                /* out: np.sum of the mass terms */
     long count;                 /* out: clamped cells, or the blowup's cell */
@@ -268,12 +324,17 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
 }
 
 /* semihydro_advance: the step by dt from the state in buffer pair g->k
-   into the other pair; see advance. */
+   into the other pair; see advance. With g->forcing set, the forcing at
+   g->et, with the power g->pw, is evaluated into g->fn and g->fJ first. */
 int semihydro_advance(struct step_grid *g, double dt)
 {
     const long size = g->N + 1;
     double *src = g->state + 2 * size * g->k, *dst = g->state + 2 * size * (1 - g->k);
 
+    if (g->forcing) {
+        semihydro_forcing_n(g->forcing, g->et, g->fn);
+        semihydro_forcing_J(g->forcing, g->et, g->pw, g->fJ);
+    }
     return advance(g, src, src + size, dst, dst + size, dt);
 }
 
@@ -331,55 +392,6 @@ int semihydro_step(struct step_grid *g)
         dt = T - t;
     g->dt = dt;
     return semihydro_advance(g, dt);
-}
-
-/* Mirrored field by field by _kernel.Forcing: the factors of the forcing
-   that depend on x alone, each on the size points it is built on, and its
-   constants. */
-struct forcing_grid {
-    long size;
-    double eps, two_eps, two_pi, p0_gamma;  /* eps, 2 eps, 2 pi, p0 gamma */
-    const double *a_t, *a_x, *a_xx;         /* f_n */
-    const double *b_n, *b_J, *b_nx, *b_Jx, *b_Jxx, *b_E;  /* f_J */
-};
-
-/* f_n at et = e^-t: a_t et + 0.1 (1 - et) a_x - eps (a_xx et) */
-void semihydro_forcing_n(const struct forcing_grid *f, double et, double *out)
-{
-    const long size = f->size;
-    const double eps = f->eps, c = 0.1 * (1.0 - et);
-    const double *a_t = f->a_t, *a_x = f->a_x, *a_xx = f->a_xx;
-    long i;
-
-    for (i = 0; i < size; i++)
-        out[i] = a_t[i] * et + c * a_x[i] - eps * (a_xx[i] * et);
-}
-
-/* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points */
-void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
-                         double *out)
-{
-    const long size = f->size;
-    const double eps = f->eps, two_eps = f->two_eps, two_pi = f->two_pi;
-    const double p0_gamma = f->p0_gamma;
-    const double c = 0.1 * (1.0 - et), one_et = 1.0 - et, e4 = 0.25 * et;
-    const double *b_n = f->b_n, *b_J = f->b_J, *b_nx = f->b_nx;
-    const double *b_Jx = f->b_Jx, *b_Jxx = f->b_Jxx, *b_E = f->b_E;
-    long i;
-
-    for (i = 0; i < size; i++) {
-        const double n = 1.0 + b_n[i] * et;
-        const double J = b_J[i] * one_et;
-        const double n_x = b_nx[i] * et;
-        const double J_x = c * b_Jx[i];
-        const double J_t = b_J[i] * et;
-        const double J_xx = c * b_Jxx[i];
-        const double E = e4 * b_E[i] / two_pi;
-        const double conv_x = (2.0 * J * J_x * n - J * J * n_x) / (n * n);
-        const double p_x = p0_gamma * pw[i] * n_x;
-        /* J_t + (J^2/n + p)_x - eps J_xx - nE + J + 2 eps n_x */
-        out[i] = J_t + conv_x + p_x - eps * J_xx - n * E + J + two_eps * n_x;
-    }
 }
 
 /* semihydro_shoot: classical RK4 on the inviscid steady ODE

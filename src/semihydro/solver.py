@@ -31,9 +31,17 @@ a loop over a whole stride between snapshots would have to take the
 powers in C as well, and the benchmark counts two gas calls, eigenvalues
 and pressure, per step (bench/test_bench.py asserts it), which only a
 change of the benchmark may drop. Without a compiler, or if the build or its cache fails, the step
-is _dt and _advance, in numpy, at a few times the cost per step. The
-manufactured forcing of the mms checks does its per-call arithmetic in
-the same library when it loads, and in numpy otherwise.
+is _dt and _advance, in numpy, at a few times the cost per step.
+
+The manufactured forcing of the mms checks is evaluated inside that C
+call. Built with the library, manufactured_forcing returns a
+_LibraryForcing; given one on its N - 1 interior nodes, a step takes
+e^-t and the power (1 + b_n e^-t)**(gamma - 1) in numpy into the grid,
+and semihydro_step runs the forcing's loops into its buffers before its
+interior loop. Any other forcing, such as closures of the caller's or
+the same pair wrapped in a plain tuple of functions, is called from
+Python on each step and its values copied in. Without the library the
+numpy closures run.
 
 Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
@@ -369,12 +377,15 @@ class _KernelStep:
 
     The state alternates between two pairs of preallocated buffers, and
     the arrays returned are overwritten by the step after next. The
-    speeds from eigenvalues, p(n) and theta * n**theta from numpy, and
-    the forcing from its closures are copied into buffers of their own,
-    so the kernel's only inputs per step are the index of the pair that
-    holds the state, and t and T_final, or dt, set in the grid; the
-    kernel leaves the step's dt, mass, clamp count and last-step flag
-    there.
+    speeds from eigenvalues, p(n) and theta * n**theta from numpy are
+    copied into buffers of their own, so the kernel's only inputs per step
+    are the index of the pair that holds the state, and t and T_final, or
+    dt, set in the grid; the kernel leaves the step's dt, mass, clamp
+    count and last-step flag there. The library's manufactured forcing
+    (a _LibraryForcing on the N - 1 interior nodes) the kernel evaluates
+    itself, from e^-t and the power (1 + b_n e^-t)**(gamma - 1) that
+    numpy takes into the grid; any other forcing's closures are called
+    and their values copied into the forcing buffers.
     """
 
     def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
@@ -392,11 +403,18 @@ class _KernelStep:
         self._f = np.empty((2, N - 1))
         self._terms = np.empty(N)
         fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
+        # a forcing the kernel evaluates: its struct, and the buffer of its
+        # power (1 + b_n e^-t)**(gamma - 1)
+        self._pw = None
+        library_forcing = (None, None)
+        if isinstance(forcing, _LibraryForcing) and forcing.grid.size == N - 1:
+            self._pw = np.empty(N - 1)
+            library_forcing = (ctypes.addressof(forcing.grid), self._pw.ctypes.data)
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
                                   self._rusanov, cfg.boundary == "float",
                                   *(a.ctypes.data for a in (self._state, self._d, self._p,
                                                             self._c, self._lam1, self._lam2)),
-                                  fn, fJ, *(a.ctypes.data for a in scratch),
+                                  fn, fJ, *library_forcing, *(a.ctypes.data for a in scratch),
                                   self._terms.ctypes.data)
         # (n, J) of buffer pair 0 and of pair 1
         self._pairs = (tuple(self._state[:2]), tuple(self._state[2:]))
@@ -416,13 +434,24 @@ class _KernelStep:
 
     def _fill(self, n, t):
         """The numpy inputs of a step from density n at time t, other than
-        the speeds: p(n), theta * n**theta and the forcing."""
+        the speeds: p(n), theta * n**theta and the forcing's."""
         m = self._m
         self._p[...] = pressure(m, n)
         if self._rusanov:
             self._c[...] = m.theta * n**m.theta
         if self._forcing is not None:
-            f_n, f_J = self._forcing
+            self._force(t)
+
+    def _force(self, t):
+        """The forcing's inputs of a step at time t: e^-t and the power for
+        a forcing the kernel evaluates, else the closures' values."""
+        forcing = self._forcing
+        if self._pw is not None:
+            # f_J's two numpy operations, as its closure takes them
+            self._grid.et = et = np.exp(-t)
+            self._pw[...] = (1.0 + forcing.b_n * et) ** forcing.g1
+        else:
+            f_n, f_J = forcing
             self._f[0] = f_n(t)
             self._f[1] = f_J(t)
 
@@ -456,9 +485,7 @@ class _KernelStep:
         if self._rusanov:
             self._c[...] = m.theta * n**m.theta
         if self._forcing is not None:
-            f_n, f_J = self._forcing
-            self._f[0] = f_n(t)
-            self._f[1] = f_J(t)
+            self._force(t)
         grid = self._grid
         grid.k = k
         grid.t = t
@@ -531,7 +558,8 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
 
     forcing, if given, is a pair (f_n, f_J) of functions of t that return
     the source terms on the N-1 interior nodes, as manufactured_forcing
-    builds them for a grid.
+    builds them for a grid; the C step evaluates manufactured_forcing's
+    own pair itself, with the same bits.
 
     on_snapshot, if given, is called as on_snapshot(t, n, J) with each
     snapshot as it is recorded, before the next step. So the calls made
@@ -657,6 +685,17 @@ def manufactured_solution():
     return n_star, J_star
 
 
+class _LibraryForcing(tuple):
+    """The pair (f_n, f_J) of manufactured_forcing on the C library's path,
+    which also carries that library's Forcing (grid), the factor b_n and
+    gamma - 1 (g1): what the C step needs to evaluate the forcing itself."""
+
+    def __new__(cls, f_n, f_J, grid, b_n, g1):
+        pair = super().__new__(cls, (f_n, f_J))
+        pair.grid, pair.b_n, pair.g1 = grid, b_n, g1
+        return pair
+
+
 def manufactured_forcing(m: GasModel, eps: float, x):
     """Source terms on the points x that make the manufactured fields exact
     solutions.
@@ -673,7 +712,11 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     For a 1-d x of doubles, when the C library loads, the closures do that
     arithmetic in C (_step.c), element by element in the same order. numpy
     still takes exp(-t) and the power (1 + b_n e^-t)**(gamma - 1), so the
-    bits do not depend on libm. Otherwise the numpy closures below run.
+    bits do not depend on libm. The pair is then a _LibraryForcing, which
+    also carries the library's struct of the factors: run, given it on its
+    interior nodes, evaluates the forcing inside the C step with the same
+    loops and never calls the closures. Otherwise the numpy closures below
+    run.
     """
     pi = np.pi
     # In the comments s2, c2, sp, cp are sin(2 pi x), cos(2 pi x),
@@ -715,7 +758,7 @@ def manufactured_forcing(m: GasModel, eps: float, x):
             forcing_J(grid, et, Buf.from_buffer(pw), Buf.from_buffer(out))
             return out
 
-        return f_n, f_J
+        return _LibraryForcing(f_n, f_J, grid, b_n, g1)
 
     def f_n(t):
         et = np.exp(-t)

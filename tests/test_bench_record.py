@@ -15,8 +15,8 @@ sys.path.insert(0, TOOLS)
 import bench_record  # noqa: E402
 
 
-def _result(wall, setup=0.25, rss=85.0):
-    return {"correct": True, "failed": 0,
+def _result(wall, setup=0.25, rss=85.0, attempted=3, failed=0):
+    return {"correct": True, "attempted": attempted, "failed": failed,
             "metrics": {"wall_s": {"value": wall, "unit": "s"},
                         "setup_s": {"value": setup, "unit": "s"},
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
@@ -35,6 +35,19 @@ def test_record_gives_medians_quartiles_and_the_pairs_won():
     assert rec["change"]["setup_s"]["median"] == 0.25
     assert rec["change"]["peak_rss_mb"]["median"] == 85.0
     assert rec["change"]["correct"] and rec["change"]["failed"] == 0
+    assert rec["change"]["attempted"] == 15 and rec["change"]["failed_share"] == 0.0
+    # a side that fits more rounds attempts and fails more operations, at
+    # the same share
+    slow = [_result(0.6, attempted=42, failed=14) for _ in range(2)]
+    fast = [_result(0.4, attempted=60, failed=20) for _ in range(2)]
+    rec = bench_record.record({"parent": slow, "change": fast})
+    assert (rec["parent"]["failed"], rec["parent"]["attempted"]) == (28, 84)
+    assert (rec["change"]["failed"], rec["change"]["attempted"]) == (40, 120)
+    assert rec["parent"]["failed_share"] == rec["change"]["failed_share"] == 1 / 3
+    # no operation attempted: no share of failures
+    assert bench_record.record({"parent": [_result(0.5, attempted=0)],
+                                "change": [_result(0.5, attempted=0)]}
+                               )["change"]["failed_share"] == 0.0
     # one pair: its run is the median and both quartiles
     assert bench_record.summary([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5, "runs": [0.5]}
 

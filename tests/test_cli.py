@@ -789,6 +789,41 @@ def test_mms_constant_subcommand(eq_config, tmp_path, capsys):
     assert "exact" in body
 
 
+@pytest.mark.parametrize("gamma", ["2.0", "1.5"])
+def test_mms_writes_the_same_bytes_with_a_wrapped_forcing(gamma, tmp_path, monkeypatch):
+    # a tracer hands run a plain tuple of its timers around the forcing's
+    # closures, which the C step calls instead of evaluating the library's
+    # forcing itself: mms.csv keeps its bytes
+    from semihydro import solver
+
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs")
+    with open(os.path.join(configs, "mms.ini")) as fh:
+        text = fh.read()
+    assert "gamma = 2.0\n" in text
+    config = tmp_path / "mms.ini"
+    config.write_text(text.replace("gamma = 2.0\n", f"gamma = {gamma}\n"))
+    argv = ["mms", str(config), "--resolutions", "17,34,68", "--quiet"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
+
+    calls = []
+    factory = solver.manufactured_forcing
+
+    def wrapped(*args, **kwargs):
+        def timer(f):
+            def timed(t):
+                calls.append(t)
+                return f(t)
+            return timed
+        return tuple(timer(f) for f in factory(*args, **kwargs))
+
+    monkeypatch.setattr(solver, "manufactured_forcing", wrapped)
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "wrapped")]) == 0
+    assert calls
+    assert (tmp_path / "wrapped" / "mms.csv").read_bytes() == \
+        (tmp_path / "plain" / "mms.csv").read_bytes()
+
+
 def test_mms_rejects_bad_resolutions(eq_config, tmp_path, capsys):
     code = cli.main(["mms", str(eq_config), "--resolutions", "32,60,128",
                      "--out-dir", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 """tools/step_us.py and tools/snapshot_us.py, the layer timings: each runs
 on a small grid and prints a number for every row it measures."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -21,6 +22,8 @@ def test_layer_tool_prints_a_number_per_row(script, args, field):
     header, *rows = out.splitlines()
     assert header.startswith("# configs/scenario_sine.ini")
     assert [row.split()[2] for row in rows] == ["32", "64"]
-    for row in rows:
-        value = float(re.search(rf"{field} = (\S+)", row).group(1))
+    # step_us.py also prints the forced step's number, forced_us, on each row
+    names = (field, "forced_us") if script == "step_us.py" else (field,)
+    for row, name in itertools.product(rows, names):
+        value = float(re.search(rf"\b{name} = (\S+)", row).group(1))
         assert 0.0 < value < float("inf")

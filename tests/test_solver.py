@@ -664,6 +664,44 @@ def test_step_matches_plain_step_with_mms_forcing(scheme):
                         plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
 
 
+def _closures(forcing):
+    """forcing as a plain tuple of functions that call its own, the shape
+    of a wrapped forcing (a tracer's timers): the C step calls them."""
+    return tuple(lambda t, f=f: f(t) for f in forcing)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0])
+@pytest.mark.parametrize("path", ["library", "closures", "numpy"])
+def test_forced_step_has_the_same_bits_on_every_path(gamma, path, monkeypatch):
+    # the library's forcing evaluated inside the C step, the same forcing
+    # as closures whose values the C step copies, and numpy's step and
+    # forcing: each gives the plain step's bits, through step and advance
+    n_star, J_star = solver.manufactured_solution()
+    if path == "numpy":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    else:
+        _require_kernel()
+        lib = _kernel.load()
+        calls = []
+        for name in ("semihydro_forcing_n", "semihydro_forcing_J"):
+            def counted(*args, name=name, function=getattr(lib, name)):
+                calls.append(name)
+                return function(*args)
+            monkeypatch.setattr(lib, name, counted)
+    for N in GRIDS:
+        cfg = _cfg(N=N, epsilon=0.02, gamma=gamma, boundary="dirichlet")
+        x = np.linspace(0.0, 1.0, N + 1)
+        forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
+        if path == "closures":
+            forcing = _closures(forcing)
+        _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing, steps=30,
+                    plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
+    if path != "numpy":
+        # inside the C step the closures are never called; the closures'
+        # path calls both, on each of the 30 steps of each stepper
+        assert len(calls) == (0 if path == "library" else 2 * 2 * 30 * len(GRIDS))
+
+
 def _run_on_both_paths(*args, **kwargs):
     """run(*args, **kwargs) on the C step and on numpy's: for each path, the
     Trajectory or the BlowupError raised, and the rows passed to on_snapshot."""

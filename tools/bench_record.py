@@ -17,6 +17,7 @@ For each workload, each pair of runs calls
 once in each checkout, the parent first in even pairs and the change
 first in odd ones. The output holds, per workload and side, the revision,
 each run's wall_s, setup_s and peak_rss_mb, their median and quartiles,
+the operations attempted and failed over all runs and the failed share,
 and in how many pairs the change's wall_s was the lower one.
 
 Each bench/run.py call runs in a session of its own, and its process
@@ -93,7 +94,12 @@ def record(results: dict) -> dict:
         out[side] = {name: summary([r["metrics"][name]["value"] for r in runs])
                      for name in METRICS}
         out[side]["correct"] = all(r["correct"] for r in runs)
+        # a faster side fits more rounds into --seconds, so it attempts more
+        # operations: the share, not the count, compares the sides
         out[side]["failed"] = sum(r["failed"] for r in runs)
+        out[side]["attempted"] = sum(r["attempted"] for r in runs)
+        out[side]["failed_share"] = (out[side]["failed"] / out[side]["attempted"]
+                                     if out[side]["attempted"] else 0.0)
     out["change_faster_wall_s"] = sum(
         c["metrics"]["wall_s"]["value"] < p["metrics"]["wall_s"]["value"]
         for p, c in zip(results["parent"], results["change"]))
