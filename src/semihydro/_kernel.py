@@ -15,7 +15,10 @@ library that does not load. Each caller then runs its numpy or Python
 counterpart, which gives the same bits. Nothing is printed either way.
 
 The library is built once, by the system C compiler with the fixed flags
-FLAGS: -O3 -ffp-contract=off, no -ffast-math and no -march. It goes into
+FLAGS: -O3 -ffp-contract=off, no -ffast-math and no -march. On x86-64
+with glibc, the step's loops are built twice, for AVX2 and for the
+baseline (target_clones), and the dynamic loader picks the copy the CPU
+runs when it loads the library; both give the same bits. It goes into
 a private per-user cache directory: $XDG_CACHE_HOME/semihydro, or
 ~/.cache/semihydro, of mode 0700. Its name carries a hash of the source,
 the compiler and the flags. The compiler writes a temporary file, which
@@ -34,8 +37,9 @@ import os
 
 # -O3 vectorizes the step's loops; -ffp-contract=off, and no -ffast-math,
 # keep each operation IEEE's, so the vector loops give the scalar bits. No
-# -march, so the library runs on any CPU of the machine type; -lm for
-# libm's pow.
+# -march: the library runs on any CPU of the machine type, and the source
+# itself asks for an AVX2 copy of the step's loops, which the loader picks
+# on a CPU that has AVX2 (STEP_CLONES in _step.c). -lm for libm's pow.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 

@@ -9,6 +9,10 @@
    The library is built at -O3, which vectorizes the step's loops, with
    -ffp-contract=off and without -ffast-math: the compiler then neither
    reassociates nor fuses, so a vector loop gives the scalar loop's bits.
+   There is no -march: on x86-64 with glibc the step's loops (advance)
+   are built for AVX2 and for the baseline, and the loader picks the copy
+   by the CPU when it loads the library (STEP_CLONES), so one cached
+   library serves any host of the machine type, with the same bits.
 
    semihydro_step is one step of solver.run: it reduces the characteristic
    speeds to solver._dt's dt, applies the run's last-step rule, advances
@@ -55,6 +59,22 @@
 /* wider intermediates (x87) would round twice; the build fails, and the
    numpy and Python code runs instead */
 #error "double arithmetic must round to double"
+#endif
+
+/* STEP_CLONES: two copies of a function, one built for AVX2 and one for
+   the machine type's baseline; the dynamic loader picks one when it
+   loads the library (an ifunc), by the CPU it runs on. Each IEEE
+   operation rounds correctly at any vector width, and nothing is fused
+   or reassociated, so both copies give the same bits. Elsewhere
+   (another machine type, a libc without ifuncs, a compiler without the
+   attribute) it is empty and the function is built once. */
+#if defined(__has_attribute)
+#if defined(__x86_64__) && defined(__GLIBC__) && __has_attribute(target_clones)
+#define STEP_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef STEP_CLONES
+#define STEP_CLONES
 #endif
 
 /* Mirrored field by field by _kernel.Forcing: the factors of the forcing
@@ -224,8 +244,10 @@ double semihydro_sum(const double *a, long n)
    the trapezoid mass of nn into g->mass. Returns STEP_OK, with the
    clamped cells in g->count, or the blowup and its cell. Kept out of
    line: its four arrays are restrict parameters here, while in
-   semihydro_advance they are offsets into the one array g->state. */
-static __attribute__((noinline)) int
+   semihydro_advance they are offsets into the one array g->state. Its
+   loops are the step's work, so it is the function built twice
+   (STEP_CLONES). */
+static STEP_CLONES __attribute__((noinline)) int
 advance(struct step_grid *g, const double *restrict n, const double *restrict J,
         double *restrict nn, double *restrict JJ, double dt)
 {

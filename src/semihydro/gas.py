@@ -68,26 +68,36 @@ class EntropyPairValue(NamedTuple):
     eta_J: float | np.ndarray
 
 
+def _least(n):
+    """The least value of the float array n, NaN skipped; inf if there is
+    none. So _least(n) <= 0.0 exactly when (n <= 0.0).any(), and likewise
+    for < 0.0, in one reduction and without a boolean array."""
+    return np.fmin.reduce(n, axis=None, initial=np.inf)
+
+
 def _check_positive(n, what: str = "density"):
     n = np.asarray(n, dtype=float)
-    if (n <= 0.0).any():
-        raise ValueError(f"vacuum or negative {what}: min = {np.min(n)}")
+    least = _least(n)
+    if least <= 0.0:
+        raise ValueError(f"vacuum or negative {what}: min = {least}")
     return n
 
 
 def pressure(m: GasModel, n):
     """p(n) = p0 * n**gamma. Rejects negative density."""
     n = np.asarray(n, dtype=float)
-    if (n < 0.0).any():
-        raise ValueError(f"negative density: min = {np.min(n)}")
+    least = _least(n)
+    if least < 0.0:
+        raise ValueError(f"negative density: min = {least}")
     return m.p0 * n**m.gamma
 
 
 def pressure_derivative(m: GasModel, n):
     """p'(n) = p0 * gamma * n**(gamma-1); strictly increasing for n > 0."""
     n = np.asarray(n, dtype=float)
-    if (n < 0.0).any():
-        raise ValueError(f"negative density: min = {np.min(n)}")
+    least = _least(n)
+    if least < 0.0:
+        raise ValueError(f"negative density: min = {least}")
     return m.p0 * m.gamma * n ** (m.gamma - 1.0)
 
 
@@ -136,8 +146,9 @@ def mechanical_energy(m: GasModel, n, J) -> EntropyPairValue:
     """
     n = np.asarray(n, dtype=float)
     J = np.asarray(J, dtype=float)
-    if (n < 0.0).any():
-        raise ValueError(f"negative density: min = {np.min(n)}")
+    least = _least(n)
+    if least < 0.0:
+        raise ValueError(f"negative density: min = {least}")
     vac = n == 0.0
     if np.any(vac & (np.asarray(J) != 0.0)):
         raise ValueError("vacuum state with nonzero current")

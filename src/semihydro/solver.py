@@ -30,8 +30,11 @@ for Python to read. The run's loop stays in Python, one call per step:
 a loop over a whole stride between snapshots would have to take the
 powers in C as well, and the benchmark counts two gas calls, eigenvalues
 and pressure, per step (bench/test_bench.py asserts it), which only a
-change of the benchmark may drop. Without a compiler, or if the build or its cache fails, the step
-is _dt and _advance, in numpy, at a few times the cost per step.
+change of the benchmark may drop. On x86-64 with glibc the library holds
+two copies of the step's loops, for AVX2 and for the baseline, and the
+loader picks one by the CPU, with the same bits. Without a compiler, or
+if the build or its cache fails, the step is _dt and _advance, in numpy,
+at a few times the cost per step.
 
 The manufactured forcing of the mms checks is evaluated inside that C
 call. Built with the library, manufactured_forcing returns a

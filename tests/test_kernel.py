@@ -173,3 +173,73 @@ def test_import_builds_and_loads_nothing(tmp_path):
     proc = _python(code, XDG_CACHE_HOME=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+CLONES = '#define STEP_CLONES __attribute__((target_clones("avx2", "default")))'
+
+
+@pytest.fixture(scope="module")
+def single_copy(tmp_path_factory):
+    """The library built from a copy of _step.c whose STEP_CLONES is
+    empty, with the shipped flags: one copy of each function, the build
+    of a host without the loader's dispatch."""
+    import ctypes
+    import shutil
+
+    _require_linux()
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc)")
+    with open(_kernel.SOURCE) as fh:
+        source = fh.read()
+    assert source.count(CLONES) == 1
+    root = tmp_path_factory.mktemp("single_copy")
+    copy = root / "_step.c"
+    copy.write_text(source.replace(CLONES, "#define STEP_CLONES"))
+    path = root / "_step.so"
+    assert _kernel._compile([cc, "-o", str(path), str(copy), *_kernel.FLAGS])
+    lib = ctypes.CDLL(str(path))
+    for name, (restype, argtypes) in _kernel._SIGNATURES.items():
+        getattr(lib, name).restype = restype
+        getattr(lib, name).argtypes = argtypes
+    return lib
+
+
+def _kernel_steps(lib, cfg, forced, steps=25):
+    """The bytes of each step's state, dt, mass and clamp count, from a
+    wavy state, by the C step of library lib."""
+    N = cfg.N
+    x = np.linspace(0.0, 1.0, N + 1)
+    m = cfg.model()
+    n = 1.0 + 0.4 * np.cos(np.pi * x) + 0.05 * np.sin(7.0 * np.pi * x)
+    J = 0.2 * np.sin(np.pi * x)
+    forcing = solver.manufactured_forcing(m, cfg.epsilon, x[1:-1]) if forced else None
+    stepper = solver._KernelStep(lib, m, cfg, sh.DopingProfile.sine(1.0, 0.5, 1.0)(x),
+                                 1.0 / N, (n[0], n[-1]), forcing)
+    out = []
+    t = 0.0
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            n, J, count, mass, dt, _ = stepper.step(n, J, t, cfg.T_final)
+            out.append((n.tobytes(), J.tobytes(), np.float64(dt).tobytes(),
+                        np.float64(mass).tobytes(), count))
+            t += dt
+    return out
+
+
+@pytest.mark.parametrize("N", [17, 34, 68, 400])
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "float"])
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("n_floor", [0.0, 0.8], ids=["vacuum-check", "clamping"])
+def test_both_copies_of_the_c_step_give_the_same_bits(
+        single_copy, N, scheme, boundary, gamma, forced, n_floor):
+    lib = _kernel.load()
+    assert lib is not None
+    cfg = solver.SolverConfig(gamma=gamma, epsilon=2e-3, N=N, T_final=1.0, n_floor=n_floor,
+                              scheme=scheme, boundary=boundary)
+    shipped = _kernel_steps(lib, cfg, forced)
+    assert shipped == _kernel_steps(single_copy, cfg, forced)
+    if n_floor > 0.0:
+        assert shipped[0][-1] > 0, "the first step clamps cells"
