@@ -1,9 +1,8 @@
 """Build and load the package's C library, _step.c, through ctypes.
 
-The library holds the explicit step that solver.run takes, and the
-manufactured forcing that solver.manufactured_forcing builds, which the
-step evaluates itself when its Grid holds the forcing; the powers of
-both stay numpy's, and so do the characteristic speeds, which the step
+The library holds the explicit step that solver.run takes, which also
+evaluates the manufactured forcing when its Grid holds a Forcing; the
+powers stay numpy's, and so do the characteristic speeds, which the step
 reduces to its dt. The step keeps the state in two buffer pairs of
 its Grid and reads its inputs (the pair, t, T_final) from the Grid's
 fields, where it leaves dt, the clamp count and the mass, which it sums
@@ -105,11 +104,11 @@ def _library() -> str | None:
 class Grid(ctypes.Structure):
     """struct step_grid of _step.c: the step's settings and buffers.
 
-    forcing is the address of the Forcing of manufactured_forcing, or None:
-    with it set, the step evaluates that forcing itself into the buffers
-    fn and fJ, at e^-t = et and with pw = (1 + b_n et)**(gamma - 1), both
-    set by the caller. Without it, fn and fJ hold what the caller put
-    there, or are None for an unforced step."""
+    forcing is the address of a Forcing, or None: with it set, the step
+    evaluates manufactured_forcing's terms itself into the buffers fn and
+    fJ, at e^-t = et and with pw = (1 + b_n et)**(gamma - 1), both set by
+    the caller. Without it, fn and fJ hold what the caller put there, or
+    are None for an unforced step."""
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double)
@@ -124,8 +123,8 @@ class Grid(ctypes.Structure):
 
 
 class Forcing(ctypes.Structure):
-    """struct forcing_grid of _step.c: the forcing's x-only factors and
-    constants."""
+    """struct forcing_grid of _step.c: the x-only factors and constants of
+    manufactured_forcing's pair, which solver._KernelStep builds."""
 
     _fields_ = [("size", ctypes.c_long),
                 *((name, ctypes.c_double) for name in ("eps", "two_eps", "two_pi", "p0_gamma")),
@@ -141,11 +140,6 @@ _SIGNATURES = {
     "semihydro_advance": (ctypes.c_int, [ctypes.POINTER(Grid), ctypes.c_double]),
     # (a, n)
     "semihydro_sum": (ctypes.c_double, [ctypes.c_void_p, ctypes.c_long]),
-    # (forcing, et, out)
-    "semihydro_forcing_n": (None, [ctypes.POINTER(Forcing), ctypes.c_double, ctypes.c_void_p]),
-    # (forcing, et, pw, out)
-    "semihydro_forcing_J": (None, [ctypes.POINTER(Forcing), ctypes.c_double,
-                                   *[ctypes.c_void_p] * 2]),
     # (N, N0, d2, c, ex, floor, cap, Nt, Et, at)
     "semihydro_shoot": (ctypes.c_int, [ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
                                        *[ctypes.c_double] * 4, *[ctypes.c_void_p] * 2,

@@ -1,5 +1,5 @@
-/* The C library of semihydro: the explicit step of semihydro.solver and
-   its manufactured forcing, and the two inner loops of
+/* The C library of semihydro: the explicit step of semihydro.solver,
+   with its manufactured forcing, and the two inner loops of
    semihydro.stationary.
 
    Each function does what its Python counterpart does, operation by
@@ -34,12 +34,11 @@
    semihydro_sum is np.sum of a contiguous array of doubles: numpy's
    pairwise summation, whose order the mass sum keeps.
 
-   semihydro_forcing_n and semihydro_forcing_J evaluate the forcing of
-   solver.manufactured_forcing at one time. They take no power either: the
-   caller passes (1 + b_n e^-t)**(gamma - 1) and e^-t, computed by numpy.
-   The step calls them itself when its grid holds the forcing (g->forcing,
-   with g->et and g->pw set by the caller), before its interior loop: a
-   forced step of the mms runs is then one C call, as an unforced one is.
+   With g->forcing set, the step first evaluates the forcing of
+   solver.manufactured_forcing into g->fn and g->fJ (semihydro_forcing_n
+   and _J, which the library does not export), from e^-t and
+   (1 + b_n e^-t)**(gamma - 1), which numpy computes into g->et and g->pw:
+   a forced step of the mms runs is one C call, as an unforced one is.
    Any other forcing the caller evaluates into g->fn and g->fJ.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
@@ -88,7 +87,7 @@ struct forcing_grid {
 };
 
 /* f_n at et = e^-t: a_t et + 0.1 (1 - et) a_x - eps (a_xx et) */
-void semihydro_forcing_n(const struct forcing_grid *f, double et, double *out)
+static void semihydro_forcing_n(const struct forcing_grid *f, double et, double *out)
 {
     const long size = f->size;
     const double eps = f->eps, c = 0.1 * (1.0 - et);
@@ -100,8 +99,8 @@ void semihydro_forcing_n(const struct forcing_grid *f, double et, double *out)
 }
 
 /* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points */
-void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
-                         double *out)
+static void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
+                                double *out)
 {
     const long size = f->size;
     const double eps = f->eps, two_eps = f->two_eps, two_pi = f->two_pi;

@@ -199,6 +199,7 @@ def weak_entropy_pair(
     near 1e-6 at gamma = 2, which the identity tests would trip on.
     The rule is evaluated at `nodes` and `2*nodes` points as a convergence
     self-check; disagreement raises a warning and the finer value wins.
+    An empty state gives empty arrays of its shape.
     """
     from scipy.special import roots_jacobi
 
@@ -218,8 +219,9 @@ def weak_entropy_pair(
 
     coarse = quad(nodes)
     fine = quad(2 * nodes)
-    scale = 1.0 + max(float(np.max(np.abs(v))) for v in fine)
-    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(coarse, fine))
+    # initial=0.0: an empty state has nothing to disagree on
+    scale = 1.0 + max(float(np.max(np.abs(v), initial=0.0)) for v in fine)
+    worst = max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(coarse, fine))
     if worst > 1e-8 * scale:
         warnings.warn(
             f"weak entropy quadrature not converged at {nodes} nodes "

@@ -37,14 +37,12 @@ if the build or its cache fails, the step is _dt and _advance, in numpy,
 at a few times the cost per step.
 
 The manufactured forcing of the mms checks is evaluated inside that C
-call. Built with the library, manufactured_forcing returns a
-_LibraryForcing; given one on its N - 1 interior nodes, a step takes
-e^-t and the power (1 + b_n e^-t)**(gamma - 1) in numpy into the grid,
-and semihydro_step runs the forcing's loops into its buffers before its
-interior loop. Any other forcing, such as closures of the caller's or
-the same pair wrapped in a plain tuple of functions, is called from
-Python on each step and its values copied in. Without the library the
-numpy closures run.
+call. Given manufactured_forcing's pair on its N - 1 interior nodes, a
+step takes e^-t and the power (1 + b_n e^-t)**(gamma - 1) in numpy into
+the grid, and semihydro_step runs the forcing's loops into its buffers
+before its interior loop. Any other forcing (closures of the caller's,
+or the same pair wrapped in a plain tuple of functions), and every
+forcing without the library, is called from Python on each step.
 
 Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
@@ -59,10 +57,9 @@ scalar bits. It takes no power itself: the speeds, p(n), theta *
 n**theta, and the forcing's power and exp(-t) still come from numpy. It
 sums the mass's trapezoid terms in np.sum's pairwise order (8
 accumulators over blocks of at most 128 terms, longer ranges split in
-two at a multiple of 8), so the mass keeps np.trapezoid's bits. The
-forcing's other arithmetic runs in C. tests/test_solver.py checks both paths
-against a plain copy of the step, of dt and of the forcing, and against
-each other.
+two at a multiple of 8), so the mass keeps np.trapezoid's bits.
+tests/test_solver.py checks both paths against a plain copy of the step,
+of dt and of the forcing, and against each other.
 Between hosts the bits may differ for gamma != 2: numpy's SIMD power
 routine may round n**gamma differently on another CPU. At gamma = 2 the
 powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between runs
@@ -384,11 +381,11 @@ class _KernelStep:
     copied into buffers of their own, so the kernel's only inputs per step
     are the index of the pair that holds the state, and t and T_final, or
     dt, set in the grid; the kernel leaves the step's dt, mass, clamp
-    count and last-step flag there. The library's manufactured forcing
-    (a _LibraryForcing on the N - 1 interior nodes) the kernel evaluates
-    itself, from e^-t and the power (1 + b_n e^-t)**(gamma - 1) that
-    numpy takes into the grid; any other forcing's closures are called
-    and their values copied into the forcing buffers.
+    count and last-step flag there. manufactured_forcing's pair on N - 1
+    points of doubles the kernel evaluates itself, from e^-t and the power
+    (1 + b_n e^-t)**(gamma - 1) that numpy takes into the grid; any other
+    forcing's closures are called and their values copied into the
+    forcing buffers.
     """
 
     def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
@@ -406,13 +403,21 @@ class _KernelStep:
         self._f = np.empty((2, N - 1))
         self._terms = np.empty(N)
         fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
-        # a forcing the kernel evaluates: its struct, and the buffer of its
-        # power (1 + b_n e^-t)**(gamma - 1)
+        # a forcing the kernel evaluates: the struct of its constants and of
+        # its factors' addresses (self._forcing keeps the arrays alive), and
+        # the buffer of its power (1 + b_n e^-t)**(gamma - 1)
         self._pw = None
         library_forcing = (None, None)
-        if isinstance(forcing, _LibraryForcing) and forcing.grid.size == N - 1:
+        if isinstance(forcing, _ManufacturedForcing) and all(
+                f.shape == (N - 1,) and f.dtype == np.float64 and f.flags.c_contiguous
+                for f in forcing.factors):
+            fm = forcing.m
+            self._forcing_grid = _kernel.Forcing(N - 1, forcing.eps, 2.0 * forcing.eps, 2.0 * np.pi,
+                                                 fm.p0 * fm.gamma,
+                                                 *(f.ctypes.data for f in forcing.factors))
+            self._b_n, self._g1 = forcing.factors[3], fm.gamma - 1.0
             self._pw = np.empty(N - 1)
-            library_forcing = (ctypes.addressof(forcing.grid), self._pw.ctypes.data)
+            library_forcing = (ctypes.addressof(self._forcing_grid), self._pw.ctypes.data)
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
                                   self._rusanov, cfg.boundary == "float",
                                   *(a.ctypes.data for a in (self._state, self._d, self._p,
@@ -429,32 +434,25 @@ class _KernelStep:
         if n is n1 and J is J1:
             return 1
         if n is not n0 or J is not J0:
-            if np.shape(n) != n0.shape or np.shape(J) != J0.shape:
-                raise ValueError(f"the state must have {n0.size} nodes")
             n0[...] = n
             J0[...] = J
         return 0
 
     def _fill(self, n, t):
         """The numpy inputs of a step from density n at time t, other than
-        the speeds: p(n), theta * n**theta and the forcing's."""
+        the speeds: p(n), theta * n**theta, and the forcing's: e^-t and the
+        power for a forcing the kernel evaluates, else the closures'
+        values."""
         m = self._m
         self._p[...] = pressure(m, n)
         if self._rusanov:
             self._c[...] = m.theta * n**m.theta
-        if self._forcing is not None:
-            self._force(t)
-
-    def _force(self, t):
-        """The forcing's inputs of a step at time t: e^-t and the power for
-        a forcing the kernel evaluates, else the closures' values."""
-        forcing = self._forcing
         if self._pw is not None:
             # f_J's two numpy operations, as its closure takes them
             self._grid.et = et = np.exp(-t)
-            self._pw[...] = (1.0 + forcing.b_n * et) ** forcing.g1
-        else:
-            f_n, f_J = forcing
+            self._pw[...] = (1.0 + self._b_n * et) ** self._g1
+        elif self._forcing is not None:
+            f_n, f_J = self._forcing
             self._f[0] = f_n(t)
             self._f[1] = f_J(t)
 
@@ -479,16 +477,10 @@ class _KernelStep:
     def step(self, n, J, t, T):
         k = self._load(n, J)
         n, J = self._pairs[k]
-        m = self._m
         # the speeds before p(n), in the order of _dt and _advance, so that a
-        # bad density raises the same error on both paths; then _fill's
-        # lines, written out, since this is the run's loop
-        self._lam1[...], self._lam2[...] = eigenvalues(m, n, J)
-        self._p[...] = pressure(m, n)
-        if self._rusanov:
-            self._c[...] = m.theta * n**m.theta
-        if self._forcing is not None:
-            self._force(t)
+        # bad density raises the same error on both paths
+        self._lam1[...], self._lam2[...] = eigenvalues(self._m, n, J)
+        self._fill(n, t)
         grid = self._grid
         grid.k = k
         grid.t = t
@@ -545,7 +537,10 @@ def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float) -> State:
 
     The caller is responsible for dt <= cfl_dt. Dirichlet walls hold the
     state's own endpoint densities; J is zeroed at both walls either way.
+    Raises ValueError unless n and J each have N + 1 nodes.
     """
+    if np.shape(state.n) != (cfg.N + 1,) or np.shape(state.J) != (cfg.N + 1,):
+        raise ValueError(f"the state must have {cfg.N + 1} nodes")
     dx = 1.0 / cfg.N
     d_grid = D(np.linspace(0.0, 1.0, cfg.N + 1))
     bvals = (float(state.n[0]), float(state.n[-1]))
@@ -688,14 +683,15 @@ def manufactured_solution():
     return n_star, J_star
 
 
-class _LibraryForcing(tuple):
-    """The pair (f_n, f_J) of manufactured_forcing on the C library's path,
-    which also carries that library's Forcing (grid), the factor b_n and
-    gamma - 1 (g1): what the C step needs to evaluate the forcing itself."""
+class _ManufacturedForcing(tuple):
+    """The pair (f_n, f_J) of manufactured_forcing, which also carries the
+    nine x-only factors on its points (in _kernel.Forcing's order), eps
+    and the gas model m: what the C step needs to evaluate the forcing
+    itself."""
 
-    def __new__(cls, f_n, f_J, grid, b_n, g1):
+    def __new__(cls, f_n, f_J, factors, eps, m):
         pair = super().__new__(cls, (f_n, f_J))
-        pair.grid, pair.b_n, pair.g1 = grid, b_n, g1
+        pair.factors, pair.eps, pair.m = factors, eps, m
         return pair
 
 
@@ -712,14 +708,10 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     has the bits of those formulas for any x and t (tests/test_solver.py
     checks this against a plain copy).
 
-    For a 1-d x of doubles, when the C library loads, the closures do that
-    arithmetic in C (_step.c), element by element in the same order. numpy
-    still takes exp(-t) and the power (1 + b_n e^-t)**(gamma - 1), so the
-    bits do not depend on libm. The pair is then a _LibraryForcing, which
-    also carries the library's struct of the factors: run, given it on its
-    interior nodes, evaluates the forcing inside the C step with the same
-    loops and never calls the closures. Otherwise the numpy closures below
-    run.
+    The pair is a _ManufacturedForcing, which also carries the factors,
+    eps and m: the C step, given it on its N - 1 interior nodes, evaluates
+    the forcing with _step.c's loops, which do the closures' arithmetic in
+    the same order, and never calls the closures.
     """
     pi = np.pi
     # In the comments s2, c2, sp, cp are sin(2 pi x), cos(2 pi x),
@@ -735,33 +727,6 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     b_Jx = pi * cp * poly + sp * (1.0 - 2.0 * x)
     b_Jxx = -pi * pi * sp * poly + 2.0 * pi * cp * (1.0 - 2.0 * x) - 2.0 * sp
     b_E = 1.0 - c2
-
-    factors = (a_t, a_x, a_xx, b_n, b_J, b_nx, b_Jx, b_Jxx, b_E)
-    lib = _kernel.load()
-    if lib is not None and np.ndim(x) == 1 and all(f.dtype == np.float64 for f in factors):
-        # the struct holds the factors' addresses and keeps the arrays alive;
-        # Buf views an array as the doubles the C loops read or write
-        arrays = [np.ascontiguousarray(f) for f in factors]
-        grid = _kernel.Forcing(x.size, eps, 2.0 * eps, 2.0 * pi, m.p0 * m.gamma,
-                               *(a.ctypes.data for a in arrays))
-        grid.arrays = arrays
-        Buf = ctypes.c_double * x.size
-        g1 = m.gamma - 1.0
-        forcing_n, forcing_J = lib.semihydro_forcing_n, lib.semihydro_forcing_J
-
-        def f_n(t):
-            out = np.empty(x.size)
-            forcing_n(grid, np.exp(-t), Buf.from_buffer(out))
-            return out
-
-        def f_J(t):
-            et = np.exp(-t)
-            pw = (1.0 + b_n * et) ** g1
-            out = np.empty(x.size)
-            forcing_J(grid, et, Buf.from_buffer(pw), Buf.from_buffer(out))
-            return out
-
-        return _LibraryForcing(f_n, f_J, grid, b_n, g1)
 
     def f_n(t):
         et = np.exp(-t)
@@ -793,7 +758,8 @@ def manufactured_forcing(m: GasModel, eps: float, x):
         # J_t + (J^2/n + p)_x - eps J_xx - nE + J + 2 eps n_x
         return J_t + conv_x + p_x - eps * J_xx - n * E + J + 2.0 * eps * n_x
 
-    return f_n, f_J
+    return _ManufacturedForcing(f_n, f_J, (a_t, a_x, a_xx, b_n, b_J, b_nx, b_Jx, b_Jxx, b_E),
+                                eps, m)
 
 
 @dataclass

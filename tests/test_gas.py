@@ -97,17 +97,20 @@ def test_positivity_checks_keep_the_former_rule(name, n):
         # the quadrature self-check of weak_entropy_pair on non-finite values
         warnings.simplefilter("ignore")
         if not rejects(n):
-            try:
-                call(m, n)
-            except ValueError as exc:
-                # past its check, weak_entropy_pair's self-check takes the
-                # max of its values, which an empty array has not
-                assert name == "weak_entropy_pair" and n.size == 0, exc
+            call(m, n)
             return
         with pytest.raises(ValueError, match="negative") as exc:
             call(m, n)
     # the message names the least value, NaN skipped
     assert float(str(exc.value).rsplit("= ", 1)[1]) == np.nanmin(n)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_entropy_pairs_of_an_empty_state_are_empty(m2, shape):
+    n, J = np.ones(shape), np.zeros(shape)
+    for value in (gas.mechanical_energy(m2, n, J),
+                  gas.weak_entropy_pair(m2, n, J, np.ones_like, np.zeros_like)):
+        assert [a.shape for a in value] == [shape] * 3
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVITY_CHECKS))

@@ -126,12 +126,11 @@ def test_without_the_kernel_run_falls_back_silently_with_the_same_bytes(
 
 
 def _callers_of_the_library():
-    """A run, the mms forcing and a steady solve, each as its module calls it."""
+    """A run, the forced runs of mms and a steady solve, each as its module
+    calls it."""
     _scenario_run()
-    f_n, f_J = solver.manufactured_forcing(sh.GasModel(1.5), 0.02,
-                                           np.linspace(0.0, 1.0, 101)[1:-1])
-    f_n(0.1)
-    f_J(0.1)
+    cfg = solver.SolverConfig(gamma=1.5, epsilon=0.02, N=16, T_final=0.01)
+    solver.mms_convergence(cfg, [16, 32, 64])
     stationary.solve_stationary(sh.DopingProfile.sine(1.0, 0.5, 1.0), sh.GasModel(2.0), 64)
 
 
@@ -153,8 +152,7 @@ def test_patching_load_alone_sends_every_caller_down_its_fallback(monkeypatch):
         monkeypatch.setattr(module, name, recorded)
 
     _callers_of_the_library()
-    assert {"semihydro_step", "semihydro_forcing_n", "semihydro_forcing_J",
-            "semihydro_shoot"} <= set(calls)
+    assert {"semihydro_step", "semihydro_shoot"} <= set(calls)
     assert fallbacks == []
     calls.clear()
     monkeypatch.setattr(_kernel, "load", lambda: None)

@@ -114,6 +114,15 @@ def test_single_step_preserves_equilibrium():
     assert np.all(out.E == 0.0)
 
 
+def test_single_step_rejects_a_state_of_the_wrong_size():
+    # the same message on both paths, for a bad n and for a bad J
+    cfg = _cfg()
+    for _ in _both_paths():
+        for n, J in ((np.ones(100), np.zeros(101)), (np.ones(101), np.zeros(102))):
+            with pytest.raises(ValueError, match=r"^the state must have 101 nodes$"):
+                solver.step(State(0.0, n, J, np.zeros(101)), cfg, D1, 1e-3)
+
+
 @pytest.mark.parametrize("relaxation", ["explicit"])
 def test_run_holds_equilibrium(relaxation):
     cfg = _cfg(T_final=0.5, output_stride=20, relaxation=relaxation)
@@ -411,18 +420,29 @@ def _plain_forcing(m, eps):
 
 
 def _assert_forcing_is_plain(m, eps, x, ts):
-    """On both paths, the forcing built on x has the bits of the plain
-    formulas at each t, and each call returns a fresh array with the shape
-    and dtype of x."""
+    """The forcing built on x has the bits of the plain formulas at each t,
+    and each call returns a fresh array with the shape and dtype of x. On
+    1-d points of doubles, at least 15 of them (the interior nodes of the
+    least N), so does the C step's own evaluation of the pair, in its
+    forcing buffers."""
     plain = _plain_forcing(m, eps)
-    for _ in _both_paths():
-        forcing = solver.manufactured_forcing(m, eps, x)
+    forcing = solver.manufactured_forcing(m, eps, x)
+    for t in ts:
+        for f, p in zip(forcing, plain):
+            a, b = f(t), f(t)
+            assert _same_bits(a, p(x, t))
+            assert np.shape(a) == np.shape(x) and a.dtype == x.dtype
+            assert not np.shares_memory(a, b)
+    if np.ndim(x) == 1 and x.dtype == np.float64 and x.size >= 15:
+        _require_kernel()
+        N = x.size + 1
+        stepper = solver._KernelStep(_kernel.load(), m, _cfg(N=N, epsilon=eps, gamma=m.gamma),
+                                     np.ones(N + 1), 1.0 / N, (1.0, 1.0), forcing)
+        assert stepper._pw is not None
         for t in ts:
-            for f, p in zip(forcing, plain):
-                a, b = f(t), f(t)
-                assert _same_bits(a, p(x, t))
-                assert np.shape(a) == np.shape(x) and a.dtype == x.dtype
-                assert not np.shares_memory(a, b)
+            stepper.step(np.ones(N + 1), np.zeros(N + 1), t, t + 1.0)
+            for f, p in zip(stepper._f, plain):
+                assert _same_bits(f, p(x, t))
 
 
 _interior_grids = st.integers(16, 800).map(lambda N: np.linspace(0.0, 1.0, N + 1)[1:-1])
@@ -449,22 +469,6 @@ def test_forcing_follows_the_grid_it_is_given():
     for x in (a, b, a**2, np.array([0.0, 0.5]), np.array([-0.0, 0.5]), a[::-7],
               np.float64(0.3)):
         _assert_forcing_is_plain(m, 0.02, x, (0.0, 0.3, 0.7))
-
-
-def test_forcing_runs_in_the_library_when_it_loads(monkeypatch):
-    _require_kernel()
-    lib = _kernel.load()
-    calls = []
-    for name in ("semihydro_forcing_n", "semihydro_forcing_J"):
-        def counted(*args, name=name, function=getattr(lib, name)):
-            calls.append(name)
-            return function(*args)
-        monkeypatch.setattr(lib, name, counted)
-    f_n, f_J = solver.manufactured_forcing(sh.GasModel(1.5), 0.02,
-                                           np.linspace(0.0, 1.0, 101)[1:-1])
-    f_n(0.1)
-    f_J(0.1)
-    assert calls == ["semihydro_forcing_n", "semihydro_forcing_J"]
 
 
 def test_mms_constant_solution_is_exact():
@@ -664,42 +668,43 @@ def test_step_matches_plain_step_with_mms_forcing(scheme):
                         plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
 
 
-def _closures(forcing):
-    """forcing as a plain tuple of functions that call its own, the shape
-    of a wrapped forcing (a tracer's timers): the C step calls them."""
-    return tuple(lambda t, f=f: f(t) for f in forcing)
+def _counted(forcing, calls):
+    """manufactured_forcing's pair with closures that record each call in
+    calls around its own; the factors, eps and gas model stay its own."""
+    def counted(f):
+        def call(t):
+            calls.append(t)
+            return f(t)
+        return call
+
+    return solver._ManufacturedForcing(*map(counted, forcing), forcing.factors, forcing.eps,
+                                       forcing.m)
 
 
 @pytest.mark.parametrize("gamma", [1.5, 2.0])
 @pytest.mark.parametrize("path", ["library", "closures", "numpy"])
 def test_forced_step_has_the_same_bits_on_every_path(gamma, path, monkeypatch):
-    # the library's forcing evaluated inside the C step, the same forcing
-    # as closures whose values the C step copies, and numpy's step and
-    # forcing: each gives the plain step's bits, through step and advance
+    # manufactured_forcing's pair evaluated inside the C step, the same
+    # pair as a plain tuple of closures whose values the C step copies, and
+    # numpy's step and forcing: each gives the plain step's bits, through
+    # step and advance
     n_star, J_star = solver.manufactured_solution()
     if path == "numpy":
         monkeypatch.setattr(_kernel, "load", lambda: None)
     else:
         _require_kernel()
-        lib = _kernel.load()
-        calls = []
-        for name in ("semihydro_forcing_n", "semihydro_forcing_J"):
-            def counted(*args, name=name, function=getattr(lib, name)):
-                calls.append(name)
-                return function(*args)
-            monkeypatch.setattr(lib, name, counted)
+    calls = []
     for N in GRIDS:
         cfg = _cfg(N=N, epsilon=0.02, gamma=gamma, boundary="dirichlet")
         x = np.linspace(0.0, 1.0, N + 1)
-        forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
+        forcing = _counted(solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1]), calls)
         if path == "closures":
-            forcing = _closures(forcing)
+            forcing = tuple(forcing)
         _march_both(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing, steps=30,
                     plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
-    if path != "numpy":
-        # inside the C step the closures are never called; the closures'
-        # path calls both, on each of the 30 steps of each stepper
-        assert len(calls) == (0 if path == "library" else 2 * 2 * 30 * len(GRIDS))
+    # inside the C step the closures are never called; on the other paths
+    # both are, on each of the 30 steps of each stepper
+    assert len(calls) == (0 if path == "library" else 2 * 2 * 30 * len(GRIDS))
 
 
 def _run_on_both_paths(*args, **kwargs):
