@@ -1,13 +1,16 @@
 """Build and load the package's C library, _step.c, through ctypes.
 
 The library holds the explicit step that solver.run takes, which also
-evaluates the manufactured forcing when its Grid holds a Forcing; the
-powers stay numpy's, and so do the characteristic speeds, which the step
-reduces to its dt. The step keeps the state in two buffer pairs of
-its Grid and reads its inputs (the pair, t, T_final) from the Grid's
-fields, where it leaves dt, the clamp count and the mass, which it sums
-as np.sum does (semihydro_sum). The library also holds the shooting
-trial and the banded Newton solve of the stationary module.
+evaluates the manufactured forcing when its Grid holds a Forcing. Numpy
+takes the powers: the characteristic speeds, which the step reduces to
+its dt and to the Rusanov flux's radius, p(n), and the forcing's e^-t
+and, at gamma != 2, its power (1 + b_n e^-t)**(gamma - 1); at gamma = 2
+that power is its base, which the step uses itself. The step keeps the
+state in two buffer pairs of its Grid and reads its inputs (the pair, t,
+T_final) from the Grid's fields, where it leaves dt, the clamp count and
+the mass, which it sums as np.sum does (semihydro_sum). The library also
+holds the shooting trial and the banded Newton solve of the stationary
+module.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
@@ -104,18 +107,21 @@ def _library() -> str | None:
 class Grid(ctypes.Structure):
     """struct step_grid of _step.c: the step's settings and buffers.
 
-    forcing is the address of a Forcing, or None: with it set, the step
-    evaluates manufactured_forcing's terms itself into the buffers fn and
-    fJ, at e^-t = et and with pw = (1 + b_n et)**(gamma - 1), both set by
-    the caller. Without it, fn and fJ hold what the caller put there, or
-    are None for an unforced step."""
+    The caller fills p = p(n) and the speeds lam1, lam2, numpy's powers;
+    the Rusanov flux takes its radius from the speeds. forcing is the
+    address of a Forcing, or None: with it set, the step evaluates
+    manufactured_forcing's terms itself into the buffers fn and fJ, at
+    e^-t = et, set by the caller, and with the power
+    (1 + b_n et)**(gamma - 1): the caller's buffer pw, or None at
+    gamma = 2, where the power is its base. Without it, fn and fJ hold
+    what the caller put there, or are None for an unforced step."""
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double)
                   for name in ("eps", "dx", "floor", "cfl", "n_lo", "n_hi")),
                 *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
-                  for name in ("state", "d", "p", "c", "lam1", "lam2", "fn", "fJ",
+                  for name in ("state", "d", "p", "lam1", "lam2", "fn", "fJ",
                                "forcing", "pw", "E", "f2", "r", "h1", "h2", "terms")),
                 ("k", ctypes.c_int),
                 *((name, ctypes.c_double) for name in ("t", "T", "et", "dt", "mass")),

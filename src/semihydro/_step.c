@@ -23,23 +23,27 @@
    grid, so that its ctypes call converts no argument, and leaves dt,
    the mass and the clamp count there. semihydro_advance is the step by a
    given dt, solver._advance.
-   Neither takes a power: the caller passes the speeds lam1 and lam2,
-   p(n) and, for the Rusanov flux, theta * n**theta, all computed by
-   numpy. So the run's loop stays in Python, one call per step: a loop
-   over a whole stride between snapshots would have to take the powers in
-   C, and the benchmark counts two numpy calls (eigenvalues and pressure)
-   per step, an assertion of bench/test_bench.py that only a change of
-   the benchmark may drop.
+   Neither takes a power: the caller passes the speeds lam1 and lam2 and
+   p(n), computed by numpy. The Rusanov flux's radius
+   |J/n| + theta n**theta is max(|lam1|, |lam2|), which the step takes
+   from the speeds, with the same bits. So the run's loop stays in
+   Python, one call per step: a loop over a whole stride between
+   snapshots would have to take the powers in C, and the benchmark counts
+   two numpy calls (eigenvalues and pressure) per step, an assertion of
+   bench/test_bench.py that only a change of the benchmark may drop.
 
    semihydro_sum is np.sum of a contiguous array of doubles: numpy's
    pairwise summation, whose order the mass sum keeps.
 
    With g->forcing set, the step first evaluates the forcing of
    solver.manufactured_forcing into g->fn and g->fJ (semihydro_forcing_n
-   and _J, which the library does not export), from e^-t and
-   (1 + b_n e^-t)**(gamma - 1), which numpy computes into g->et and g->pw:
-   a forced step of the mms runs is one C call, as an unforced one is.
-   Any other forcing the caller evaluates into g->fn and g->fJ.
+   and _J, which the library does not export), from e^-t, which numpy
+   computes into g->et, and the power (1 + b_n e^-t)**(gamma - 1). At
+   gamma = 2 that power is its base, n**1.0 = n bit for bit, so g->pw is
+   NULL and the loop uses its own n; at any other gamma numpy computes it
+   into g->pw, since numpy's SIMD power need not round as libm's pow
+   does. A forced step of the mms runs is one C call, as an unforced one
+   is. Any other forcing the caller evaluates into g->fn and g->fJ.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
    powers are libm's pow, the function CPython's float.__pow__ calls; a
@@ -98,9 +102,12 @@ static void semihydro_forcing_n(const struct forcing_grid *f, double et, double 
         out[i] = a_t[i] * et + c * a_x[i] - eps * (a_xx[i] * et);
 }
 
-/* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points */
-static void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
-                                double *out)
+/* f_J at et = e^-t, with the power (1 + b_n et)**(gamma - 1) on the
+   points: pw[i], or n itself if exact. exact is a constant in each
+   caller, so each inlined copy runs without a branch. */
+static inline __attribute__((always_inline)) void
+forcing_J(const struct forcing_grid *f, double et, const double *pw, double *out,
+          const int exact)
 {
     const long size = f->size;
     const double eps = f->eps, two_eps = f->two_eps, two_pi = f->two_pi;
@@ -119,10 +126,22 @@ static void semihydro_forcing_J(const struct forcing_grid *f, double et, const d
         const double J_xx = c * b_Jxx[i];
         const double E = e4 * b_E[i] / two_pi;
         const double conv_x = (2.0 * J * J_x * n - J * J * n_x) / (n * n);
-        const double p_x = p0_gamma * pw[i] * n_x;
+        const double p_x = p0_gamma * (exact ? n : pw[i]) * n_x;
         /* J_t + (J^2/n + p)_x - eps J_xx - nE + J + 2 eps n_x */
         out[i] = J_t + conv_x + p_x - eps * J_xx - n * E + J + two_eps * n_x;
     }
+}
+
+/* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points, or
+   NULL at gamma = 2, where the power is n**1.0, which numpy gives as n
+   bit for bit */
+static void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
+                                double *out)
+{
+    if (pw)
+        forcing_J(f, et, pw, out, 0);
+    else
+        forcing_J(f, et, pw, out, 1);
 }
 
 /* Mirrored field by field by _kernel.Grid. */
@@ -135,11 +154,11 @@ struct step_grid {
     double *state;              /* n, J of pair 0, then n, J of pair 1 */
     const double *d;            /* doping on the nodes */
     const double *p;            /* p(n) on the nodes */
-    const double *c;            /* theta * n**theta on the nodes (rusanov) */
     const double *lam1, *lam2;  /* the characteristic speeds on the nodes */
     double *fn, *fJ;            /* forcing on the N - 1 interior nodes, or NULL */
     const struct forcing_grid *forcing;  /* evaluated into fn, fJ by the step, or NULL */
-    const double *pw;           /* with forcing: (1 + b_n et)**(gamma - 1) on its points */
+    const double *pw;           /* with forcing: (1 + b_n et)**(gamma - 1) on its
+                                   points, or NULL at gamma = 2 */
     double *E, *f2, *r, *h1, *h2;   /* scratch, N + 1 each */
     double *terms;              /* scratch: the N trapezoid mass terms of nn */
     int k;                      /* in: the buffer pair (0 or 1) that holds the state */
@@ -252,7 +271,8 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
 {
     const long N = g->N;
     const double eps = g->eps, dx = g->dx, floor = g->floor;
-    const double *restrict d = g->d, *restrict p = g->p, *restrict c = g->c;
+    const double *restrict d = g->d, *restrict p = g->p;
+    const double *restrict lam1 = g->lam1, *restrict lam2 = g->lam2;
     /* not restrict: interior() reads E, f2, h1 and h2 through g */
     double *E = g->E, *f2 = g->f2, *r = g->r, *h1 = g->h1, *h2 = g->h2;
     double *terms = g->terms;
@@ -273,9 +293,12 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
 
     if (g->rusanov) {
         /* interface fluxes with the local spectral radius; h1, h2 hold
-           hat1, hat2 on the N faces */
+           hat1, hat2 on the N faces. The radius |J/n| + theta n**theta is
+           max(|lam1|, |lam2|) bit for bit: with lam = J/n -+ c and c >= 0,
+           one of |J/n - c|, |J/n + c| is the rounded |J/n| + c and the
+           other cannot exceed it, and both are NaN where it is */
         for (i = 0; i <= N; i++)
-            r[i] = fabs(J[i] / n[i]) + c[i];
+            r[i] = maximum(fabs(lam1[i]), fabs(lam2[i]));
         for (i = 0; i < N; i++) {
             const double a = maximum(r[i], r[i + 1]);
             h1[i] = 0.5 * (J[i] + J[i + 1]) - 0.5 * a * (n[i + 1] - n[i]);
@@ -346,7 +369,9 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
 
 /* semihydro_advance: the step by dt from the state in buffer pair g->k
    into the other pair; see advance. With g->forcing set, the forcing at
-   g->et, with the power g->pw, is evaluated into g->fn and g->fJ first. */
+   g->et, with the power g->pw (NULL at gamma = 2), is evaluated into
+   g->fn and g->fJ first. The Rusanov flux reads the speeds g->lam1 and
+   g->lam2 of the state. */
 int semihydro_advance(struct step_grid *g, double dt)
 {
     const long size = g->N + 1;

@@ -101,13 +101,17 @@ def pressure_derivative(m: GasModel, n):
     return m.p0 * m.gamma * n ** (m.gamma - 1.0)
 
 
-def eigenvalues(m: GasModel, n, J):
-    """Characteristic speeds (lam1, lam2) = J/n -+ theta * n**theta."""
-    n = _check_positive(n)
+def _speeds(m: GasModel, n, J):
+    """eigenvalues without its positivity check, for a float array n."""
     J = np.asarray(J, dtype=float)
     u = J / n
     c = m.theta * n**m.theta
     return u - c, u + c
+
+
+def eigenvalues(m: GasModel, n, J):
+    """Characteristic speeds (lam1, lam2) = J/n -+ theta * n**theta."""
+    return _speeds(m, _check_positive(n), J)
 
 
 def to_invariants(m: GasModel, n, J) -> RiemannPair:

@@ -438,7 +438,7 @@ def _assert_forcing_is_plain(m, eps, x, ts):
         N = x.size + 1
         stepper = solver._KernelStep(_kernel.load(), m, _cfg(N=N, epsilon=eps, gamma=m.gamma),
                                      np.ones(N + 1), 1.0 / N, (1.0, 1.0), forcing)
-        assert stepper._pw is not None
+        assert stepper._forcing_grid is not None
         for t in ts:
             stepper.step(np.ones(N + 1), np.zeros(N + 1), t, t + 1.0)
             for f, p in zip(stepper._f, plain):
@@ -681,21 +681,22 @@ def _counted(forcing, calls):
                                        forcing.m)
 
 
-@pytest.mark.parametrize("gamma", [1.5, 2.0])
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("path", ["library", "closures", "numpy"])
 def test_forced_step_has_the_same_bits_on_every_path(gamma, path, monkeypatch):
-    # manufactured_forcing's pair evaluated inside the C step, the same
-    # pair as a plain tuple of closures whose values the C step copies, and
-    # numpy's step and forcing: each gives the plain step's bits, through
-    # step and advance
+    # manufactured_forcing's pair evaluated inside the C step (at gamma = 2
+    # with the power's base for the power), the same pair as a plain tuple
+    # of closures whose values the C step copies, and numpy's step and
+    # forcing: each gives the plain step's bits, through step and advance,
+    # on both fluxes (the Rusanov radius from the speeds)
     n_star, J_star = solver.manufactured_solution()
     if path == "numpy":
         monkeypatch.setattr(_kernel, "load", lambda: None)
     else:
         _require_kernel()
     calls = []
-    for N in GRIDS:
-        cfg = _cfg(N=N, epsilon=0.02, gamma=gamma, boundary="dirichlet")
+    for N, scheme in itertools.product(GRIDS, ("central", "rusanov")):
+        cfg = _cfg(N=N, epsilon=0.02, gamma=gamma, boundary="dirichlet", scheme=scheme)
         x = np.linspace(0.0, 1.0, N + 1)
         forcing = _counted(solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1]), calls)
         if path == "closures":
@@ -704,7 +705,66 @@ def test_forced_step_has_the_same_bits_on_every_path(gamma, path, monkeypatch):
                     plain_forcing=_plain_forcing(cfg.model(), cfg.epsilon))
     # inside the C step the closures are never called; on the other paths
     # both are, on each of the 30 steps of each stepper
-    assert len(calls) == (0 if path == "library" else 2 * 2 * 30 * len(GRIDS))
+    assert len(calls) == (0 if path == "library" else 2 * 2 * 30 * 2 * len(GRIDS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 64),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                       -2.225073858507201e-308])))
+def test_numpy_power_one_is_the_identity(x):
+    # the premise of the C step's forcing at gamma = 2: it takes the power
+    # (1 + b_n e^-t)**(gamma - 1) = (...)**1.0 to be its base, as numpy gives it
+    assert _same_bits(x ** 1.0, x)
+
+
+_speed_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                                               np.nan, 1e308, -1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(nJ=st.integers(1, 64).flatmap(lambda size: st.tuples(
+           hnp.arrays(np.float64, size, elements=st.floats(0.0, exclude_min=True)
+                      | st.sampled_from([5e-324, 2.225073858507201e-308, 1e308, np.inf])),
+           hnp.arrays(np.float64, size, elements=_speed_floats))),
+       gamma=st.floats(1.0, 3.0, exclude_min=True) | st.sampled_from([1.5, 2.0, 3.0]))
+def test_rusanov_radius_is_the_larger_speed(nJ, gamma):
+    # the premise of the C step's Rusanov flux: its radius |J/n| + theta
+    # n**theta is max(|lam1|, |lam2|) of eigenvalues' speeds, byte for byte,
+    # for any n > 0, infinite and NaN rows included
+    n, J = nJ
+    m = sh.GasModel(gamma)
+    with np.errstate(all="ignore"):
+        lam1, lam2 = gas.eigenvalues(m, n, J)
+        c = m.theta * n**m.theta
+        assert _same_bits(lam1, J / n - c) and _same_bits(lam2, J / n + c)
+        assert _same_bits(np.maximum(np.abs(lam1), np.abs(lam2)),
+                          np.abs(J / n) + m.theta * n**m.theta)
+
+
+@pytest.mark.parametrize("J_vacuum", [0.0, 0.25])
+@pytest.mark.parametrize("node", [0, 40])
+@pytest.mark.parametrize("boundary", ["dirichlet", "float"])
+def test_rusanov_single_step_from_a_zero_density_ends_alike(boundary, node, J_vacuum):
+    # step's by-dt path takes the radius's speeds without eigenvalues'
+    # positivity check, as numpy's _advance does: a zero density ends in the
+    # same BlowupError, or the same state, on both paths
+    cfg = _cfg(N=64, scheme="rusanov", boundary=boundary, gamma=1.5)
+    x = np.linspace(0.0, 1.0, 65)
+    n = 1.0 + 0.2 * np.sin(3.0 * np.pi * x)
+    J = 0.3 * np.sin(np.pi * x) ** 2
+    n[node], J[node] = 0.0, J_vacuum
+    outcomes = []
+    for _ in _both_paths():
+        with np.errstate(all="ignore"):
+            try:
+                out = solver.step(State(0.0, n, J, None), cfg, D1, 1e-4)
+                outcomes.append((out.n.tobytes(), out.J.tobytes(), out.E.tobytes()))
+            except (BlowupError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert len(outcomes) == 2 and outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is BlowupError and "non-finite" in outcomes[0][1]
 
 
 def _run_on_both_paths(*args, **kwargs):

@@ -7,10 +7,12 @@ data (mollified and made neutral, as `semihydro run` does, outside the
 timing), cuts T_final to about --steps steps of the first step's dt, and
 runs solver.run from that data --repeats times in this process. It prints
 one line per N: the steps of a run and the best run's CPU time
-(time.process_time) per step, in microseconds (step_us). forced_us is the
-same number for a forced step: configs/mms.ini's settings at that N, from
-the manufactured solution at t = 0 with manufactured_forcing on the
-interior nodes, as `semihydro mms` runs each resolution.
+(time.process_time) per step, in microseconds (step_us). rusanov_us is
+the same number with the scenario on the Rusanov flux (scheme =
+rusanov), and forced_us for a forced step: configs/mms.ini's settings at
+that N, from the manufactured solution at t = 0 with
+manufactured_forcing on the interior nodes, as `semihydro mms` runs each
+resolution.
 
 The package is imported from the src directory of the checkout that holds
 this script, so a copy of the script in another checkout measures that
@@ -87,11 +89,15 @@ def main(argv=None) -> int:
         mms = parse_config(fh.read())
     library = "C" if _kernel.load() is not None else "numpy (no C library)"
     print(f"# {os.path.relpath(SCENARIO, ROOT)}: CPU us per step, best of {args.repeats} runs, "
-          f"{library} step; forced_us: {os.path.relpath(MMS, ROOT)} with its forcing")
+          f"{library} step; rusanov_us: scheme = rusanov; "
+          f"forced_us: {os.path.relpath(MMS, ROOT)} with its forcing")
     for N in sizes:
         steps, us = step_us(dataclasses.replace(base, N=N), args.steps, args.repeats)
+        _, rusanov = step_us(dataclasses.replace(base, N=N, scheme="rusanov"), args.steps,
+                             args.repeats)
         _, forced = forced_us(dataclasses.replace(mms, N=N), args.steps, args.repeats)
-        print(f"N = {N:5d}  steps = {steps:5d}  step_us = {us:.2f}  forced_us = {forced:.2f}")
+        print(f"N = {N:5d}  steps = {steps:5d}  step_us = {us:.2f}  rusanov_us = {rusanov:.2f}  "
+              f"forced_us = {forced:.2f}")
     return 0
 
 
