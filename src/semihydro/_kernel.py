@@ -4,13 +4,12 @@ The library holds the explicit step that solver.run takes, which also
 evaluates the manufactured forcing when its Grid holds a Forcing. Numpy
 takes the powers: the characteristic speeds, which the step reduces to
 its dt and to the Rusanov flux's radius, p(n), and the forcing's e^-t
-and, at gamma != 2, its power (1 + b_n e^-t)**(gamma - 1); at gamma = 2
-that power is its base, which the step uses itself. The step keeps the
-state in two buffer pairs of its Grid and reads its inputs (the pair, t,
-T_final) from the Grid's fields, where it leaves dt, the clamp count and
-the mass, which it sums as np.sum does (semihydro_sum). The library also
-holds the shooting trial and the banded Newton solve of the stationary
-module.
+and, at gamma != 2, its power (1 + b_n e^-t)**(gamma - 1). The step
+keeps the state in two buffer pairs of its Grid and reads its inputs
+(the pair, t, T_final) from the Grid's fields, where it leaves dt, the
+clamp count and the mass, which it sums as np.sum does (semihydro_sum).
+The library also holds the shooting trial and the banded Newton solve of
+the stationary module.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
@@ -113,8 +112,8 @@ class Grid(ctypes.Structure):
     manufactured_forcing's terms itself into the buffers fn and fJ, at
     e^-t = et, set by the caller, and with the power
     (1 + b_n et)**(gamma - 1): the caller's buffer pw, or None at
-    gamma = 2, where the power is its base. Without it, fn and fJ hold
-    what the caller put there, or are None for an unforced step."""
+    gamma = 2. Without it, fn and fJ hold what the caller put there, or
+    are None for an unforced step."""
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double)

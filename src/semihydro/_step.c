@@ -24,13 +24,12 @@
    the mass and the clamp count there. semihydro_advance is the step by a
    given dt, solver._advance.
    Neither takes a power: the caller passes the speeds lam1 and lam2 and
-   p(n), computed by numpy. The Rusanov flux's radius
-   |J/n| + theta n**theta is max(|lam1|, |lam2|), which the step takes
-   from the speeds, with the same bits. So the run's loop stays in
-   Python, one call per step: a loop over a whole stride between
-   snapshots would have to take the powers in C, and the benchmark counts
-   two numpy calls (eigenvalues and pressure) per step, an assertion of
-   bench/test_bench.py that only a change of the benchmark may drop.
+   p(n), computed by numpy; the Rusanov flux takes its radius from the
+   speeds. So the run's loop stays in Python, one call per step: a loop
+   over a whole stride between snapshots would have to take the powers in
+   C, and the benchmark counts two numpy calls (eigenvalues and pressure)
+   per step, an assertion of bench/test_bench.py that only a change of
+   the benchmark may drop.
 
    semihydro_sum is np.sum of a contiguous array of doubles: numpy's
    pairwise summation, whose order the mass sum keeps.
@@ -38,12 +37,11 @@
    With g->forcing set, the step first evaluates the forcing of
    solver.manufactured_forcing into g->fn and g->fJ (semihydro_forcing_n
    and _J, which the library does not export), from e^-t, which numpy
-   computes into g->et, and the power (1 + b_n e^-t)**(gamma - 1). At
-   gamma = 2 that power is its base, n**1.0 = n bit for bit, so g->pw is
-   NULL and the loop uses its own n; at any other gamma numpy computes it
-   into g->pw, since numpy's SIMD power need not round as libm's pow
-   does. A forced step of the mms runs is one C call, as an unforced one
-   is. Any other forcing the caller evaluates into g->fn and g->fJ.
+   computes into g->et, and the power (1 + b_n e^-t)**(gamma - 1), which
+   numpy computes into g->pw, or which is n itself where g->pw is NULL
+   (gamma = 2). A forced step of the mms runs is one C call, as an
+   unforced one is. Any other forcing the caller evaluates into g->fn and
+   g->fJ.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
    powers are libm's pow, the function CPython's float.__pow__ calls; a

@@ -23,17 +23,15 @@ system C compiler on the first run and loaded through ctypes (see the
 _kernel module). Each step is then one call of semihydro_step, after
 numpy has computed the step's powers in its two gas calls: the
 characteristic speeds by eigenvalues and p(n) by pressure. The C call
-reduces the speeds to max|lambda|, takes dt from the CFL bound, applies
-the last-step rule, advances the state and sums its trapezoid mass, and
-leaves dt, the mass and the clamp count in its grid for Python to read.
-The Rusanov flux's radius |J/n| + theta * n**theta is max(|lam1|,
-|lam2|) bit for bit, so the C step takes it from the speeds. The run's
-loop stays in Python, one call per step: a loop over a whole stride
-between snapshots would have to take the powers in C as well, and the
-benchmark counts two gas calls, eigenvalues and pressure, per step
+reduces the speeds to max|lambda|, takes dt from the CFL bound and the
+Rusanov flux's radius from the speeds, applies the last-step rule,
+advances the state and sums its trapezoid mass, and leaves dt, the mass
+and the clamp count in its grid for Python to read. The run's loop stays
+in Python, one call per step: a loop over a whole stride between
+snapshots would have to take the powers in C as well, and the benchmark
+counts two gas calls, eigenvalues and pressure, per step
 (bench/test_bench.py asserts it), which only a change of the benchmark
-may drop. On x86-64 with glibc the library holds
-two copies of the step's loops, for AVX2 and for the baseline, and the
+may drop. On x86-64 with glibc the library holds two copies of the step's loops, for AVX2 and for the baseline, and the
 loader picks one by the CPU, with the same bits. Without a compiler, or
 if the build or its cache fails, the step is _dt and _advance, in numpy,
 at a few times the cost per step.
@@ -41,9 +39,7 @@ at a few times the cost per step.
 The manufactured forcing of the mms checks is evaluated inside that C
 call. Given manufactured_forcing's pair on its N - 1 interior nodes, a
 step takes e^-t in numpy into the grid and, at gamma != 2, the power
-(1 + b_n e^-t)**(gamma - 1) too; at gamma = 2 the power is x**1.0, which
-numpy gives as x bit for bit, so the C loop uses its base. Then
-semihydro_step runs the forcing's loops into its buffers before its
+(1 + b_n e^-t)**(gamma - 1) too, and semihydro_step runs the forcing's loops into its buffers before its
 interior loop. Any other forcing (closures of the caller's, or the same
 pair wrapped in a plain tuple of functions), and every forcing without
 the library, is called from Python on each step.
@@ -58,8 +54,7 @@ C step does that arithmetic on doubles, built at -O3 with
 -ffp-contract=off and without -ffast-math, so that the compiler neither
 reassociates nor fuses into a multiply-add, and its vector loops give the
 scalar bits. It takes no power itself: the speeds, p(n), exp(-t) and,
-at gamma != 2, the forcing's power still come from numpy, whose SIMD
-power need not round as libm's pow does. It sums the mass's trapezoid
+at gamma != 2, the forcing's power still come from numpy. It sums the mass's trapezoid
 terms in np.sum's pairwise order (8 accumulators over blocks of at most
 128 terms, longer ranges split in two at a multiple of 8), so the mass
 keeps np.trapezoid's bits.
@@ -386,14 +381,12 @@ class _KernelStep:
     copied into buffers of their own, so the kernel's only inputs per step
     are the index of the pair that holds the state, and t and T_final, or
     dt, set in the grid; the kernel leaves the step's dt, mass, clamp
-    count and last-step flag there. The Rusanov flux's radius is
-    max(|lam1|, |lam2|), which the kernel takes from the speeds.
-    manufactured_forcing's pair on N - 1 points of doubles the kernel
-    evaluates itself, from e^-t and, at gamma != 2, the power
-    (1 + b_n e^-t)**(gamma - 1) that numpy takes into the grid; at
-    gamma = 2 the power is its base, n**1.0 = n, which the kernel uses.
-    Any other forcing's closures are called and their values copied into
-    the forcing buffers.
+    count and last-step flag there; the Rusanov flux takes its radius from
+    the speeds. manufactured_forcing's pair on N - 1 points of doubles the
+    kernel evaluates itself, from e^-t and, at gamma != 2, the power
+    (1 + b_n e^-t)**(gamma - 1) that numpy takes into the grid. Any other
+    forcing's closures are called and their values copied into the
+    forcing buffers.
     """
 
     def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
@@ -403,23 +396,20 @@ class _KernelStep:
         self._rusanov = cfg.scheme == "rusanov"
         self._forcing = forcing
         self._dx = dx
-        # one allocation holds every array the kernel reads or writes, a row
-        # of N + 1 doubles each: the pairs n, J, n, J; d; p, lam1, lam2; the
-        # scratch E, f2, r, h1, h2 and the N mass terms; fn, fJ and pw on
-        # N - 1 points. So one .ctypes.data, which costs about 2 us, and an
-        # offset give each address.
-        table = np.empty((17, N + 1))
-        base = table.ctypes.data
-        row = [base + 8 * (N + 1) * i for i in range(17)]
-        self._state, self._d = table[:4], table[4]
-        self._d[...] = d_grid
-        self._p, self._lam1, self._lam2 = table[5:8]
-        self._f = table[14:16, :N - 1]
-        fn, fJ = (row[14], row[15]) if forcing is not None else (None, None)
+        # every array the kernel reads or writes, kept alive here
+        self._state = np.empty((4, N + 1))
+        self._d = np.array(d_grid, dtype=float)
+        # p, lam1, lam2, then the kernel's scratch E, f2, r, h1, h2
+        self._p, self._lam1, self._lam2, *scratch = np.empty((8, N + 1))
+        self._f = np.empty((2, N - 1))
+        self._terms = np.empty(N)
+        fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
         # a forcing the kernel evaluates: the struct of its constants and of
         # its factors' addresses (self._forcing keeps the arrays alive), and
-        # the buffer of its power (1 + b_n e^-t)**(gamma - 1), unless that
-        # is n**1.0, n itself
+        # the buffer of its power (1 + b_n e^-t)**(gamma - 1), which numpy
+        # takes because its SIMD power need not round as libm's pow does. At
+        # gamma = 2 the power is n**1.0, which numpy gives as n bit for bit,
+        # so the kernel uses its own n and there is no buffer.
         self._forcing_grid = self._pw = None
         library_forcing = (None, None)
         if isinstance(forcing, _ManufacturedForcing) and all(
@@ -431,12 +421,15 @@ class _KernelStep:
                                                  *(f.ctypes.data for f in forcing.factors))
             g1 = fm.gamma - 1.0
             if g1 != 1.0:
-                self._b_n, self._g1, self._pw = forcing.factors[3], g1, table[16, :N - 1]
+                self._b_n, self._g1, self._pw = forcing.factors[3], g1, np.empty(N - 1)
             library_forcing = (ctypes.addressof(self._forcing_grid),
-                               None if self._pw is None else row[16])
+                               None if self._pw is None else self._pw.ctypes.data)
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
-                                  self._rusanov, cfg.boundary == "float", row[0], *row[4:8],
-                                  fn, fJ, *library_forcing, *row[8:14])
+                                  self._rusanov, cfg.boundary == "float",
+                                  *(a.ctypes.data for a in (self._state, self._d, self._p,
+                                                            self._lam1, self._lam2)),
+                                  fn, fJ, *library_forcing, *(a.ctypes.data for a in scratch),
+                                  self._terms.ctypes.data)
         # (n, J) of buffer pair 0 and of pair 1
         self._pairs = (tuple(self._state[:2]), tuple(self._state[2:]))
 
@@ -453,9 +446,8 @@ class _KernelStep:
 
     def _fill(self, n, t):
         """The numpy inputs of a step from density n at time t, other than
-        the speeds: p(n), and the forcing's: e^-t and, unless it is n
-        itself, the power for a forcing the kernel evaluates, else the
-        closures' values."""
+        the speeds: p(n), and the forcing's: e^-t and its power, if any, for
+        a forcing the kernel evaluates, else the closures' values."""
         self._p[...] = pressure(self._m, n)
         if self._forcing_grid is not None:
             # f_J's numpy operations, as its closure takes them
