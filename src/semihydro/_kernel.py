@@ -5,9 +5,11 @@ evaluates the manufactured forcing when its Grid holds a Forcing. Numpy
 takes the powers: the characteristic speeds, which the step reduces to
 its dt and to the Rusanov flux's radius, p(n), and the forcing's e^-t
 and, at gamma != 2, its power (1 + b_n e^-t)**(gamma - 1). The step
-keeps the state in two buffer pairs of its Grid and reads its inputs
-(the pair, t, T_final) from the Grid's fields, where it leaves dt, the
-clamp count and the mass, which it sums as np.sum does (semihydro_sum).
+keeps the state in two buffer pairs of its Grid and keeps the run's
+books there too: the clock t, the step count and the records of each
+step's time, mass and clamp count, arrays the Grid points at. Its
+status tells the caller when it must act (the STEP_* bits). The mass it
+sums as np.sum does (semihydro_sum).
 The library also holds the shooting trial and the banded Newton solve of
 the stationary module.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
@@ -22,12 +24,16 @@ baseline (target_clones), and the dynamic loader picks the copy the CPU
 runs when it loads the library; both give the same bits. It goes into
 a private per-user cache directory: $XDG_CACHE_HOME/semihydro, or
 ~/.cache/semihydro, of mode 0700. Its name carries a hash of the source,
-the compiler and the flags. The compiler writes a temporary file, which
-os.replace moves into place, so processes that build at the same moment
-each load a whole library.
+the compiler and the flags. The source is the bytes _step.c held when
+this module was imported, so the library matches the Grid and Forcing
+layouts below even if the file changes later: load() writes those bytes
+to a temporary file in the cache and compiles that. The compiler writes
+a temporary library, which os.replace moves into place, so processes
+that build at the same moment each load a whole library.
 
-Importing this module neither builds nor loads the library, and does not
-import subprocess; load() does, on the first call of a process.
+Importing this module reads _step.c but neither builds nor loads the
+library, and does not import subprocess; load() does, on the first call
+of a process.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ import os
 # on a CPU that has AVX2 (STEP_CLONES in _step.c). -lm for libm's pow.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
+# the source as imported, which load() builds, so that the library matches
+# Grid and Forcing below even if the file changes later
+with open(SOURCE, "rb") as _fh:
+    _SOURCE_BYTES = _fh.read()
 
 
 def _cache_dir() -> str:
@@ -82,29 +92,31 @@ def _library() -> str | None:
     cc = shutil.which("cc")
     if cc is None:
         return None
-    with open(SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read())
+    key = hashlib.sha256(_SOURCE_BYTES)
     for part in (cc, *FLAGS, platform.machine()):
         key.update(b"\0" + os.fsencode(part))
     cache = _cache_dir()
     path = os.path.join(cache, f"_step-{key.hexdigest()[:16]}.so")
     if os.path.exists(path):
         return path
-    fd, tmp = tempfile.mkstemp(prefix="_step-", suffix=".tmp", dir=cache)
-    os.close(fd)
+    fd, source = tempfile.mkstemp(prefix="_step-", suffix=".c", dir=cache)
+    tmp = source[:-len(".c")] + ".tmp"      # unique while the source exists
     try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_SOURCE_BYTES)
         # the flags after the source, so that the linker keeps -lm
-        if not _compile([cc, "-o", tmp, SOURCE, *FLAGS]):
+        if not _compile([cc, "-o", tmp, source, *FLAGS]):
             return None
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in (source, tmp):
+            if os.path.exists(name):
+                os.unlink(name)
     return path
 
 
 class Grid(ctypes.Structure):
-    """struct step_grid of _step.c: the step's settings and buffers.
+    """struct step_grid of _step.c: the step's settings, buffers and books.
 
     The caller fills p = p(n) and the speeds lam1, lam2, numpy's powers;
     the Rusanov flux takes its radius from the speeds. forcing is the
@@ -113,7 +125,13 @@ class Grid(ctypes.Structure):
     e^-t = et, set by the caller, and with the power
     (1 + b_n et)**(gamma - 1): the caller's buffer pw, or None at
     gamma = 2. Without it, fn and fJ hold what the caller put there, or
-    are None for an unforced step."""
+    are None for an unforced step.
+
+    semihydro_step advances k, t and steps itself and writes each step's
+    time, mass and clamp count into the records times, masses (cap + 1
+    each, the start at 0) and clamps (cap, int64), which the caller
+    allocates and replaces with larger ones when the step reports
+    STEP_FULL."""
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double)
@@ -124,7 +142,13 @@ class Grid(ctypes.Structure):
                                "forcing", "pw", "E", "f2", "r", "h1", "h2", "terms")),
                 ("k", ctypes.c_int),
                 *((name, ctypes.c_double) for name in ("t", "T", "et", "dt", "mass")),
-                ("count", ctypes.c_long), ("last", ctypes.c_int)]
+                *((name, ctypes.c_long) for name in ("count", "stride", "steps", "cap")),
+                *((name, ctypes.c_void_p) for name in ("times", "masses", "clamps"))]
+
+
+# the status bits of semihydro_step, _step.c's enum: a blowup (NONFINITE or
+# VACUUM, with the grid's clock unchanged), or the events of a step taken
+NONFINITE, VACUUM, CLAMPED, SNAPSHOT, LAST, FULL = 1, 2, 4, 8, 16, 32
 
 
 class Forcing(ctypes.Structure):
@@ -139,7 +163,7 @@ class Forcing(ctypes.Structure):
 
 # name: (restype, argtypes)
 _SIGNATURES = {
-    # (grid): its inputs k, t and T are fields of the grid
+    # (grid): its inputs and the run's books are fields of the grid
     "semihydro_step": (ctypes.c_int, [ctypes.POINTER(Grid)]),
     # (grid, dt)
     "semihydro_advance": (ctypes.c_int, [ctypes.POINTER(Grid), ctypes.c_double]),

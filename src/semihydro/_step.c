@@ -19,10 +19,15 @@
    the state by that dt as semihydro_advance does, and sums the new
    state's trapezoid mass as np.sum does, in one call. The state lives in
    the grid's two buffer pairs: a step reads pair g->k and writes the
-   other. semihydro_step takes its inputs (g->k, g->t, g->T) from the
-   grid, so that its ctypes call converts no argument, and leaves dt,
-   the mass and the clamp count there. semihydro_advance is the step by a
-   given dt, solver._advance.
+   other. The step also keeps the run's books in the grid, so that after
+   an ordinary step the caller only takes the next one: it flips g->k,
+   advances the clock g->t, counts the step in g->steps and writes its
+   time, mass and clamp count into the records that the grid points at.
+   Its status names what the caller must act on: a blowup, a step that
+   clamped, a snapshot due (every g->stride steps, and the last), or
+   records that are full. Its ctypes call converts no argument.
+   semihydro_advance is the step by a given dt, solver._advance, and
+   keeps no books.
    Neither takes a power: the caller passes the speeds lam1 and lam2 and
    p(n), computed by numpy; the Rusanov flux takes its radius from the
    speeds. So the run's loop stays in Python, one call per step: a loop
@@ -55,6 +60,7 @@
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 
 #if FLT_EVAL_METHOD != 0
 /* wider intermediates (x87) would round twice; the build fails, and the
@@ -159,16 +165,24 @@ struct step_grid {
                                    points, or NULL at gamma = 2 */
     double *E, *f2, *r, *h1, *h2;   /* scratch, N + 1 each */
     double *terms;              /* scratch: the N trapezoid mass terms of nn */
-    int k;                      /* in: the buffer pair (0 or 1) that holds the state */
-    double t, T;                /* in of semihydro_step: the time, and T_final */
+    int k;                      /* the buffer pair (0 or 1) that holds the state */
+    double t, T;                /* semihydro_step: the time, and T_final */
     double et;                  /* in, with forcing: e^-t at the step's start */
     double dt;                  /* out of semihydro_step: the step's dt */
     double mass;                /* out: np.sum of the mass terms */
     long count;                 /* out: clamped cells, or the blowup's cell */
-    int last;                   /* out of semihydro_step: the step ends on T */
+    long stride;                /* semihydro_step: a snapshot every stride steps */
+    long steps;                 /* semihydro_step: the steps taken */
+    long cap;                   /* the records' capacity in steps */
+    double *times, *masses;     /* records, cap + 1 each: t and the mass after
+                                   each step, the start at [0] */
+    int64_t *clamps;            /* records, cap: the clamp count of each step */
 };
 
-enum { STEP_OK = 0, STEP_NONFINITE = 1, STEP_VACUUM = 2 };
+/* A step's status: 0, a blowup, or the bits of the events that semihydro_step
+   reports; _kernel mirrors them. */
+enum { STEP_OK = 0, STEP_NONFINITE = 1, STEP_VACUUM = 2, STEP_CLAMPED = 4,
+       STEP_SNAPSHOT = 8, STEP_LAST = 16, STEP_FULL = 32 };
 
 /* np.maximum: NaN if either operand is NaN, the first if both are */
 static inline double maximum(double a, double b)
@@ -382,9 +396,9 @@ int semihydro_advance(struct step_grid *g, double dt)
     return advance(g, src, src + size, dst, dst + size, dt);
 }
 
-/* semihydro_step: the step of solver.run from t = g->t toward T = g->T,
-   from the state in buffer pair g->k into the other pair. Its dt is
-   solver._dt's, from the speeds in g->lam1 and g->lam2:
+/* semihydro_step: a step of solver.run's loop from t = g->t toward
+   T = g->T, from the state in buffer pair g->k into the other pair. Its
+   dt is solver._dt's, from the speeds in g->lam1 and g->lam2:
 
        speed = max(lam2.max(), -lam1.min())
        dt = cfl * min(dx / speed, dx * dx / (2 eps), 1)
@@ -394,8 +408,16 @@ int semihydro_advance(struct step_grid *g, double dt)
    larger (smaller). Each reduction runs two accumulators, on the even and
    the odd nodes, so that consecutive comparisons do not wait for each
    other; without NaN the extreme value is the same. A step that would
-   stop within 1e-13 of T ends on it: dt = T - t, and g->last is set.
-   g->dt receives dt; then the step is semihydro_advance's. */
+   stop within 1e-13 of T ends on it: dt = T - t. g->dt receives dt; then
+   the step is semihydro_advance's.
+
+   A blowup returns its status with the grid's clock as it was. Otherwise
+   the step keeps the run's books: g->k names the new pair, g->t becomes
+   T on the last step and t + dt before it, g->steps counts the step, and
+   the records receive its time, mass and clamp count. It returns the
+   bits of the events the caller must act on: STEP_CLAMPED if it clamped,
+   STEP_SNAPSHOT every g->stride steps and on the last, which is also
+   STEP_LAST, and STEP_FULL once the records hold g->cap steps. */
 int semihydro_step(struct step_grid *g)
 {
     const long N = g->N;
@@ -404,8 +426,8 @@ int semihydro_step(struct step_grid *g)
     const double dx = g->dx;
     double hi0 = lam2[0], hi1 = lam2[0], lo0 = lam1[0], lo1 = lam1[0];
     double hi, lo, speed, dt, bound;
-    int nan_hi = isnan(lam2[0]), nan_lo = isnan(lam1[0]);
-    long i;
+    int nan_hi = isnan(lam2[0]), nan_lo = isnan(lam1[0]), last, status;
+    long i, steps;
 
     for (i = 1; i < N; i += 2) {
         hi0 = lam2[i] > hi0 ? lam2[i] : hi0;
@@ -431,11 +453,29 @@ int semihydro_step(struct step_grid *g)
     if (1.0 < dt)
         dt = 1.0;
     dt = g->cfl * dt;
-    g->last = t + dt >= T - 1e-13;
-    if (g->last)
+    last = t + dt >= T - 1e-13;
+    if (last)
         dt = T - t;
     g->dt = dt;
-    return semihydro_advance(g, dt);
+    status = semihydro_advance(g, dt);
+    if (status)
+        return status;
+
+    g->k = 1 - g->k;
+    g->t = last ? T : t + dt;
+    steps = ++g->steps;
+    g->times[steps] = g->t;
+    g->masses[steps] = g->mass;
+    g->clamps[steps - 1] = g->count;
+    if (g->count)
+        status |= STEP_CLAMPED;
+    if (last)
+        status |= STEP_SNAPSHOT | STEP_LAST;
+    else if (steps % g->stride == 0)
+        status |= STEP_SNAPSHOT;
+    if (steps == g->cap)
+        status |= STEP_FULL;
+    return status;
 }
 
 /* semihydro_shoot: classical RK4 on the inviscid steady ODE

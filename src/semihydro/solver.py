@@ -25,24 +25,32 @@ numpy has computed the step's powers in its two gas calls: the
 characteristic speeds by eigenvalues and p(n) by pressure. The C call
 reduces the speeds to max|lambda|, takes dt from the CFL bound and the
 Rusanov flux's radius from the speeds, applies the last-step rule,
-advances the state and sums its trapezoid mass, and leaves dt, the mass
-and the clamp count in its grid for Python to read. The run's loop stays
-in Python, one call per step: a loop over a whole stride between
-snapshots would have to take the powers in C as well, and the benchmark
-counts two gas calls, eigenvalues and pressure, per step
+advances the state and sums its trapezoid mass. It also keeps the run's
+books in its grid: the buffer pair that holds the state, the clock t,
+the step count, and the records of each step's time, mass and clamp
+count, from which the Trajectory takes step_times, mass and
+clamp_counts. Its status tells Python when to act: a blowup, a step that
+clamped (the clamp budget is checked then), a snapshot due, or full
+records, which Python doubles. Otherwise a step in Python is the two gas
+calls, their copies into the grid's buffers and the C call. The loop
+itself stays in Python, one call per step: a loop over a whole stride
+between snapshots would have to take the powers in C as well, and the
+benchmark counts two gas calls, eigenvalues and pressure, per step
 (bench/test_bench.py asserts it), which only a change of the benchmark
-may drop. On x86-64 with glibc the library holds two copies of the step's loops, for AVX2 and for the baseline, and the
-loader picks one by the CPU, with the same bits. Without a compiler, or
-if the build or its cache fails, the step is _dt and _advance, in numpy,
-at a few times the cost per step.
+may drop. On x86-64 with glibc the library holds two copies of the
+step's loops, for AVX2 and for the baseline, and the loader picks one by
+the CPU, with the same bits. Without a compiler, or if the build or its
+cache fails, the step is _dt and _advance, in numpy, at a few times the
+cost per step, and the same loop writes the same records.
 
 The manufactured forcing of the mms checks is evaluated inside that C
 call. Given manufactured_forcing's pair on its N - 1 interior nodes, a
 step takes e^-t in numpy into the grid and, at gamma != 2, the power
-(1 + b_n e^-t)**(gamma - 1) too, and semihydro_step runs the forcing's loops into its buffers before its
-interior loop. Any other forcing (closures of the caller's, or the same
-pair wrapped in a plain tuple of functions), and every forcing without
-the library, is called from Python on each step.
+(1 + b_n e^-t)**(gamma - 1) too, and semihydro_step runs the forcing's
+loops into its buffers before its interior loop. Any other forcing
+(closures of the caller's, or the same pair wrapped in a plain tuple of
+functions), and every forcing without the library, is called from Python
+on each step.
 
 Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
@@ -54,7 +62,8 @@ C step does that arithmetic on doubles, built at -O3 with
 -ffp-contract=off and without -ffast-math, so that the compiler neither
 reassociates nor fuses into a multiply-add, and its vector loops give the
 scalar bits. It takes no power itself: the speeds, p(n), exp(-t) and,
-at gamma != 2, the forcing's power still come from numpy. It sums the mass's trapezoid
+at gamma != 2, the forcing's power still come from numpy. Its clock
+t + dt is Python's addition of two doubles. It sums the mass's trapezoid
 terms in np.sum's pairwise order (8 accumulators over blocks of at most
 128 terms, longer ranges split in two at a multiple of 8), so the mass
 keeps np.trapezoid's bits.
@@ -63,8 +72,8 @@ of dt and of the forcing, and against each other.
 Between hosts the bits may differ for gamma != 2: numpy's SIMD power
 routine may round n**gamma differently on another CPU. At gamma = 2 the
 powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between runs
-use gamma = 2, except two that compare the two paths of mms at
-gamma = 1.5, central and Rusanov, on one host.
+use gamma = 2, except those that compare the two paths on one host: mms
+at gamma = 1.5, central and Rusanov, and the scenario at gamma = 3.
 
 The module imports numpy alone: E comes from field._efield, which is
 scipy's cumulative_trapezoid formula in numpy, and the kernel is built
@@ -371,19 +380,53 @@ def _vacuum(cell: int, density: float, dx: float, t: float) -> BlowupError:
                        f"density {density:.3e} with n_floor = 0", cell, t)
 
 
-class _KernelStep:
+# the step records' first capacity, in steps; they double when full
+_RECORDS = 256
+
+
+class _Records:
+    """The step records of a stepper's run: the time and the mass after
+    each step, with the start's at index 0, and each step's clamp count.
+    They start at _RECORDS steps and double when full (_grow)."""
+
+    def __init__(self, dx):
+        self._dx = dx
+        self._times = np.empty(_RECORDS + 1)
+        self._masses = np.empty(_RECORDS + 1)
+        self._clamps = np.empty(_RECORDS, dtype=np.int64)
+
+    def _first(self, n, t):
+        """Record the start (t, the mass of n) before the first step."""
+        if self.steps == 0:
+            self._times[0] = t
+            self._masses[0] = np.trapezoid(n, dx=self._dx)
+
+    def _grow(self):
+        cap = self._clamps.size
+        self._times = np.concatenate((self._times, np.empty(cap)))
+        self._masses = np.concatenate((self._masses, np.empty(cap)))
+        self._clamps = np.concatenate((self._clamps, np.empty(cap, dtype=np.int64)))
+
+    def records(self):
+        """(step_times, mass, clamp_counts) of the steps taken so far, as
+        Trajectory holds them."""
+        k = self.steps
+        return self._times[:k + 1].copy(), self._masses[:k + 1].copy(), self._clamps[:k].astype(int)
+
+
+class _KernelStep(_Records):
     """The explicit step by the C kernel: _stepper's stepper when the
     library loads.
 
     The state alternates between two pairs of preallocated buffers, and
     the arrays returned are overwritten by the step after next. Numpy's
     powers are the two gas calls, the speeds from eigenvalues and p(n),
-    copied into buffers of their own, so the kernel's only inputs per step
-    are the index of the pair that holds the state, and t and T_final, or
-    dt, set in the grid; the kernel leaves the step's dt, mass, clamp
-    count and last-step flag there; the Rusanov flux takes its radius from
-    the speeds. manufactured_forcing's pair on N - 1 points of doubles the
-    kernel evaluates itself, from e^-t and, at gamma != 2, the power
+    copied into buffers of their own; the Rusanov flux takes its radius
+    from the speeds. In march, semihydro_step also keeps the run's books
+    in the grid: the pair that holds the state, t, the step count and the
+    records, so Python acts only on the events its status reports.
+    manufactured_forcing's pair on N - 1 points of doubles the kernel
+    evaluates itself, from e^-t and, at gamma != 2, the power
     (1 + b_n e^-t)**(gamma - 1) that numpy takes into the grid. Any other
     forcing's closures are called and their values copied into the
     forcing buffers.
@@ -395,7 +438,7 @@ class _KernelStep:
         self._m = m
         self._rusanov = cfg.scheme == "rusanov"
         self._forcing = forcing
-        self._dx = dx
+        super().__init__(dx)
         # every array the kernel reads or writes, kept alive here
         self._state = np.empty((4, N + 1))
         self._d = np.array(d_grid, dtype=float)
@@ -412,6 +455,7 @@ class _KernelStep:
         # so the kernel uses its own n and there is no buffer.
         self._forcing_grid = self._pw = None
         library_forcing = (None, None)
+        self._fill = None if forcing is None else self._fill_closures
         if isinstance(forcing, _ManufacturedForcing) and all(
                 f.shape == (N - 1,) and f.dtype == np.float64 and f.flags.c_contiguous
                 for f in forcing.factors):
@@ -424,14 +468,30 @@ class _KernelStep:
                 self._b_n, self._g1, self._pw = forcing.factors[3], g1, np.empty(N - 1)
             library_forcing = (ctypes.addressof(self._forcing_grid),
                                None if self._pw is None else self._pw.ctypes.data)
+            self._fill = self._fill_library
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
                                   self._rusanov, cfg.boundary == "float",
                                   *(a.ctypes.data for a in (self._state, self._d, self._p,
                                                             self._lam1, self._lam2)),
                                   fn, fJ, *library_forcing, *(a.ctypes.data for a in scratch),
                                   self._terms.ctypes.data)
+        self._point_records()
         # (n, J) of buffer pair 0 and of pair 1
         self._pairs = (tuple(self._state[:2]), tuple(self._state[2:]))
+
+    @property
+    def steps(self):
+        return self._grid.steps
+
+    def _point_records(self):
+        grid = self._grid
+        grid.cap = self._clamps.size
+        grid.times, grid.masses, grid.clamps = (
+            a.ctypes.data for a in (self._times, self._masses, self._clamps))
+
+    def _grow(self):
+        super()._grow()
+        self._point_records()
 
     def _load(self, n, J):
         """The buffer pair k that holds the state (n, J): 1 if it is pair
@@ -444,33 +504,33 @@ class _KernelStep:
             J0[...] = J
         return 0
 
-    def _fill(self, n, t):
-        """The numpy inputs of a step from density n at time t, other than
-        the speeds: p(n), and the forcing's: e^-t and its power, if any, for
-        a forcing the kernel evaluates, else the closures' values."""
-        self._p[...] = pressure(self._m, n)
-        if self._forcing_grid is not None:
-            # f_J's numpy operations, as its closure takes them
-            self._grid.et = et = np.exp(-t)
-            if self._pw is not None:
-                self._pw[...] = (1.0 + self._b_n * et) ** self._g1
-        elif self._forcing is not None:
-            f_n, f_J = self._forcing
-            self._f[0] = f_n(t)
-            self._f[1] = f_J(t)
+    def _fill_library(self, t):
+        """The numpy inputs of the library's forcing at time t: e^-t and its
+        power, if any; f_J's numpy operations, as its closure takes them."""
+        self._grid.et = et = np.exp(-t)
+        if self._pw is not None:
+            self._pw[...] = (1.0 + self._b_n * et) ** self._g1
 
-    def _outcome(self, status, k, t_new):
-        """Raise the BlowupError of a step into pair k that ended with a
-        nonzero status."""
+    def _fill_closures(self, t):
+        """The closures' values at time t, in the forcing buffers."""
+        f_n, f_J = self._forcing
+        self._f[0] = f_n(t)
+        self._f[1] = f_J(t)
+
+    def _outcome(self, status, t_new):
+        """Raise the BlowupError of a step that ended with a blowup status:
+        its state is in the pair that grid.k does not name."""
         cell = self._grid.count
-        if status == 1:
+        if status == _kernel.NONFINITE:
             raise _nonfinite(cell, self._dx, t_new)
-        raise _vacuum(cell, self._pairs[k][0][cell], self._dx, t_new)
+        raise _vacuum(cell, self._pairs[1 - self._grid.k][0][cell], self._dx, t_new)
 
     def advance(self, n, J, t, dt):
         k = self._load(n, J)
         n, J = self._pairs[k]
-        self._fill(n, t)
+        self._p[...] = pressure(self._m, n)
+        if self._fill is not None:
+            self._fill(t)
         if self._rusanov:
             # the radius's speeds without eigenvalues' positivity check,
             # which numpy's _advance does not make either
@@ -479,57 +539,90 @@ class _KernelStep:
         grid.k = k
         status = self._lib.semihydro_advance(grid, dt)
         if status:
-            self._outcome(status, 1 - k, t + dt)
+            self._outcome(status, t + dt)
         return (*self._pairs[1 - k], grid.count, grid.mass)
 
-    def step(self, n, J, t, T):
-        k = self._load(n, J)
-        n, J = self._pairs[k]
-        # the speeds before p(n), in the order of _dt and _advance, so that a
-        # bad density raises the same error on both paths
-        self._lam1[...], self._lam2[...] = eigenvalues(self._m, n, J)
-        self._fill(n, t)
+    def march(self, n, J, t, T, stride):
         grid = self._grid
-        grid.k = k
-        grid.t = t
-        grid.T = T
-        status = self._lib.semihydro_step(grid)
-        if status:
-            self._outcome(status, 1 - k, t + grid.dt)
-        n, J = self._pairs[1 - k]
-        return n, J, grid.count, grid.mass, grid.dt, bool(grid.last)
+        self._first(n, t)
+        if not t < T - 1e-13:
+            return
+        grid.k = self._load(n, J)
+        grid.t, grid.T, grid.stride = t, T, stride
+        m, pairs, fill = self._m, self._pairs, self._fill
+        lam1, lam2, p = self._lam1, self._lam2, self._p
+        step = self._lib.semihydro_step
+        while True:
+            n, J = pairs[grid.k]
+            # eigenvalues and pressure as this module's globals, so that a
+            # wrapper bound to either sees each call; the speeds first, in
+            # the order of _dt and _advance, so that a bad density raises
+            # the same error on both paths
+            lam1[...], lam2[...] = eigenvalues(m, n, J)
+            p[...] = pressure(m, n)
+            if fill is not None:
+                fill(grid.t)
+            status = step(grid)
+            if status:
+                if status & (_kernel.NONFINITE | _kernel.VACUUM):
+                    self._outcome(status, grid.t + grid.dt)
+                if status & _kernel.FULL:
+                    self._grow()
+                if status & (_kernel.CLAMPED | _kernel.SNAPSHOT):
+                    yield (*pairs[grid.k], grid.t, grid.count,
+                           bool(status & _kernel.SNAPSHOT))
+                if status & _kernel.LAST:
+                    return
 
 
-class _NumpyStep:
+class _NumpyStep(_Records):
     """The explicit step by _dt and _advance: _stepper's stepper when the C
     library does not load."""
 
     def __init__(self, m, cfg, d_grid, dx, bvals, forcing):
+        super().__init__(dx)
         self._args = (m, cfg, d_grid, dx, bvals, forcing)
+        self.steps = 0
 
     def advance(self, n, J, t, dt):
         n, J, clamped = _advance(n, J, t, dt, *self._args)
-        return n, J, clamped, float(np.trapezoid(n, dx=self._args[3]))
+        return n, J, clamped, float(np.trapezoid(n, dx=self._dx))
 
-    def step(self, n, J, t, T):
+    def march(self, n, J, t, T, stride):
         m, cfg, _, dx, _, _ = self._args
-        dt = _dt(m, n, J, cfg, dx)
-        # a step that would stop within 1e-13 of T ends on it exactly
-        last = t + dt >= T - 1e-13
-        if last:
-            dt = T - t
-        return (*self.advance(n, J, t, dt), dt, last)
+        self._first(n, t)
+        while t < T - 1e-13:
+            dt = _dt(m, n, J, cfg, dx)
+            # a step that would stop within 1e-13 of T ends on it exactly
+            last = t + dt >= T - 1e-13
+            if last:
+                dt = T - t
+            n, J, clamped, mass = self.advance(n, J, t, dt)
+            t = T if last else t + dt
+            self.steps = k = self.steps + 1
+            self._times[k], self._masses[k], self._clamps[k - 1] = t, mass, clamped
+            if k == self._clamps.size:
+                self._grow()
+            due = last or k % stride == 0
+            if clamped or due:
+                yield n, J, t, clamped, due
 
 
 def _stepper(m, cfg, d_grid, dx, bvals, forcing):
     """The explicit step, by the C kernel if it loads, else by numpy's
     _dt and _advance. Both give the same bits and raise the same
-    BlowupError. The stepper has two methods:
+    BlowupError. The stepper has:
 
     - advance(n, J, t, dt) -> (n, J, clamped_cells, mass), the step by dt;
-    - step(n, J, t, T) -> (n, J, clamped_cells, mass, dt, last), run's
-      step toward T_final = T: dt is _dt's, or T - t if last, when t + dt
-      would stop within 1e-13 of T.
+    - march(n, J, t, T, stride), run's loop: a generator that steps from
+      (n, J) at time t toward T_final = T, each step by _dt's dt, or by
+      T - t on the last, when t + dt would stop within 1e-13 of T. It
+      yields (n, J, t, clamped_cells, snapshot_due) after each step that
+      clamped or after which a snapshot is due (every stride steps, and
+      the last), and raises a step's BlowupError;
+    - steps and records(), the steps march has taken, and their records:
+      (step_times, mass, clamp_counts) as Trajectory holds them, the start
+      first.
 
     The C step's arrays are its own buffers, overwritten by the step after
     next; copy a state that must outlive that.
@@ -607,44 +700,32 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
 
     stepper = _stepper(m, cfg, d_grid, dx, bvals, forcing)
     record(0.0, n, J)
-    step_times = [0.0]
-    mass = [float(np.trapezoid(n, dx=dx))]
-    clamps = []
-
-    T = cfg.T_final
-    t = 0.0
-    k = 0
     total_clamped = 0
     with np.errstate(all="ignore"):
-        while t < T - 1e-13:
-            try:
-                n, J, clamped, step_mass, dt, last = stepper.step(n, J, t, T)
-            except BlowupError as exc:
-                exc.trajectory = _package(rows, step_times, mass, clamps, cfg, D)
-                raise
-            t = T if last else t + dt
-            k += 1
-            total_clamped += clamped
-            step_times.append(t)
-            mass.append(step_mass)
-            clamps.append(clamped)
-            # clamping is a safety net, not a solution mode; a budget of
-            # 1e-3 * N * steps distinguishes stray cells from a broken run
-            if total_clamped > 1e-3 * N * k:
-                err = BlowupError(
-                    f"positivity clamping exceeded budget ({total_clamped} cells "
-                    f"over {k} steps)", int(np.argmin(n)), t,
-                )
-                err.trajectory = _package(rows, step_times, mass, clamps, cfg, D)
-                raise err
-            if last or k % cfg.output_stride == 0:
-                record(t, n, J)
+        try:
+            for n, J, t, clamped, due in stepper.march(n, J, 0.0, cfg.T_final,
+                                                        cfg.output_stride):
+                # clamping is a safety net, not a solution mode; a budget of
+                # 1e-3 * N * steps distinguishes stray cells from a broken
+                # run. Only a step that clamps can newly exceed it.
+                total_clamped += clamped
+                if total_clamped > 1e-3 * N * stepper.steps:
+                    raise BlowupError(
+                        f"positivity clamping exceeded budget ({total_clamped} cells "
+                        f"over {stepper.steps} steps)", int(np.argmin(n)), t,
+                    )
+                if due:
+                    record(t, n, J)
+        except BlowupError as exc:
+            exc.trajectory = _package(rows, stepper.records(), cfg, D)
+            raise
 
-    return _package(rows, step_times, mass, clamps, cfg, D)
+    return _package(rows, stepper.records(), cfg, D)
 
 
-def _package(rows, step_times, mass, clamps, cfg, D) -> Trajectory:
-    """Stack the snapshot rows and compute E for all of them in one call.
+def _package(rows, records, cfg, D) -> Trajectory:
+    """Stack the snapshot rows and compute E for all of them in one call;
+    records are the stepper's (step_times, mass, clamp_counts).
 
     The rows are released as each field is stacked, so no snapshot is
     held twice.
@@ -653,14 +734,15 @@ def _package(rows, step_times, mass, clamps, cfg, D) -> Trajectory:
     rows.clear()
     n = np.array(n)
     J = np.array(J)
+    step_times, mass, clamp_counts = records
     return Trajectory(
         times=np.array(times),
         n=n,
         J=J,
         E=_efield(n - D(np.linspace(0.0, 1.0, cfg.N + 1)), 1.0 / cfg.N),
-        step_times=np.array(step_times),
-        mass=np.array(mass),
-        clamp_counts=np.array(clamps, dtype=int),
+        step_times=step_times,
+        mass=mass,
+        clamp_counts=clamp_counts,
         config=cfg,
         doping=D,
     )

@@ -22,9 +22,10 @@ def test_layer_tool_prints_a_number_per_row(script, args, field):
     header, *rows = out.splitlines()
     assert header.startswith("# configs/scenario_sine.ini")
     assert [row.split()[2] for row in rows] == ["32", "64"]
-    # step_us.py also prints the Rusanov flux's and the forced step's
-    # numbers, rusanov_us and forced_us, on each row
-    names = (field, "rusanov_us", "forced_us") if script == "step_us.py" else (field,)
+    # step_us.py also prints the gas calls' share and the Rusanov flux's and
+    # the forced step's numbers, gas_us, rusanov_us and forced_us, on each row
+    names = ((field, "gas_us", "rusanov_us", "forced_us") if script == "step_us.py"
+             else (field,))
     for row, name in itertools.product(rows, names):
         value = float(re.search(rf"\b{name} = (\S+)", row).group(1))
         assert 0.0 < value < float("inf")

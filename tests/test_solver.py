@@ -440,7 +440,8 @@ def _assert_forcing_is_plain(m, eps, x, ts):
                                      np.ones(N + 1), 1.0 / N, (1.0, 1.0), forcing)
         assert stepper._forcing_grid is not None
         for t in ts:
-            stepper.step(np.ones(N + 1), np.zeros(N + 1), t, t + 1.0)
+            # march's first step from t, which evaluates the forcing at t
+            next(stepper.march(np.ones(N + 1), np.zeros(N + 1), t, t + 1.0, 1))
             for f, p in zip(stepper._f, plain):
                 assert _same_bits(f, p(x, t))
 
@@ -594,15 +595,16 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
     functions of (x, t).
 
     Each step is taken twice, by two steppers: by advance, with the dt of
-    _dt, and by step, which takes its dt itself; every third step, step's
-    T_final lies short of t + dt, so that step ends on it."""
+    _dt, and by the first step of march toward T_final = T, which takes
+    its dt itself and keeps the step's records; every third step, T lies
+    short of t + dt, so that the step ends on it and march stops."""
     m = cfg.model()
     x = np.linspace(0.0, 1.0, cfg.N + 1)
     dx = 1.0 / cfg.N
     d_grid = D(x)
     bvals = (float(n[0]), float(n[-1]))
     advance = solver._stepper(m, cfg, d_grid, dx, bvals, forcing).advance
-    step = solver._stepper(m, cfg, d_grid, dx, bvals, forcing).step
+    marcher = solver._stepper(m, cfg, d_grid, dx, bvals, forcing)
     t = 0.0
     total_clamped = 0
     for k in range(steps):
@@ -612,14 +614,22 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
         last = t + dt >= T - 1e-13
         if last:
             dt = T - t
-        stepped = step(n, J, t, T)
-        assert _same_bits(stepped[4], dt) and stepped[5] is last
+        t_new = T if last else t + dt
+        march = marcher.march(n, J, t, T, 1)
+        stepped = next(march)
+        if last:
+            assert next(march, None) is None
+        times, masses, clamps = marcher.records()
+        assert marcher.steps == k + 1 and times.size == k + 2 and clamps.size == k + 1
+        assert _same_bits(times[-1], t_new) and _same_bits(stepped[2], t_new)
+        assert stepped[3] == clamps[-1] and stepped[4] is True
         lean = advance(n, J, t, dt)
         plain = _plain_advance(n, J, t, dt, m, cfg, d_grid, x, dx, bvals, plain_forcing)
-        for got in (lean, stepped):
+        plain_mass = float(np.trapezoid(plain[0], dx=dx))
+        for got in (lean, (*stepped[:2], clamps[-1], masses[-1])):
             assert _same_bits(got[0], plain[0]) and _same_bits(got[1], plain[1])
             assert got[2] == plain[2]
-            assert _same_bits(got[3], float(np.trapezoid(plain[0], dx=dx)))
+            assert _same_bits(got[3], plain_mass)
         n, J = lean[:2]
         t += dt
         total_clamped += lean[2]
@@ -867,25 +877,79 @@ def test_library_sum_is_numpy_sum(size, seed, exponents, specials, share):
         assert _same_bits(got, expected)
 
 
-@pytest.mark.parametrize("case", ["clamping", "mms"])
+@pytest.mark.parametrize("case", ["clamping", "mms", "closures", "growing-records",
+                                  "budget-on-a-snapshot"])
 def test_kernel_and_numpy_runs_agree_on_clamps_and_forcing(case):
+    D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
     if case == "clamping":
         cfg = _cfg(N=64, n_floor=0.6, boundary="float", T_final=0.05, output_stride=3)
-        D = sh.DopingProfile.sine(1.0, 0.5, 1.0)
         x = np.linspace(0.0, 1.0, 65)
         args, kwargs = (cfg, D, D(x), np.zeros(65)), {"mollify": False}
-    else:
+    elif case in ("mms", "closures"):
         cfg = _cfg(N=64, epsilon=0.02, T_final=0.25, output_stride=5)
         n_star, J_star = solver.manufactured_solution()
         x = np.linspace(0.0, 1.0, 65)
         forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1])
+        if case == "closures":
+            # the shape the benchmark's tracer gives manufactured_forcing's pair
+            forcing = tuple(forcing)
         args = (cfg, D1, n_star(x, 0.0), J_star(x, 0.0))
         kwargs = {"forcing": forcing, "mollify": False}
-    kernel, numpy_step = _run_on_both_paths(*args, **kwargs)
+    elif case == "growing-records":
+        # more steps than the records hold at first: they double twice
+        # mid-run, once on a snapshot step
+        cfg = _cfg(N=64, epsilon=0.02, T_final=2.0, boundary="float", output_stride=64)
+        x = np.linspace(0.0, 1.0, 65)
+        n0 = sh.project_neutral(D(x) * (1.0 + 0.2 * np.sin(3.0 * np.pi * x)), D, 1.0 / 64)
+        args, kwargs = (cfg, D, n0, 0.3 * np.sin(np.pi * x) ** 2), {"mollify": False}
+    else:
+        # the density of test_kernel_and_numpy_runs_blow_up_alike, whose
+        # clamps exceed the budget on step 216, a snapshot step at stride 8
+        cfg = _cfg(epsilon=1e-4, N=200, T_final=2.0, boundary="float", n_floor=1e-3,
+                   output_stride=8)
+        x = np.linspace(0.0, 1.0, 201)
+        n0 = sh.project_neutral(1.0 + 0.99 * np.sin(2.0 * np.pi * x), D, 1.0 / 200)
+        args, kwargs = (cfg, D, n0, np.zeros(201)), {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the mollifier's width
+        kernel, numpy_step = _run_on_both_paths(*args, **kwargs)
     if case == "clamping":
         # the clamps soon exceed the budget; the partial trajectory counts them
         assert kernel[0].trajectory.clamp_counts.sum() > 0
+    elif case == "growing-records":
+        assert kernel[0].n_steps > 2 * solver._RECORDS
+    elif case == "budget-on-a-snapshot":
+        assert "budget" in str(kernel[0])
+        traj = kernel[0].trajectory
+        assert traj.n_steps == 216 and traj.clamp_counts[-1] > 0
+        # the budget is checked before the snapshot, so that step's row is missing
+        assert traj.times[-1] < traj.step_times[-1] == kernel[0].time
     _assert_same_runs(kernel, numpy_step)
+
+
+@pytest.mark.parametrize("scheme", ["central", "rusanov"])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_a_run_makes_one_call_of_each_gas_function_per_step(scheme, forced, monkeypatch):
+    # the benchmark's tracer counts each step's gas calls through these
+    # names of the solver module
+    calls = {"eigenvalues": 0, "pressure": 0}
+    for name in calls:
+        def counted(*args, name=name, function=getattr(solver, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(solver, name, counted)
+    N = 64
+    x = np.linspace(0.0, 1.0, N + 1)
+    cfg = _cfg(N=N, epsilon=0.02, T_final=0.3, scheme=scheme, output_stride=7)
+    n_star, J_star = solver.manufactured_solution()
+    forcing = solver.manufactured_forcing(cfg.model(), cfg.epsilon, x[1:-1]) if forced else None
+    for path in _both_paths():
+        for name in calls:
+            calls[name] = 0
+        traj = solver.run(cfg, D1, n_star(x, 0.0), J_star(x, 0.0), forcing=forcing,
+                          mollify=False)
+        assert traj.n_steps > 20
+        assert calls == {"eigenvalues": traj.n_steps, "pressure": traj.n_steps}, path
 
 
 def _late_inf_forcing(x):
