@@ -1,6 +1,7 @@
 """Build and load the package's C library, _step.c, through ctypes.
 
-The library holds the explicit step that solver.run takes, which also
+The library holds the explicit step that solver.run takes: one entry,
+semihydro_step (solver.step is numpy's on every host), which also
 evaluates the manufactured forcing when its Grid holds a Forcing. Numpy
 takes the powers: the characteristic speeds, which the step reduces to
 its dt and to the Rusanov flux's radius, p(n), and the forcing's e^-t
@@ -165,8 +166,6 @@ class Forcing(ctypes.Structure):
 _SIGNATURES = {
     # (grid): its inputs and the run's books are fields of the grid
     "semihydro_step": (ctypes.c_int, [ctypes.POINTER(Grid)]),
-    # (grid, dt)
-    "semihydro_advance": (ctypes.c_int, [ctypes.POINTER(Grid), ctypes.c_double]),
     # (a, n)
     "semihydro_sum": (ctypes.c_double, [ctypes.c_void_p, ctypes.c_long]),
     # (N, N0, d2, c, ex, floor, cap, Nt, Et, at)

@@ -16,19 +16,18 @@
 
    semihydro_step is one step of solver.run: it reduces the characteristic
    speeds to solver._dt's dt, applies the run's last-step rule, advances
-   the state by that dt as semihydro_advance does, and sums the new
-   state's trapezoid mass as np.sum does, in one call. The state lives in
-   the grid's two buffer pairs: a step reads pair g->k and writes the
-   other. The step also keeps the run's books in the grid, so that after
-   an ordinary step the caller only takes the next one: it flips g->k,
-   advances the clock g->t, counts the step in g->steps and writes its
-   time, mass and clamp count into the records that the grid points at.
-   Its status names what the caller must act on: a blowup, a step that
-   clamped, a snapshot due (every g->stride steps, and the last), or
-   records that are full. Its ctypes call converts no argument.
-   semihydro_advance is the step by a given dt, solver._advance, and
-   keeps no books.
-   Neither takes a power: the caller passes the speeds lam1 and lam2 and
+   the state by that dt as solver._advance does (advance, which the
+   library does not export), and sums the new state's trapezoid mass as
+   np.sum does, in one call. The state lives in the grid's two buffer
+   pairs: a step reads pair g->k and writes the other. The step also keeps
+   the run's books in the grid, so that after an ordinary step the caller
+   only takes the next one: it flips g->k, advances the clock g->t, counts
+   the step in g->steps and writes its time, mass and clamp count into the
+   records that the grid points at. Its status names what the caller must
+   act on: a blowup, a step that clamped, a snapshot due (every g->stride
+   steps, and the last), or records that are full. Its ctypes call
+   converts no argument.
+   It takes no power: the caller passes the speeds lam1 and lam2 and
    p(n), computed by numpy; the Rusanov flux takes its radius from the
    speeds. So the run's loop stays in Python, one call per step: a loop
    over a whole stride between snapshots would have to take the powers in
@@ -274,7 +273,7 @@ double semihydro_sum(const double *a, long n)
    the trapezoid mass of nn into g->mass. Returns STEP_OK, with the
    clamped cells in g->count, or the blowup and its cell. Kept out of
    line: its four arrays are restrict parameters here, while in
-   semihydro_advance they are offsets into the one array g->state. Its
+   semihydro_step they are offsets into the one array g->state. Its
    loops are the step's work, so it is the function built twice
    (STEP_CLONES). */
 static STEP_CLONES __attribute__((noinline)) int
@@ -379,23 +378,6 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
     return STEP_OK;
 }
 
-/* semihydro_advance: the step by dt from the state in buffer pair g->k
-   into the other pair; see advance. With g->forcing set, the forcing at
-   g->et, with the power g->pw (NULL at gamma = 2), is evaluated into
-   g->fn and g->fJ first. The Rusanov flux reads the speeds g->lam1 and
-   g->lam2 of the state. */
-int semihydro_advance(struct step_grid *g, double dt)
-{
-    const long size = g->N + 1;
-    double *src = g->state + 2 * size * g->k, *dst = g->state + 2 * size * (1 - g->k);
-
-    if (g->forcing) {
-        semihydro_forcing_n(g->forcing, g->et, g->fn);
-        semihydro_forcing_J(g->forcing, g->et, g->pw, g->fJ);
-    }
-    return advance(g, src, src + size, dst, dst + size, dt);
-}
-
 /* semihydro_step: a step of solver.run's loop from t = g->t toward
    T = g->T, from the state in buffer pair g->k into the other pair. Its
    dt is solver._dt's, from the speeds in g->lam1 and g->lam2:
@@ -408,8 +390,11 @@ int semihydro_advance(struct step_grid *g, double dt)
    larger (smaller). Each reduction runs two accumulators, on the even and
    the odd nodes, so that consecutive comparisons do not wait for each
    other; without NaN the extreme value is the same. A step that would
-   stop within 1e-13 of T ends on it: dt = T - t. g->dt receives dt; then
-   the step is semihydro_advance's.
+   stop within 1e-13 of T ends on it: dt = T - t. g->dt receives dt.
+   With g->forcing set, the forcing at g->et, with the power g->pw (NULL
+   at gamma = 2), is evaluated into g->fn and g->fJ; then advance takes
+   the step by dt. The Rusanov flux reads the speeds g->lam1 and g->lam2
+   of the state.
 
    A blowup returns its status with the grid's clock as it was. Otherwise
    the step keeps the run's books: g->k names the new pair, g->t becomes
@@ -424,6 +409,8 @@ int semihydro_step(struct step_grid *g)
     const double t = g->t, T = g->T;
     const double *restrict lam1 = g->lam1, *restrict lam2 = g->lam2;
     const double dx = g->dx;
+    const long size = N + 1;
+    double *src = g->state + 2 * size * g->k, *dst = g->state + 2 * size * (1 - g->k);
     double hi0 = lam2[0], hi1 = lam2[0], lo0 = lam1[0], lo1 = lam1[0];
     double hi, lo, speed, dt, bound;
     int nan_hi = isnan(lam2[0]), nan_lo = isnan(lam1[0]), last, status;
@@ -457,7 +444,11 @@ int semihydro_step(struct step_grid *g)
     if (last)
         dt = T - t;
     g->dt = dt;
-    status = semihydro_advance(g, dt);
+    if (g->forcing) {
+        semihydro_forcing_n(g->forcing, g->et, g->fn);
+        semihydro_forcing_J(g->forcing, g->et, g->pw, g->fJ);
+    }
+    status = advance(g, src, src + size, dst, dst + size, dt);
     if (status)
         return status;
 

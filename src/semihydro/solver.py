@@ -41,7 +41,9 @@ may drop. On x86-64 with glibc the library holds two copies of the
 step's loops, for AVX2 and for the baseline, and the loader picks one by
 the CPU, with the same bits. Without a compiler, or if the build or its
 cache fails, the step is _dt and _advance, in numpy, at a few times the
-cost per step, and the same loop writes the same records.
+cost per step, and the same loop writes the same records. The public
+single step, step, is _advance in numpy on every host, with or without
+the library: run is the one caller of the C step.
 
 The manufactured forcing of the mms checks is evaluated inside that C
 call. Given manufactured_forcing's pair on its N - 1 interior nodes, a
@@ -57,8 +59,8 @@ produces equals, to the last bit, what the plain expressions give (E by
 scipy's cumulative_trapezoid, the mass by np.trapezoid, the max speed as
 max|lambda| over both families, and the stencils exactly as the comments
 in _rhs spell them). The numpy step writes each stencil as one expression
-in the order of semihydro_advance's lines, and divisions stay divisions. The
-C step does that arithmetic on doubles, built at -O3 with
+in the order of the lines of _step.c's advance, and divisions stay
+divisions. The C step does that arithmetic on doubles, built at -O3 with
 -ffp-contract=off and without -ffast-math, so that the compiler neither
 reassociates nor fuses into a multiply-add, and its vector loops give the
 scalar bits. It takes no power itself: the speeds, p(n), exp(-t) and,
@@ -67,8 +69,8 @@ t + dt is Python's addition of two doubles. It sums the mass's trapezoid
 terms in np.sum's pairwise order (8 accumulators over blocks of at most
 128 terms, longer ranges split in two at a multiple of 8), so the mass
 keeps np.trapezoid's bits.
-tests/test_solver.py checks both paths against a plain copy of the step,
-of dt and of the forcing, and against each other.
+tests/test_solver.py checks both paths, and step, against a plain copy of
+the step, of dt and of the forcing, and against each other.
 Between hosts the bits may differ for gamma != 2: numpy's SIMD power
 routine may round n**gamma differently on another CPU. At gamma = 2 the
 powers (n**2.0, n**0.5) are exact, and CI's byte comparisons between runs
@@ -92,7 +94,7 @@ from typing import Optional
 import numpy as np
 
 from .field import DopingProfile, _efield, project_neutral
-from .gas import GasModel, _speeds, eigenvalues, pressure
+from .gas import GasModel, eigenvalues, pressure
 from . import _kernel
 
 # _advance takes E through this module-level name, so a wrapper bound to it
@@ -304,7 +306,8 @@ def _rhs(n, J, E, t, m, cfg, dx, forcing):
     forcing, if given, is a pair (f_n, f_J) of functions of t that return
     the N-1 interior values; the -J relaxation is the last term of rhs_J.
     The steady solver in the stationary module evaluates the same stencil.
-    Each expression is semihydro_advance's, operand for operand: the same bits.
+    Each expression is that of _step.c's advance, operand for operand: the
+    same bits.
     """
     eps = cfg.epsilon
     f2 = J * J / n + pressure(m, n)
@@ -419,11 +422,11 @@ class _KernelStep(_Records):
     library loads.
 
     The state alternates between two pairs of preallocated buffers, and
-    the arrays returned are overwritten by the step after next. Numpy's
+    the arrays march yields are overwritten by the step after next. Numpy's
     powers are the two gas calls, the speeds from eigenvalues and p(n),
     copied into buffers of their own; the Rusanov flux takes its radius
-    from the speeds. In march, semihydro_step also keeps the run's books
-    in the grid: the pair that holds the state, t, the step count and the
+    from the speeds. semihydro_step also keeps the run's books in the
+    grid: the pair that holds the state, t, the step count and the
     records, so Python acts only on the events its status reports.
     manufactured_forcing's pair on N - 1 points of doubles the kernel
     evaluates itself, from e^-t and, at gamma != 2, the power
@@ -436,7 +439,6 @@ class _KernelStep(_Records):
         N = cfg.N
         self._lib = lib
         self._m = m
-        self._rusanov = cfg.scheme == "rusanov"
         self._forcing = forcing
         super().__init__(dx)
         # every array the kernel reads or writes, kept alive here
@@ -470,7 +472,7 @@ class _KernelStep(_Records):
                                None if self._pw is None else self._pw.ctypes.data)
             self._fill = self._fill_library
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
-                                  self._rusanov, cfg.boundary == "float",
+                                  cfg.scheme == "rusanov", cfg.boundary == "float",
                                   *(a.ctypes.data for a in (self._state, self._d, self._p,
                                                             self._lam1, self._lam2)),
                                   fn, fJ, *library_forcing, *(a.ctypes.data for a in scratch),
@@ -493,17 +495,6 @@ class _KernelStep(_Records):
         super()._grow()
         self._point_records()
 
-    def _load(self, n, J):
-        """The buffer pair k that holds the state (n, J): 1 if it is pair
-        1, else 0, copied in unless it is already there."""
-        (n0, J0), (n1, J1) = self._pairs
-        if n is n1 and J is J1:
-            return 1
-        if n is not n0 or J is not J0:
-            n0[...] = n
-            J0[...] = J
-        return 0
-
     def _fill_library(self, t):
         """The numpy inputs of the library's forcing at time t: e^-t and its
         power, if any; f_J's numpy operations, as its closure takes them."""
@@ -525,29 +516,14 @@ class _KernelStep(_Records):
             raise _nonfinite(cell, self._dx, t_new)
         raise _vacuum(cell, self._pairs[1 - self._grid.k][0][cell], self._dx, t_new)
 
-    def advance(self, n, J, t, dt):
-        k = self._load(n, J)
-        n, J = self._pairs[k]
-        self._p[...] = pressure(self._m, n)
-        if self._fill is not None:
-            self._fill(t)
-        if self._rusanov:
-            # the radius's speeds without eigenvalues' positivity check,
-            # which numpy's _advance does not make either
-            self._lam1[...], self._lam2[...] = _speeds(self._m, n, J)
-        grid = self._grid
-        grid.k = k
-        status = self._lib.semihydro_advance(grid, dt)
-        if status:
-            self._outcome(status, t + dt)
-        return (*self._pairs[1 - k], grid.count, grid.mass)
-
     def march(self, n, J, t, T, stride):
         grid = self._grid
         self._first(n, t)
         if not t < T - 1e-13:
             return
-        grid.k = self._load(n, J)
+        self._state[0] = n
+        self._state[1] = J
+        grid.k = 0
         grid.t, grid.T, grid.stride = t, T, stride
         m, pairs, fill = self._m, self._pairs, self._fill
         lam1, lam2, p = self._lam1, self._lam2, self._p
@@ -584,10 +560,6 @@ class _NumpyStep(_Records):
         self._args = (m, cfg, d_grid, dx, bvals, forcing)
         self.steps = 0
 
-    def advance(self, n, J, t, dt):
-        n, J, clamped = _advance(n, J, t, dt, *self._args)
-        return n, J, clamped, float(np.trapezoid(n, dx=self._dx))
-
     def march(self, n, J, t, T, stride):
         m, cfg, _, dx, _, _ = self._args
         self._first(n, t)
@@ -597,10 +569,11 @@ class _NumpyStep(_Records):
             last = t + dt >= T - 1e-13
             if last:
                 dt = T - t
-            n, J, clamped, mass = self.advance(n, J, t, dt)
+            n, J, clamped = _advance(n, J, t, dt, *self._args)
             t = T if last else t + dt
             self.steps = k = self.steps + 1
-            self._times[k], self._masses[k], self._clamps[k - 1] = t, mass, clamped
+            self._times[k], self._masses[k], self._clamps[k - 1] = (
+                t, np.trapezoid(n, dx=dx), clamped)
             if k == self._clamps.size:
                 self._grow()
             due = last or k % stride == 0
@@ -613,7 +586,6 @@ def _stepper(m, cfg, d_grid, dx, bvals, forcing):
     _dt and _advance. Both give the same bits and raise the same
     BlowupError. The stepper has:
 
-    - advance(n, J, t, dt) -> (n, J, clamped_cells, mass), the step by dt;
     - march(n, J, t, T, stride), run's loop: a generator that steps from
       (n, J) at time t toward T_final = T, each step by _dt's dt, or by
       T - t on the last, when t + dt would stop within 1e-13 of T. It
@@ -636,18 +608,23 @@ def _stepper(m, cfg, d_grid, dx, bvals, forcing):
 def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float) -> State:
     """Advance a single explicit step and return the new State.
 
-    The caller is responsible for dt <= cfl_dt. Dirichlet walls hold the
-    state's own endpoint densities; J is zeroed at both walls either way.
-    Raises ValueError unless n and J each have N + 1 nodes.
+    The step is numpy's _advance on every host, the bits of a step of
+    run. The caller is responsible for dt <= cfl_dt. Dirichlet walls hold
+    the state's own endpoint densities; J is zeroed at both walls either
+    way. Raises ValueError unless n and J each have N + 1 nodes. Like run,
+    the step ignores numpy's floating-point warnings: a state that turns
+    non-finite raises a BlowupError that names the cell.
     """
     if np.shape(state.n) != (cfg.N + 1,) or np.shape(state.J) != (cfg.N + 1,):
         raise ValueError(f"the state must have {cfg.N + 1} nodes")
     dx = 1.0 / cfg.N
     d_grid = D(np.linspace(0.0, 1.0, cfg.N + 1))
-    bvals = (float(state.n[0]), float(state.n[-1]))
-    stepper = _stepper(cfg.model(), cfg, d_grid, dx, bvals, None)
-    n, J, _, _ = stepper.advance(state.n, state.J, state.t, dt)
-    return State(state.t + dt, n, J, _efield(n - d_grid, dx))
+    n = np.asarray(state.n, dtype=float)
+    J = np.asarray(state.J, dtype=float)
+    with np.errstate(all="ignore"):
+        n, J, _ = _advance(n, J, state.t, dt, cfg.model(), cfg, d_grid, dx,
+                           (n.item(0), n.item(-1)), None)
+        return State(state.t + dt, n, J, _efield(n - d_grid, dx))
 
 
 def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,

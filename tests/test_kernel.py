@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -196,6 +197,22 @@ def test_load_builds_the_source_as_imported(tmp_path):
     # no temporary file
     (built,) = proc.stdout.split()
     assert built == os.path.basename(_kernel._library())
+
+
+def test_signatures_name_exactly_the_functions_the_source_exports():
+    # the offline twin of CI's nm diff: _SIGNATURES declares each function
+    # named semihydro_* that _step.c defines without static, and no other
+    source = re.sub(rb"/\*.*?\*/", b"", _kernel._SOURCE_BYTES, flags=re.S)
+    static = {}
+    for match in re.finditer(rb"\b(semihydro_\w+)\s*\([^()]*\)\s*\{", source):
+        # the declaration specifiers: back to the end of the last statement
+        start = max(source.rfind(b";", 0, match.start()), source.rfind(b"}", 0, match.start()))
+        static[match[1].decode()] = re.search(rb"\bstatic\b", source[start + 1:match.start()])
+    assert {"semihydro_forcing_n", "semihydro_forcing_J"} <= {
+        name for name, found in static.items() if found}
+    exported = {name for name, found in static.items() if not found}
+    assert exported == set(_kernel._SIGNATURES) == {
+        "semihydro_step", "semihydro_sum", "semihydro_shoot", "semihydro_band_solve"}
 
 
 CLONES = '#define STEP_CLONES __attribute__((target_clones("avx2", "default")))'
