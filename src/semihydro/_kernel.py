@@ -2,10 +2,10 @@
 
 The library holds the explicit step that solver.run takes: one entry,
 semihydro_step (solver.step is numpy's on every host), which also
-evaluates the manufactured forcing when its Grid holds a Forcing. Numpy
-takes the powers: the characteristic speeds, which the step reduces to
-its dt and to the Rusanov flux's radius, p(n), and the forcing's e^-t
-and, at gamma != 2, its power (1 + b_n e^-t)**(gamma - 1). The step
+evaluates the manufactured forcing at gamma = 2 when its Grid holds a
+Forcing. Numpy takes the powers: the characteristic speeds, which the
+step reduces to its dt and to the Rusanov flux's radius, p(n), and the
+forcing's e^-t; at gamma = 2 the forcing's power is its base. The step
 keeps the state in two buffer pairs of its Grid and keeps the run's
 books there too: the clock t, the step count and the records of each
 step's time, mass and clamp count, arrays the Grid points at. Its
@@ -122,11 +122,9 @@ class Grid(ctypes.Structure):
     The caller fills p = p(n) and the speeds lam1, lam2, numpy's powers;
     the Rusanov flux takes its radius from the speeds. forcing is the
     address of a Forcing, or None: with it set, the step evaluates
-    manufactured_forcing's terms itself into the buffers fn and fJ, at
-    e^-t = et, set by the caller, and with the power
-    (1 + b_n et)**(gamma - 1): the caller's buffer pw, or None at
-    gamma = 2. Without it, fn and fJ hold what the caller put there, or
-    are None for an unforced step.
+    manufactured_forcing's terms at gamma = 2 itself into the buffers fn
+    and fJ, at e^-t = et, set by the caller. Without it, fn and fJ hold
+    what the caller put there, or are None for an unforced step.
 
     semihydro_step advances k, t and steps itself and writes each step's
     time, mass and clamp count into the records times, masses (cap + 1
@@ -140,7 +138,7 @@ class Grid(ctypes.Structure):
                 *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
                   for name in ("state", "d", "p", "lam1", "lam2", "fn", "fJ",
-                               "forcing", "pw", "E", "f2", "r", "h1", "h2", "terms")),
+                               "forcing", "E", "f2", "r", "h1", "h2", "terms")),
                 ("k", ctypes.c_int),
                 *((name, ctypes.c_double) for name in ("t", "T", "et", "dt", "mass")),
                 *((name, ctypes.c_long) for name in ("count", "stride", "steps", "cap")),
@@ -154,7 +152,8 @@ NONFINITE, VACUUM, CLAMPED, SNAPSHOT, LAST, FULL = 1, 2, 4, 8, 16, 32
 
 class Forcing(ctypes.Structure):
     """struct forcing_grid of _step.c: the x-only factors and constants of
-    manufactured_forcing's pair, which solver._KernelStep builds."""
+    manufactured_forcing's pair at gamma = 2, which solver._KernelStep
+    builds."""
 
     _fields_ = [("size", ctypes.c_long),
                 *((name, ctypes.c_double) for name in ("eps", "two_eps", "two_pi", "p0_gamma")),

@@ -39,13 +39,13 @@
    pairwise summation, whose order the mass sum keeps.
 
    With g->forcing set, the step first evaluates the forcing of
-   solver.manufactured_forcing into g->fn and g->fJ (semihydro_forcing_n
-   and _J, which the library does not export), from e^-t, which numpy
-   computes into g->et, and the power (1 + b_n e^-t)**(gamma - 1), which
-   numpy computes into g->pw, or which is n itself where g->pw is NULL
-   (gamma = 2). A forced step of the mms runs is one C call, as an
-   unforced one is. Any other forcing the caller evaluates into g->fn and
-   g->fJ.
+   solver.manufactured_forcing at gamma = 2 into g->fn and g->fJ
+   (semihydro_forcing_n and _J, which the library does not export), from
+   e^-t, which numpy computes into g->et. At gamma = 2 the forcing's power
+   (1 + b_n e^-t)**(gamma - 1) is its base n, as numpy gives it, so the
+   loops take no power. A forced step of the mms runs is one C call, as
+   an unforced one is. Any other forcing, the same pair at another gamma
+   among them, the caller evaluates into g->fn and g->fJ.
 
    semihydro_shoot is one shooting trial of stationary._integrate. Its
    powers are libm's pow, the function CPython's float.__pow__ calls; a
@@ -105,12 +105,9 @@ static void semihydro_forcing_n(const struct forcing_grid *f, double et, double 
         out[i] = a_t[i] * et + c * a_x[i] - eps * (a_xx[i] * et);
 }
 
-/* f_J at et = e^-t, with the power (1 + b_n et)**(gamma - 1) on the
-   points: pw[i], or n itself if exact. exact is a constant in each
-   caller, so each inlined copy runs without a branch. */
-static inline __attribute__((always_inline)) void
-forcing_J(const struct forcing_grid *f, double et, const double *pw, double *out,
-          const int exact)
+/* f_J at et = e^-t and gamma = 2, where the power (1 + b_n et)**(gamma - 1)
+   is n**1.0, which numpy gives as n bit for bit */
+static void semihydro_forcing_J(const struct forcing_grid *f, double et, double *out)
 {
     const long size = f->size;
     const double eps = f->eps, two_eps = f->two_eps, two_pi = f->two_pi;
@@ -129,22 +126,10 @@ forcing_J(const struct forcing_grid *f, double et, const double *pw, double *out
         const double J_xx = c * b_Jxx[i];
         const double E = e4 * b_E[i] / two_pi;
         const double conv_x = (2.0 * J * J_x * n - J * J * n_x) / (n * n);
-        const double p_x = p0_gamma * (exact ? n : pw[i]) * n_x;
+        const double p_x = p0_gamma * n * n_x;
         /* J_t + (J^2/n + p)_x - eps J_xx - nE + J + 2 eps n_x */
         out[i] = J_t + conv_x + p_x - eps * J_xx - n * E + J + two_eps * n_x;
     }
-}
-
-/* f_J at et = e^-t, with pw = (1 + b_n et)**(gamma - 1) on the points, or
-   NULL at gamma = 2, where the power is n**1.0, which numpy gives as n
-   bit for bit */
-static void semihydro_forcing_J(const struct forcing_grid *f, double et, const double *pw,
-                                double *out)
-{
-    if (pw)
-        forcing_J(f, et, pw, out, 0);
-    else
-        forcing_J(f, et, pw, out, 1);
 }
 
 /* Mirrored field by field by _kernel.Grid. */
@@ -160,8 +145,6 @@ struct step_grid {
     const double *lam1, *lam2;  /* the characteristic speeds on the nodes */
     double *fn, *fJ;            /* forcing on the N - 1 interior nodes, or NULL */
     const struct forcing_grid *forcing;  /* evaluated into fn, fJ by the step, or NULL */
-    const double *pw;           /* with forcing: (1 + b_n et)**(gamma - 1) on its
-                                   points, or NULL at gamma = 2 */
     double *E, *f2, *r, *h1, *h2;   /* scratch, N + 1 each */
     double *terms;              /* scratch: the N trapezoid mass terms of nn */
     int k;                      /* the buffer pair (0 or 1) that holds the state */
@@ -391,10 +374,9 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
    the odd nodes, so that consecutive comparisons do not wait for each
    other; without NaN the extreme value is the same. A step that would
    stop within 1e-13 of T ends on it: dt = T - t. g->dt receives dt.
-   With g->forcing set, the forcing at g->et, with the power g->pw (NULL
-   at gamma = 2), is evaluated into g->fn and g->fJ; then advance takes
-   the step by dt. The Rusanov flux reads the speeds g->lam1 and g->lam2
-   of the state.
+   With g->forcing set, the gamma = 2 forcing at g->et is evaluated into
+   g->fn and g->fJ; then advance takes the step by dt. The Rusanov flux
+   reads the speeds g->lam1 and g->lam2 of the state.
 
    A blowup returns its status with the grid's clock as it was. Otherwise
    the step keeps the run's books: g->k names the new pair, g->t becomes
@@ -446,7 +428,7 @@ int semihydro_step(struct step_grid *g)
     g->dt = dt;
     if (g->forcing) {
         semihydro_forcing_n(g->forcing, g->et, g->fn);
-        semihydro_forcing_J(g->forcing, g->et, g->pw, g->fJ);
+        semihydro_forcing_J(g->forcing, g->et, g->fJ);
     }
     status = advance(g, src, src + size, dst, dst + size, dt);
     if (status)

@@ -46,13 +46,14 @@ single step, step, is _advance in numpy on every host, with or without
 the library: run is the one caller of the C step.
 
 The manufactured forcing of the mms checks is evaluated inside that C
-call. Given manufactured_forcing's pair on its N - 1 interior nodes, a
-step takes e^-t in numpy into the grid and, at gamma != 2, the power
-(1 + b_n e^-t)**(gamma - 1) too, and semihydro_step runs the forcing's
-loops into its buffers before its interior loop. Any other forcing
-(closures of the caller's, or the same pair wrapped in a plain tuple of
+call at gamma = 2, the gamma of every mms config, where its power
+(1 + b_n e^-t)**(gamma - 1) is its base. Given manufactured_forcing's
+pair on its N - 1 interior nodes, a step takes e^-t in numpy into the
+grid, and semihydro_step runs the forcing's loops into its buffers before
+its interior loop. Any other forcing (the same pair at another gamma,
+closures of the caller's, or the pair wrapped in a plain tuple of
 functions), and every forcing without the library, is called from Python
-on each step.
+on each step, and the C step copies its values.
 
 Both paths keep one bit-identity contract, on one host: every array a run
 produces equals, to the last bit, what the plain expressions give (E by
@@ -63,12 +64,11 @@ in the order of the lines of _step.c's advance, and divisions stay
 divisions. The C step does that arithmetic on doubles, built at -O3 with
 -ffp-contract=off and without -ffast-math, so that the compiler neither
 reassociates nor fuses into a multiply-add, and its vector loops give the
-scalar bits. It takes no power itself: the speeds, p(n), exp(-t) and,
-at gamma != 2, the forcing's power still come from numpy. Its clock
-t + dt is Python's addition of two doubles. It sums the mass's trapezoid
-terms in np.sum's pairwise order (8 accumulators over blocks of at most
-128 terms, longer ranges split in two at a multiple of 8), so the mass
-keeps np.trapezoid's bits.
+scalar bits. It takes no power itself: the speeds, p(n) and exp(-t)
+come from numpy. Its clock t + dt is Python's addition of two doubles.
+It sums the mass's trapezoid terms in np.sum's pairwise order (8
+accumulators over blocks of at most 128 terms, longer ranges split in
+two at a multiple of 8), so the mass keeps np.trapezoid's bits.
 tests/test_solver.py checks both paths, and step, against a plain copy of
 the step, of dt and of the forcing, and against each other.
 Between hosts the bits may differ for gamma != 2: numpy's SIMD power
@@ -428,11 +428,11 @@ class _KernelStep(_Records):
     from the speeds. semihydro_step also keeps the run's books in the
     grid: the pair that holds the state, t, the step count and the
     records, so Python acts only on the events its status reports.
-    manufactured_forcing's pair on N - 1 points of doubles the kernel
-    evaluates itself, from e^-t and, at gamma != 2, the power
-    (1 + b_n e^-t)**(gamma - 1) that numpy takes into the grid. Any other
-    forcing's closures are called and their values copied into the
-    forcing buffers.
+    manufactured_forcing's pair at gamma = 2 on N - 1 points of doubles
+    the kernel evaluates itself, from e^-t, which numpy takes into the
+    grid. Any other forcing's closures, the same pair's at another gamma
+    among them, are called and their values copied into the forcing
+    buffers.
     """
 
     def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
@@ -450,32 +450,25 @@ class _KernelStep(_Records):
         self._terms = np.empty(N)
         fn, fJ = (a.ctypes.data for a in self._f) if forcing is not None else (None, None)
         # a forcing the kernel evaluates: the struct of its constants and of
-        # its factors' addresses (self._forcing keeps the arrays alive), and
-        # the buffer of its power (1 + b_n e^-t)**(gamma - 1), which numpy
-        # takes because its SIMD power need not round as libm's pow does. At
-        # gamma = 2 the power is n**1.0, which numpy gives as n bit for bit,
-        # so the kernel uses its own n and there is no buffer.
-        self._forcing_grid = self._pw = None
-        library_forcing = (None, None)
+        # its factors' addresses (self._forcing keeps the arrays alive). Only
+        # at gamma = 2, where the power (1 + b_n e^-t)**(gamma - 1) is n**1.0,
+        # which numpy gives as n bit for bit, so the kernel takes no power;
+        # at any other gamma the closures run, with numpy's power.
+        self._forcing_grid = library_forcing = None
         self._fill = None if forcing is None else self._fill_closures
-        if isinstance(forcing, _ManufacturedForcing) and all(
+        if isinstance(forcing, _ManufacturedForcing) and forcing.m.gamma - 1.0 == 1.0 and all(
                 f.shape == (N - 1,) and f.dtype == np.float64 and f.flags.c_contiguous
                 for f in forcing.factors):
-            fm = forcing.m
             self._forcing_grid = _kernel.Forcing(N - 1, forcing.eps, 2.0 * forcing.eps, 2.0 * np.pi,
-                                                 fm.p0 * fm.gamma,
+                                                 forcing.m.p0 * forcing.m.gamma,
                                                  *(f.ctypes.data for f in forcing.factors))
-            g1 = fm.gamma - 1.0
-            if g1 != 1.0:
-                self._b_n, self._g1, self._pw = forcing.factors[3], g1, np.empty(N - 1)
-            library_forcing = (ctypes.addressof(self._forcing_grid),
-                               None if self._pw is None else self._pw.ctypes.data)
+            library_forcing = ctypes.addressof(self._forcing_grid)
             self._fill = self._fill_library
         self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
                                   cfg.scheme == "rusanov", cfg.boundary == "float",
                                   *(a.ctypes.data for a in (self._state, self._d, self._p,
                                                             self._lam1, self._lam2)),
-                                  fn, fJ, *library_forcing, *(a.ctypes.data for a in scratch),
+                                  fn, fJ, library_forcing, *(a.ctypes.data for a in scratch),
                                   self._terms.ctypes.data)
         self._point_records()
         # (n, J) of buffer pair 0 and of pair 1
@@ -496,11 +489,9 @@ class _KernelStep(_Records):
         self._point_records()
 
     def _fill_library(self, t):
-        """The numpy inputs of the library's forcing at time t: e^-t and its
-        power, if any; f_J's numpy operations, as its closure takes them."""
-        self._grid.et = et = np.exp(-t)
-        if self._pw is not None:
-            self._pw[...] = (1.0 + self._b_n * et) ** self._g1
+        """The numpy input of the library's forcing at time t: e^-t, as the
+        closures take it."""
+        self._grid.et = np.exp(-t)
 
     def _fill_closures(self, t):
         """The closures' values at time t, in the forcing buffers."""
@@ -754,7 +745,7 @@ class _ManufacturedForcing(tuple):
     """The pair (f_n, f_J) of manufactured_forcing, which also carries the
     nine x-only factors on its points (in _kernel.Forcing's order), eps
     and the gas model m: what the C step needs to evaluate the forcing
-    itself."""
+    itself at gamma = 2."""
 
     def __new__(cls, f_n, f_J, factors, eps, m):
         pair = super().__new__(cls, (f_n, f_J))
@@ -776,9 +767,9 @@ def manufactured_forcing(m: GasModel, eps: float, x):
     checks this against a plain copy).
 
     The pair is a _ManufacturedForcing, which also carries the factors,
-    eps and m: the C step, given it on its N - 1 interior nodes, evaluates
-    the forcing with _step.c's loops, which do the closures' arithmetic in
-    the same order, and never calls the closures.
+    eps and m: the C step, given it on its N - 1 interior nodes at
+    gamma = 2, evaluates the forcing with _step.c's loops, which do the
+    closures' arithmetic in the same order, and never calls the closures.
     """
     pi = np.pi
     # In the comments s2, c2, sp, cp are sin(2 pi x), cos(2 pi x),

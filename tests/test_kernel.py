@@ -130,11 +130,13 @@ def test_without_the_kernel_run_falls_back_silently_with_the_same_bytes(
 
 
 def _callers_of_the_library():
-    """A run, the forced runs of mms and a steady solve, each as its module
-    calls it."""
+    """A run, the forced runs of mms (at gamma = 2, the forcing the C step
+    evaluates, and at 1.5, whose closures it copies) and a steady solve,
+    each as its module calls it."""
     _scenario_run()
-    cfg = solver.SolverConfig(gamma=1.5, epsilon=0.02, N=16, T_final=0.01)
-    solver.mms_convergence(cfg, [16, 32, 64])
+    for gamma in (2.0, 1.5):
+        cfg = solver.SolverConfig(gamma=gamma, epsilon=0.02, N=16, T_final=0.01)
+        solver.mms_convergence(cfg, [16, 32, 64])
     stationary.solve_stationary(sh.DopingProfile.sine(1.0, 0.5, 1.0), sh.GasModel(2.0), 64)
 
 
@@ -274,6 +276,10 @@ def _kernel_steps(lib, cfg, forced, steps=25):
 @pytest.mark.parametrize("n_floor", [0.0, 0.8], ids=["vacuum-check", "clamping"])
 def test_both_copies_of_the_c_step_give_the_same_bits(
         single_copy, N, scheme, boundary, gamma, forced, n_floor):
+    """The AVX2 and the baseline copy of the step give the same bytes. The
+    forced-2.0 cases evaluate manufactured_forcing's pair inside the C
+    step; the forced-1.5 and forced-3.0 cases take the closure route, the
+    closures' values copied into the step's forcing buffers."""
     lib = _kernel.load()
     assert lib is not None
     cfg = solver.SolverConfig(gamma=gamma, epsilon=2e-3, N=N, T_final=10.0, n_floor=n_floor,
