@@ -2,8 +2,9 @@
 verification.
 
 Subcommands: run, stationary, sweep-eps, mms. Exit codes: 0 all enabled
-checks passed, 1 a check failed, 2 solver blowup, 3 steady-state bracket
-failure, 4 configuration error, diagnostic refusal or I/O error.
+checks passed, 1 a check failed, 2 solver blowup, 3 steady-state solve
+failure (no bracket, or a stalled Newton solve), 4 configuration error,
+diagnostic refusal or I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .field import project_neutral
 from .io import (SnapshotStream, ensure_dir, fmt, write_reports, write_series_csv,
                  write_snapshots, write_stationary)
 from .solver import BlowupError, initial_data, mms_convergence, mms_resolutions, run
-from .stationary import BracketError, solve_stationary
+from .stationary import (BracketError, NewtonError, solve_stationary,
+                         solve_viscous_stationary)
 
 # Phi below this is rounding noise around the fixed point; a decay fit
 # would regress on noise, so the check passes trivially instead.
@@ -81,19 +83,29 @@ def _record_or_skip(check, name: str, enabled: bool) -> dict:
 
 def _checks(cfg: ExperimentConfig, traj, D, m, dx: float):
     """The six check records, in CHECK_NAMES order, and the series.csv
-    columns of a finished run."""
-    stat = solve_stationary(D, m, cfg.N)
+    columns of a finished run.
 
-    M = cfg.region_M
-    if M is None:
-        M = diag.choose_M(traj.n[0], traj.J[0], D, m, dx)
+    Phi and L are measured against the steady state the run settles on,
+    which their records name: on float walls the scheme's viscous one,
+    whose max-norm gap to the inviscid profile the decay record gives, and
+    the inviscid profile otherwise.
+    """
+    if cfg.boundary == "float":
+        inviscid = solve_stationary(D, m, cfg.N)
+        stat = solve_viscous_stationary(cfg, D, float(traj.mass[0]))
+        reference = "viscous"
+        gap = {"steady_gap": float(np.max(np.abs(stat.N_tilde - inviscid.N_tilde)))}
+    else:
+        stat = solve_stationary(D, m, cfg.N)
+        reference, gap = "inviscid", {}
+
+    M = diag.choose_M(traj.n[0], traj.J[0], D, m, dx)
     region = diag.invariant_region_check(traj, m, M)
     density = diag.density_bound_check(traj, m, M)
 
     # refusals: too-sparse snapshots, too-short fit windows
-    entropy_rec = _record_or_skip(
-        lambda: diag.entropy_residual(traj, m, tol_factor=cfg.entropy_tol_factor),
-        "entropy_residual", "entropy" in cfg.checks)
+    entropy_rec = _record_or_skip(lambda: diag.entropy_residual(traj, m),
+                                  "entropy_residual", "entropy" in cfg.checks)
 
     phi = diag.phi_series(traj, stat)
     times = traj.times
@@ -105,16 +117,16 @@ def _checks(cfg: ExperimentConfig, traj, D, m, dx: float):
         decay_rec = _record_or_skip(lambda: diag.fit_decay_rate(times, phi, cfg.fit_window),
                                     "decay", "decay" in cfg.checks)
 
-    max_n = float(traj.n.max())
-    Lambda = D.d_hi + max_n + cfg.lambda_margin
-    lyap = diag.lyapunov(traj, stat, m, Lambda)
+    lyap = diag.lyapunov(traj, stat, m)
     mass = diag.mass_series(traj)
 
     snap_idx = np.searchsorted(traj.step_times, times)
     columns = [times, traj.mass[snap_idx], phi, lyap.L,
                region.per_snapshot_wbar, region.per_snapshot_zbar]
     records = [region.to_record(), density.to_record(), entropy_rec,
-               decay_rec, lyap.to_record(), mass.to_record()]
+               {**decay_rec, "reference": reference, **gap},
+               {**lyap.to_record(), "reference": reference},
+               mass.to_record()]
     return records, columns
 
 
@@ -351,7 +363,7 @@ def main(argv=None) -> int:
     except BlowupError as exc:
         print(f"solver blowup: {exc}", file=sys.stderr)
         return 2
-    except BracketError as exc:
+    except (BracketError, NewtonError) as exc:
         print(f"stationary solve failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

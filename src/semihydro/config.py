@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional
 
 from .field import DopingProfile
 from .solver import SolverConfig, setting_problems
@@ -25,8 +24,7 @@ _KNOWN_KEYS = {
     "doping": {"profile"},
     "initial": {"n0", "J0"},
     "solver": {f.name for f in fields(SolverConfig)} - {"gamma"},
-    "diagnostics": {"checks", "fit_window", "lambda_margin", "region_M",
-                    "entropy_tol_factor"},
+    "diagnostics": {"checks", "fit_window"},
     "output": {"dir"},
 }
 
@@ -59,19 +57,7 @@ class ExperimentConfig(SolverConfig):
     J0: DopingProfile = DopingProfile.from_spec("constant:0", "initial")
     checks: tuple = CHECK_NAMES
     fit_window: tuple = (2.0, 18.0)
-    lambda_margin: float = 1.5
-    region_M: Optional[float] = None
-    entropy_tol_factor: float = 10.0
     out_dir: str = "out"
-
-
-def parse_initial_spec(text: str) -> DopingProfile:
-    """Initial data in the doping grammar (constant:<v>,
-    sine:<mean>:<amp>:<freq>, table:<path>) without the positivity
-    requirement, since currents may be zero or negative. doping-match
-    names the doping profile itself; parse_config resolves it.
-    """
-    return DopingProfile.from_spec(text, "initial")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -141,7 +127,8 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             errors.append(f"[doping] profile: {exc}")
 
-    # doping-match, for either key and for an absent n0, is the doping profile
+    # doping-match, for either key and for an absent n0, is the doping profile;
+    # any other spec is initial data, which need not be positive
     for key in ("n0", "J0"):
         spec = get("initial", key)
         if spec is None and key == "n0":
@@ -151,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
         values[f"{key}_spec"] = spec
         try:
             values[key] = (values.get("doping") if spec == "doping-match"
-                           else parse_initial_spec(spec))
+                           else DopingProfile.from_spec(spec, "initial"))
         except ValueError as exc:
             errors.append(f"[initial] {key}: {exc}")
 
@@ -176,28 +163,6 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 errors.append(f"[diagnostics] fit_window must be finite lo,hi with lo < hi, "
                               f"got {window_raw!r}")
-
-    for key, least, rule in (("lambda_margin", 1.0, "exceed 1"),
-                             ("entropy_tol_factor", 0.0, "be positive")):
-        value = number("diagnostics", key, float)
-        if value is not None:
-            values[key] = value
-            if value <= least:
-                errors.append(f"[diagnostics] {key} must {rule}, got {value}")
-
-    region_M_raw = get("diagnostics", "region_M")
-    if region_M_raw not in (None, "auto"):
-        try:
-            values["region_M"] = float(region_M_raw)
-        except ValueError:
-            errors.append(f"[diagnostics] region_M must be auto or a number, "
-                          f"got {region_M_raw!r}")
-        else:
-            if not math.isfinite(values["region_M"]):
-                errors.append(f"[diagnostics] region_M = {region_M_raw!r} is not finite")
-            elif values["region_M"] <= 0.0:
-                errors.append(f"[diagnostics] region_M must be auto or a positive number, "
-                              f"got {region_M_raw!r}")
 
     out_dir = get("output", "dir")
     if out_dir is not None:

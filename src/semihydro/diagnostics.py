@@ -163,8 +163,7 @@ class EntropyResidualReport:
 
 
 def entropy_residual(traj, m: GasModel, pair="mechanical",
-                     centers: tuple = (5, 5),
-                     tol_factor: float = 10.0) -> EntropyResidualReport:
+                     centers: tuple = (5, 5)) -> EntropyResidualReport:
     """Weak entropy residuals against a grid of space-time bump tests.
 
     For each nonnegative tensor-product bump psi the residual is
@@ -172,7 +171,7 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
         r(psi) = integral( eta psi_t + q psi_x + eta_J (nE - J) psi )
 
     which the entropy inequality requires to be >= 0 up to discretization,
-    so the check accepts r >= -tol with tol = tol_factor * (dx + dt_mean).
+    so the check accepts r >= -tol with tol = 10 (dx + dt_mean).
     On a run at viscosity eps, r(psi) also carries the viscous part
 
         eps integral( psi U_x . eta''(U) U_x + eta_x psi_x + 2 eta_J n_x psi )
@@ -235,7 +234,7 @@ def entropy_residual(traj, m: GasModel, pair="mechanical",
             per_t[rows] = np.trapezoid(integrand, dx=dx, axis=1)
             residuals[i, j] = np.trapezoid(per_t, x=times)
 
-    tol = tol_factor * (dx + traj.dt_mean)
+    tol = 10.0 * (dx + traj.dt_mean)
     min_res = float(np.min(residuals))
     i, j = np.unravel_index(np.argmin(residuals), residuals.shape)
     worst_center = ((i + 1) * rx, (j + 1) * rt)
@@ -303,7 +302,7 @@ class LyapunovReport:
         }
 
 
-def lyapunov(traj, stat, m: GasModel, Lambda: float,
+def lyapunov(traj, stat, m: GasModel, Lambda: float | None = None,
              increase_tol: float | None = None) -> LyapunovReport:
     """Series of L(t) = integral(Lambda eta* + Lambda y^2/2 + y y_t + y^2/2)
     with eta* the relative entropy about (N_tilde, J_tilde),
@@ -314,13 +313,16 @@ def lyapunov(traj, stat, m: GasModel, Lambda: float,
     linear in the offset and lets L rise once the run is that close.
 
     Requires Lambda > (doping upper bound) + (max observed density) + 1,
-    which makes L comparable to the squared distance from the steady state.
+    which makes L comparable to the squared distance from the steady state;
+    the default is that sum with 1.5 in place of 1.
     Increases beyond `increase_tol` are counted per recorded step; the
     default tolerance is 1e-8 * L(0) plus a tiny absolute guard so the
     count is meaningful when the run starts at the steady state.
     """
     max_n = float(np.max(traj.n))
     required = traj.doping.d_hi + max_n + 1.0
+    if Lambda is None:
+        Lambda = traj.doping.d_hi + max_n + 1.5
     if Lambda <= required:
         raise ValueError(
             f"Lambda = {Lambda} too small: the combined functional needs "

@@ -23,7 +23,9 @@ from semihydro.config import parse_config
 from semihydro.field import DopingProfile
 from semihydro.gas import GasModel
 from semihydro.solver import BlowupError, run
-from semihydro.stationary import BracketError, solve_stationary
+from semihydro.stationary import BracketError, NewtonError, solve_stationary
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 EQUILIBRIUM = """
 [model]
@@ -67,6 +69,12 @@ n_floor = {floor}
 """
 
 
+def _records(out) -> dict:
+    """The reports.ndjson records in out, by name."""
+    lines = (out / "reports.ndjson").read_text().splitlines()
+    return {r["name"]: r for r in map(json.loads, lines)}
+
+
 @pytest.fixture()
 def eq_config(tmp_path):
     p = tmp_path / "eq.ini"
@@ -92,6 +100,11 @@ def test_run_equilibrium_exits_zero(eq_config, tmp_path, capsys):
              for line in (out / "reports.ndjson").read_text().splitlines()]
     assert names == ["invariant_region", "density_bound", "entropy_residual",
                      "decay", "lyapunov", "mass"]
+    # dirichlet walls: Phi and L are measured against the inviscid profile
+    records = _records(out)
+    for name in ("decay", "lyapunov"):
+        assert records[name]["reference"] == "inviscid"
+        assert "steady_gap" not in records[name]
     assert multiprocessing.active_children() == []
 
 
@@ -149,13 +162,40 @@ def test_run_with_sparse_snapshots_is_a_diagnostic_refusal(tmp_path, capsys):
     assert "config error" not in err
 
 
-def test_run_fails_with_tiny_region_m(tmp_path, capsys):
-    p = tmp_path / "bad.ini"
-    p.write_text(EQUILIBRIUM + "\n[diagnostics]\nregion_M = 0.5\n")
-    code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "out")])
+def test_run_fails_when_an_enabled_check_fails(eq_config, monkeypatch, tmp_path, capsys):
+    check = cli.diag.density_bound_check
+    monkeypatch.setattr(cli.diag, "density_bound_check",
+                        lambda *a: dataclasses.replace(check(*a), passed=False))
+    code = cli.main(["run", str(eq_config), "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert "[FAIL] density_bound" in capsys.readouterr().out
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("key, value", [("region_M", "0.5"), ("lambda_margin", "1.5"),
+                                        ("entropy_tol_factor", "10")])
+def test_retired_diagnostics_keys_exit_4_before_any_output(key, value, tmp_path, capsys):
+    # the checks derive M, Lambda and the entropy tolerance from the data
+    p = tmp_path / "retired.ini"
+    p.write_text(EQUILIBRIUM + f"[diagnostics]\n{key} = {value}\n")
+    code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "o")])
+    assert code == 4
+    assert f"unknown key {key!r} in [diagnostics]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_passes_against_the_viscous_steady_state(tmp_path):
+    # float walls: the run settles on the scheme's viscous steady state,
+    # about 9.5e-4 from the inviscid profile at eps = 1e-3
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="mollifier"):
+        code = cli.main(["run", os.path.join(CONFIGS, "scenario_sine.ini"),
+                         "--out-dir", str(out), "--quiet"])
+    assert code == 0
+    records = _records(out)
+    assert records["decay"]["reference"] == records["lyapunov"]["reference"] == "viscous"
+    assert 0.0 < records["decay"]["steady_gap"] <= 10 * 1e-3
+    assert "steady_gap" not in records["lyapunov"]
 
 
 def test_missing_config_exits_4(tmp_path, capsys):
@@ -256,17 +296,26 @@ def test_streamed_snapshots_are_those_write_snapshots_writes(K, cpus, tmp_path,
             == (tmp_path / "expected.ndjson").read_bytes())
 
 
-def test_bracket_failure_maps_to_exit_3(eq_config, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("text, solve, error", [
+    (EQUILIBRIUM, "solve_stationary", BracketError("no sign change", -1.0, -2.0)),
+    (SINE_SMALL, "solve_viscous_stationary", NewtonError("viscous steady Newton stalled")),
+], ids=["bracket", "newton"])
+def test_steady_solve_failure_maps_to_exit_3(text, solve, error, monkeypatch, tmp_path,
+                                             capsys):
+    # dirichlet walls take the inviscid profile, float walls the viscous one
+    p = tmp_path / "run.ini"
+    p.write_text(text)
+
     def fail(*a, **kw):
-        raise BracketError("no sign change", -1.0, -2.0)
-    monkeypatch.setattr(cli, "solve_stationary", fail)
-    code = cli.main(["run", str(eq_config), "--out-dir", str(tmp_path / "o")])
+        raise error
+    monkeypatch.setattr(cli, solve, fail)
+    code = cli.main(["run", str(p), "--out-dir", str(tmp_path / "o")])
     assert code == 3
-    assert "stationary" in capsys.readouterr().err
+    assert f"stationary solve failed: {error}" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     # every snapshot is written, the last partial chunk's too
     monkeypatch.undo()
-    assert cli.main(["run", str(eq_config), "--out-dir", str(tmp_path / "ok"), "--quiet"]) == 0
+    assert cli.main(["run", str(p), "--out-dir", str(tmp_path / "ok"), "--quiet"]) == 0
     snapshots = (tmp_path / "o" / "snapshots.ndjson").read_bytes()
     assert snapshots == (tmp_path / "ok" / "snapshots.ndjson").read_bytes()
     assert len(snapshots.splitlines()) % io.SNAPSHOT_CHUNK != 0
@@ -727,8 +776,6 @@ def test_viscous_solve_imports_no_scipy(kernel, tmp_path):
     # the scenario's viscous steady states in a fresh interpreter: the band
     # LU is the C library's, or numpy's when the library cannot be built
     # (the cache path is a regular file)
-    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "configs")
     env = _src_env()
     if not kernel:
         (tmp_path / "no_cache").write_text("")
@@ -736,7 +783,7 @@ def test_viscous_solve_imports_no_scipy(kernel, tmp_path):
     elif not sys.platform.startswith("linux"):
         pytest.skip("the build is checked on Linux")
     proc = subprocess.run([sys.executable, "-c", _VISCOUS_IMPORTS,
-                           os.path.join(configs, "scenario_sine.ini")],
+                           os.path.join(CONFIGS, "scenario_sine.ini")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [str(kernel), "[]"]
@@ -796,9 +843,7 @@ def test_mms_writes_the_same_bytes_with_a_wrapped_forcing(gamma, tmp_path, monke
     # forcing itself: mms.csv keeps its bytes
     from semihydro import solver
 
-    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "configs")
-    with open(os.path.join(configs, "mms.ini")) as fh:
+    with open(os.path.join(CONFIGS, "mms.ini")) as fh:
         text = fh.read()
     assert "gamma = 2.0\n" in text
     config = tmp_path / "mms.ini"

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semihydro.config import (_KNOWN_KEYS, CHECK_NAMES, ConfigError,
-                              ExperimentConfig, parse_config, parse_initial_spec)
+from semihydro.config import _KNOWN_KEYS, CHECK_NAMES, ConfigError, ExperimentConfig, parse_config
 from semihydro.field import DopingProfile
 from semihydro.solver import SolverConfig, run
 
@@ -43,9 +42,6 @@ output_stride = 25
 [diagnostics]
 checks = region, decay, mass
 fit_window = 2, 18
-lambda_margin = 1.5
-region_M = auto
-entropy_tol_factor = 10
 
 [output]
 dir = results
@@ -74,7 +70,6 @@ def test_full_round_trip():
     assert cfg.output_stride == 25
     assert cfg.checks == ("region", "decay", "mass")
     assert cfg.fit_window == (2.0, 18.0)
-    assert cfg.region_M is None
     assert cfg.out_dir == "results"
 
 
@@ -86,7 +81,6 @@ def test_minimal_config_defaults():
     assert cfg.scheme == "central"
     assert cfg.boundary == "dirichlet"
     assert cfg.checks == CHECK_NAMES
-    assert cfg.lambda_margin == 1.5
     assert cfg.out_dir == "out"
 
 
@@ -161,24 +155,6 @@ def test_diagnostics_validation():
     text = MINIMAL + "\n[diagnostics]\nfit_window = 8, 3\n"
     with pytest.raises(ConfigError, match="lo < hi"):
         parse_config(text)
-    text = MINIMAL + "\n[diagnostics]\nlambda_margin = 0.5\n"
-    with pytest.raises(ConfigError, match="must exceed 1"):
-        parse_config(text)
-    text = MINIMAL + "\n[diagnostics]\nregion_M = big\n"
-    with pytest.raises(ConfigError, match="auto or a number"):
-        parse_config(text)
-    cfg = parse_config(MINIMAL + "\n[diagnostics]\nregion_M = 12\n")
-    assert cfg.region_M == 12.0
-
-
-@pytest.mark.parametrize("value", ["-3", "0", "-0.0"])
-def test_nonpositive_region_M_is_rejected(value):
-    # (1.5 M)**(1/theta) squares a negative M into a bound that may pass
-    text = (CONFIG_DIR / "equilibrium.ini").read_text()
-    with pytest.raises(ConfigError) as exc:
-        parse_config(_with_key("diagnostics", "region_M", value, text))
-    assert exc.value.errors == [
-        f"[diagnostics] region_M must be auto or a positive number, got {value!r}"]
 
 
 def test_syntax_error_is_wrapped():
@@ -193,26 +169,26 @@ def test_inline_comments_allowed():
 
 def test_parse_initial_spec_shapes():
     with pytest.raises(ValueError, match="malformed initial spec"):
-        parse_initial_spec("doping-match")  # parse_config resolves it
-    f = parse_initial_spec("constant:0")
+        DopingProfile.from_spec("doping-match", "initial")  # parse_config resolves it
+    f = DopingProfile.from_spec("constant:0", "initial")
     assert np.all(f(np.linspace(0, 1, 5)) == 0.0)
-    f = parse_initial_spec("constant:-0.3")  # currents may be negative
+    f = DopingProfile.from_spec("constant:-0.3", "initial")  # currents may be negative
     assert f(0.5) == pytest.approx(-0.3)
-    f = parse_initial_spec("sine:1:0.5:1")
+    f = DopingProfile.from_spec("sine:1:0.5:1", "initial")
     assert f(0.25) == pytest.approx(1.5)
     with pytest.raises(ValueError, match="initial spec"):
-        parse_initial_spec("nope:1")
+        DopingProfile.from_spec("nope:1", "initial")
     with pytest.raises(ValueError, match="non-numeric"):
-        parse_initial_spec("constant:x")
+        DopingProfile.from_spec("constant:x", "initial")
 
 
 def test_parse_initial_spec_table(tmp_path):
     p = tmp_path / "n0.csv"
     p.write_text("0.0,1.0\n1.0,2.0\n")
-    f = parse_initial_spec(f"table:{p}")
+    f = DopingProfile.from_spec(f"table:{p}", "initial")
     assert f(0.5) == pytest.approx(1.5)
     with pytest.raises(ValueError, match="cannot read"):
-        parse_initial_spec(f"table:{tmp_path / 'nope.csv'}")
+        DopingProfile.from_spec(f"table:{tmp_path / 'nope.csv'}", "initial")
 
 
 def test_shipped_configs_parse():
@@ -239,9 +215,6 @@ def _with_key(section: str, key: str, value: str, text: str = MINIMAL) -> str:
     ("solver", "T_final", "nan"),
     ("solver", "T_final", "inf"),
     ("solver", "n_floor", "inf"),
-    ("diagnostics", "lambda_margin", "nan"),
-    ("diagnostics", "entropy_tol_factor", "inf"),
-    ("diagnostics", "region_M", "nan"),
     ("diagnostics", "fit_window", "2, inf"),
     ("doping", "profile", "constant:nan"),
     ("doping", "profile", "sine:1:nan:1"),
@@ -288,8 +261,7 @@ def test_parse_config_returns_or_raises_config_error(text):
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
-    for v in (cfg.gamma, cfg.epsilon, cfg.T_final, cfg.cfl_safety, cfg.lambda_margin,
-              cfg.entropy_tol_factor, *cfg.fit_window):
+    for v in (cfg.gamma, cfg.epsilon, cfg.T_final, cfg.cfl_safety, *cfg.fit_window):
         assert math.isfinite(v)
 
 

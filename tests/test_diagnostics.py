@@ -160,6 +160,14 @@ def test_lyapunov_decreases_off_equilibrium(sine_traj, sine_stat):
     assert rep.L[-1] < rep.L[0]
 
 
+def test_lyapunov_default_lambda_is_the_margin_rule(sine_traj, sine_stat):
+    max_n = float(np.max(sine_traj.n))
+    explicit = diag.lyapunov(sine_traj, sine_stat, M2, DSINE.d_hi + max_n + 1.5)
+    default = diag.lyapunov(sine_traj, sine_stat, M2)
+    assert default.Lambda == explicit.Lambda
+    assert np.array_equal(default.L, explicit.L)
+
+
 def test_decay_functional_synthetic_value():
     N = 1000
     x = np.linspace(0.0, 1.0, N + 1)
