@@ -12,7 +12,9 @@ step's time, mass and clamp count, arrays the Grid points at. Its
 status tells the caller when it must act (the STEP_* bits). The mass it
 sums as np.sum does (semihydro_sum).
 The library also holds the shooting trial and the banded Newton solve of
-the stationary module.
+the stationary module, and semihydro_format, which io's writers take for
+the text of their float tables: each value with the bytes of Python's
+"%.17g" % x, without printf for the doubles the program writes.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
@@ -173,6 +175,9 @@ _SIGNATURES = {
                                        ctypes.POINTER(ctypes.c_long)]),
     # (n, kl, ku, ab, b)
     "semihydro_band_solve": (ctypes.c_int, [*[ctypes.c_long] * 3, *[ctypes.c_void_p] * 2]),
+    # (v, rows, cols, out, cap)
+    "semihydro_format": (ctypes.c_long, [ctypes.c_void_p, *[ctypes.c_long] * 2,
+                                         ctypes.c_void_p, ctypes.c_long]),
 }
 
 

@@ -1,6 +1,6 @@
 /* The C library of semihydro: the explicit step of semihydro.solver,
-   with its manufactured forcing, and the two inner loops of
-   semihydro.stationary.
+   with its manufactured forcing, the two inner loops of
+   semihydro.stationary, and the float text of semihydro.io.
 
    Each function does what its Python counterpart does, operation by
    operation, so every double it writes has the bits Python gives: each
@@ -54,12 +54,22 @@
    semihydro_band_solve solves a banded system by LU with partial
    pivoting, as stationary._band_solve_numpy does in numpy.
 
+   semihydro_format writes a table of doubles as the text io writes:
+   each value with the bytes of Python's "%.17g" % x. It forms the 17
+   digits of the doubles the program writes exactly in integer
+   arithmetic, without printf or the locale; it returns -1, and io then
+   formats the table by Python's %, for a non-finite value, or where a
+   rare value that needs snprintf meets a decimal point other than '.'.
+
    Build: cc -o _step.so _step.c -O3 -fPIC -shared -ffp-contract=off -lm
 */
 
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 #if FLT_EVAL_METHOD != 0
 /* wider intermediates (x87) would round twice; the build fails, and the
@@ -572,4 +582,219 @@ int semihydro_band_solve(long n, long kl, long ku, double *ab, double *b)
     }
 #undef A
     return 0;
+}
+
+/* semihydro_format: the rows x cols doubles at v (C order) as text, each
+   value with the bytes of Python's "%.17g" % x, the values of a row
+   joined by ',' and each row ended by '\n', into out, which holds cap
+   bytes. Returns the number of bytes written, or -1 for a non-finite
+   value, a decimal point other than '.' where snprintf is needed, or text
+   that would not fit in cap (FORMAT_CELL bytes a value always do).
+
+   A normal double with 1e-22 <= |x| < 1e17 takes no printf and no
+   locale: with x = m 2^e and k = floor(log10 |x|), D = m 10^(16 - k) 2^e
+   is formed exactly in three 64-bit limbs (10^(16 - k) <= 10^38 fits an
+   unsigned __int128) and rounded to an integer half to even, from a round
+   and a sticky bit; D then holds the 17 significant digits that Python's
+   correctly rounded conversion gives. k is estimated from the binary
+   exponent and the mantissa, which may miss it by one next to a power of
+   ten, so k is corrected while the unrounded D lies outside
+   [10^16, 10^17), and a rounding carry to 10^17 becomes 10^16 at k + 1.
+   The digits are laid out as %g lays them out at precision 17: the
+   exponent form for k < -4 or k >= 17, with a sign and two exponent
+   digits, the fixed form otherwise, trailing zeros and a bare '.'
+   dropped. Any other finite value goes through snprintf("%.17g"), which
+   also rounds correctly, while localeconv() reports '.' as the decimal
+   point; so does every value without __SIZEOF_INT128__. */
+
+/* the longest text of a value, -2.2250738585072014e-308, and its ',' or '\n' */
+enum { FORMAT_CELL = 25 };
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* bits [pos, pos + 64) of the 256-bit number w[0] + w[1] 2^64 + ..., pos < 192 */
+static inline uint64_t limb_bits(const uint64_t *w, int pos)
+{
+    const int i = pos >> 6, o = pos & 63;
+    return o ? (w[i] >> o) | (w[i + 1] << (64 - o)) : w[i];
+}
+
+/* D and k of a normal double 1e-22 <= a < 1e17, a ~ D 10^(k - 16) with
+   D in [10^16, 10^17); 0 if k leaves [-22, 16] (then snprintf runs) */
+static int digits17(double a, const u128 *pow10, uint64_t *D, int *k_out)
+{
+    const uint64_t lo17 = 10000000000000000ULL, hi17 = 100000000000000000ULL;
+    uint64_t bits, m, w[4], q, round, sticky;
+    int e, k, tries;
+
+    memcpy(&bits, &a, sizeof bits);
+    m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    e = (int)((bits >> 52) & 0x7ff) - 1075;             /* a = m 2^e */
+    /* log10 a from log2 a ~ its exponent plus the mantissa's fraction,
+       which is below log2 a by at most 0.086: k is at most one off */
+    k = (int)floor(((double)(e + 52) + (double)(m - (1ULL << 52)) * 0x1p-52 + 0.043)
+                   * 0.30102999566398119521);
+    for (tries = 0; tries < 3; tries++) {
+        const int s = 16 - k;
+        u128 p, lo, hi, mid;
+        if (s < 0 || s > 38)
+            return 0;
+        p = pow10[s];
+        lo = (u128)m * (uint64_t)p;                     /* w = m 10^s */
+        hi = (u128)m * (uint64_t)(p >> 64);
+        mid = (lo >> 64) + (uint64_t)hi;
+        w[0] = (uint64_t)lo;
+        w[1] = (uint64_t)mid;
+        w[2] = (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64);
+        w[3] = 0;
+        round = sticky = 0;
+        if (e >= 0) {
+            /* a >= 2^52, so s <= 2 and w < 2^60; a shift by e <= 4 keeps it in 64 bits */
+            q = w[1] || w[2] || w[0] >> (63 - e) ? hi17 : w[0] << e;
+        } else {
+            const int sh = -e, r = sh - 1;
+            int j;
+            q = limb_bits(w, sh);
+            if (limb_bits(w, sh + 64) || (sh < 64 && limb_bits(w, sh + 128)))
+                q = hi17;                               /* far above 10^17 */
+            round = (w[r >> 6] >> (r & 63)) & 1;
+            sticky = w[r >> 6] & ((1ULL << (r & 63)) - 1);
+            for (j = 0; j < r >> 6; j++)
+                sticky |= w[j];
+        }
+        if (q < lo17) {
+            k--;
+        } else if (q >= hi17) {
+            k++;
+        } else {
+            if (round && (sticky || (q & 1)))
+                q++;                                    /* half to even */
+            if (q == hi17) {
+                q = lo17;
+                k++;
+            }
+            *D = q;
+            *k_out = k;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* x != 0 normal with 1e-22 <= |x| < 1e17: its %.17g text at o; the end */
+static char *format_fast(char *o, double x, uint64_t D, int k)
+{
+    static const char pairs[] =
+        "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+        "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+        "8081828384858687888990919293949596979899";
+    char d[17];
+    int i, nd = 17;
+
+    {
+        /* D = hi 10^8 + lo: 32-bit halves */
+        uint32_t hi = (uint32_t)(D / 100000000), lo = (uint32_t)(D % 100000000);
+        for (i = 16; i > 8; i -= 2) {
+            const uint32_t r = lo % 100;
+            lo /= 100;
+            d[i - 1] = pairs[2 * r];
+            d[i] = pairs[2 * r + 1];
+        }
+        for (; i > 0; i -= 2) {
+            const uint32_t r = hi % 100;
+            hi /= 100;
+            d[i - 1] = pairs[2 * r];
+            d[i] = pairs[2 * r + 1];
+        }
+        d[0] = (char)('0' + hi);
+    }
+    while (d[nd - 1] == '0')
+        nd--;
+    if (signbit(x))
+        *o++ = '-';
+    if (k < -4 || k >= 17) {
+        const int ak = k < 0 ? -k : k;
+        *o++ = d[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        *o++ = (char)('0' + ak / 10);
+        *o++ = (char)('0' + ak % 10);
+    } else if (k >= 0) {
+        memcpy(o, d, k + 1);
+        o += k + 1;
+        if (nd > k + 1) {
+            *o++ = '.';
+            memcpy(o, d + k + 1, nd - k - 1);
+            o += nd - k - 1;
+        }
+    } else {
+        *o++ = '0';
+        *o++ = '.';
+        for (i = 0; i < -k - 1; i++)
+            *o++ = '0';
+        memcpy(o, d, nd);
+        o += nd;
+    }
+    return o;
+}
+#endif
+
+long semihydro_format(const double *v, long rows, long cols, char *out, long cap)
+{
+    char *o = out;
+    const char *const end = out + cap;
+    int point = 0;                                      /* '.' checked */
+    long i, j;
+#ifdef __SIZEOF_INT128__
+    u128 pow10[39];
+
+    pow10[0] = 1;
+    for (i = 1; i < 39; i++)
+        pow10[i] = pow10[i - 1] * 10;
+#endif
+
+    for (i = 0; i < rows; i++) {
+        for (j = 0; j < cols; j++) {
+            const double x = v[i * cols + j];
+            const double a = fabs(x);
+            int n;
+            if (end - o < FORMAT_CELL || !isfinite(x))
+                return -1;
+            if (a == 0.0) {
+                if (signbit(x))
+                    *o++ = '-';
+                *o++ = '0';
+                *o++ = j + 1 < cols ? ',' : '\n';
+                continue;
+            }
+#ifdef __SIZEOF_INT128__
+            if (a >= 1e-22 && a < 1e17) {
+                uint64_t D;
+                int k;
+                if (digits17(a, pow10, &D, &k)) {
+                    o = format_fast(o, x, D, k);
+                    *o++ = j + 1 < cols ? ',' : '\n';
+                    continue;
+                }
+            }
+#endif
+            if (!point) {
+                if (strcmp(localeconv()->decimal_point, ".") != 0)
+                    return -1;
+                point = 1;
+            }
+            n = snprintf(o, (size_t)(end - o), "%.17g", x);
+            if (n < 0 || n >= FORMAT_CELL)
+                return -1;
+            o += n;
+            *o++ = j + 1 < cols ? ',' : '\n';
+        }
+    }
+    return (long)(o - out);
 }

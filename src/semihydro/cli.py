@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+            cfg = parse_config(fh.read(), os.path.dirname(args.config))
     except OSError as exc:
         print(f"config error: cannot read {args.config!r}: {exc}", file=sys.stderr)
         return 4

@@ -60,11 +60,13 @@ class ExperimentConfig(SolverConfig):
     out_dir: str = "out"
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, directory: str = "") -> ExperimentConfig:
     """Parse and validate the INI-style config text.
 
-    Raises ConfigError carrying the full list of problems when anything
-    is unknown, malformed, missing, or out of range.
+    directory is the config file's: a relative `table:` path is taken from
+    it (from the working directory when it is empty). Raises ConfigError
+    carrying the full list of problems when anything is unknown,
+    malformed, missing, or out of range.
     """
     errors: list[str] = []
     # no interpolation: a '%' in a value (say a directory name) is literal
@@ -123,7 +125,8 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("missing required key 'profile' in [doping]")
     else:
         try:
-            values["doping"] = DopingProfile.from_spec(values["doping_spec"])
+            values["doping"] = DopingProfile.from_spec(values["doping_spec"], "doping",
+                                                       directory)
         except ValueError as exc:
             errors.append(f"[doping] profile: {exc}")
 
@@ -138,7 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
         values[f"{key}_spec"] = spec
         try:
             values[key] = (values.get("doping") if spec == "doping-match"
-                           else DopingProfile.from_spec(spec, "initial"))
+                           else DopingProfile.from_spec(spec, "initial", directory))
         except ValueError as exc:
             errors.append(f"[initial] {key}: {exc}")
 

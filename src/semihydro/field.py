@@ -12,6 +12,7 @@ data use the same grammar without the positivity requirement.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +96,14 @@ class DopingProfile:
         return cls.table(data[:, 0], data[:, 1], positive)
 
     @classmethod
-    def from_spec(cls, text: str, what: str = "doping") -> "DopingProfile":
+    def from_spec(cls, text: str, what: str = "doping",
+                  directory: str = "") -> "DopingProfile":
         """Parse `constant:<v>`, `sine:<mean>:<amp>:<freq>`, or `table:<path>`.
 
         `what` names the spec in error messages; only a doping profile must
-        stay positive, initial data may take any finite value."""
+        stay positive, initial data may take any finite value. A relative
+        table path is taken from `directory` (the working directory when
+        it is empty), an absolute one as it is."""
         positive = what == "doping"
         parts = text.strip().split(":")
         kind = parts[0]
@@ -109,7 +113,7 @@ class DopingProfile:
             if kind == "sine" and len(parts) == 4:
                 return cls.sine(float(parts[1]), float(parts[2]), float(parts[3]), positive)
             if kind == "table" and len(parts) == 2:
-                return cls.from_table_file(parts[1], positive)
+                return cls.from_table_file(os.path.join(directory, parts[1]), positive)
         except ValueError as exc:
             # float()'s message; a table file's own error is passed on as it is
             if str(exc).startswith("could not convert"):

@@ -2,10 +2,17 @@
 
 Floats are rendered with %.17g so that identical runs produce
 byte-identical files and values round-trip exactly through text.
-A snapshot line and a CSV row are each formatted by one % operation on
-a format string of %.17g fields, which converts every float as
-"%.17g" % x does; _snapshot_line is the one place a snapshot line is
-made, for the writer process, the caller's tail and library callers.
+
+One byte contract, two paths. Every float table the program writes (the
+snapshots' n, J and E rows, series.csv, sweep.csv and stationary.csv)
+becomes text in _table_text: each value with the bytes of "%.17g" % x,
+the values of a row joined by "," and each row ended by "\n". It takes
+the C library's semihydro_format when _kernel.load() gives the library
+and the call succeeds, and Python's % operator otherwise (_percent_text):
+without the library, for a table that holds a non-finite value, or where
+C's locale has a decimal point other than ".". Both paths give the same
+bytes. _snapshot_lines is the one place snapshot lines are made, for the
+writer process, the caller's tail and library callers.
 """
 
 from __future__ import annotations
@@ -15,10 +22,13 @@ import os
 
 import numpy as np
 
+from . import _kernel
 from .field import _efield
 
 # snapshot rows that SnapshotStream collects before it writes them as one chunk
 SNAPSHOT_CHUNK = 64
+# the most bytes a value takes in _table_text: -2.2250738585072014e-308 and its "," or "\n"
+_CELL = 25
 
 
 def fmt(v) -> str:
@@ -40,23 +50,53 @@ def record_json(d: dict) -> str:
     return "{" + ",".join(items) + "}"
 
 
-def _snapshot_line(t, n, J, E) -> str:
-    """One snapshot as an NDJSON line: t and the n, J, E node arrays, each
-    float as fmt renders it, formatted by one % operation."""
-    row = ",".join(["%.17g"] * len(n))
-    return (('{"t":%.17g,"n":[' + row + '],"J":[' + row + '],"E":[' + row + ']}\n')
-            % (t, *n.tolist(), *J.tolist(), *E.tolist()))
+def _percent_text(table) -> str:
+    """_table_text by Python's % operator: one % operation a row."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(map(row.__mod__, map(tuple, table.tolist())))
+
+
+def _table_text(table) -> str:
+    """The text of a 2-D float table: each value as "%.17g" % x renders
+    it, the values of a row joined by "," and each row ended by "\n".
+
+    The C library's semihydro_format writes it when the library loads and
+    the call succeeds; _percent_text otherwise, with the same bytes.
+    """
+    table = np.ascontiguousarray(table, dtype=float)
+    lib = _kernel.load()
+    if lib is not None and table.size:
+        cap = table.size * _CELL
+        out = np.empty(cap, dtype=np.uint8)
+        size = lib.semihydro_format(table.ctypes.data, *table.shape, out.ctypes.data, cap)
+        if size >= 0:
+            return out[:size].tobytes().decode("ascii")
+    return _percent_text(table)
+
+
+def _snapshot_lines(times, n, J, E) -> list:
+    """Snapshots as NDJSON lines: times (K,) and the n, J, E node arrays
+    (K, N+1), one line each. The rows are the text of one (3K, N+1) table
+    [n; J; E], t is formatted by %."""
+    K = len(times)
+    rows = _table_text(np.concatenate((n, J, E))).split("\n")
+    line = '{"t":%.17g,"n":[%s],"J":[%s],"E":[%s]}\n'
+    return [line % (t, rows[i], rows[K + i], rows[2 * K + i])
+            for i, t in enumerate(times.tolist())]
 
 
 def write_snapshots(path: str, traj, start: int = 0) -> None:
     """NDJSON, one object per snapshot: t and the n, J, E node arrays.
 
-    Writes the snapshots from index start on; with start > 0 they are
-    appended to the file that holds the ones before it.
+    Writes the snapshots from index start on, SNAPSHOT_CHUNK at a time;
+    with start > 0 they are appended to the file that holds the ones
+    before it.
     """
     with open(path, "a" if start else "w") as fh:
-        fh.writelines(map(_snapshot_line, traj.times[start:].tolist(), traj.n[start:],
-                          traj.J[start:], traj.E[start:]))
+        for k in range(start, traj.times.size, SNAPSHOT_CHUNK):
+            rows = slice(k, k + SNAPSHOT_CHUNK)
+            fh.writelines(_snapshot_lines(traj.times[rows], traj.n[rows], traj.J[rows],
+                                          traj.E[rows]))
 
 
 def write_snapshot_chunk(path: str, mode: str, times, n, J, d_grid, dx: float) -> None:
@@ -68,7 +108,7 @@ def write_snapshot_chunk(path: str, mode: str, times, n, J, d_grid, dx: float) -
     """
     E = _efield(n - d_grid, dx)
     with open(path, mode) as fh:
-        fh.writelines(map(_snapshot_line, times.tolist(), n, J, E))
+        fh.writelines(_snapshot_lines(times, n, J, E))
 
 
 class SnapshotStream:
@@ -115,16 +155,15 @@ class SnapshotStream:
 
 def write_series_csv(path: str, header: list, columns: list) -> None:
     """CSV with a header row; columns are equal-length sequences of floats,
-    each rendered as fmt renders a float, one % operation a row."""
+    each rendered as fmt renders a float, the rows by _table_text."""
     rows = len(columns[0])
     for col in columns:
         if len(col) != rows:
             raise ValueError("series columns must have equal length")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(map(row.__mod__,
-                             zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))))
+        fh.write(_table_text(table))
 
 
 def write_reports(path: str, records: list) -> None:
@@ -143,9 +182,7 @@ def write_stationary(path: str, prof) -> None:
             "iterations": prof.iterations,
         }) + "\n")
         fh.write("x,N_tilde,E_tilde\n")
-        # each float as fmt renders it
-        rows = zip(prof.x.tolist(), prof.N_tilde.tolist(), prof.E_tilde.tolist())
-        fh.write("".join(map("%.17g,%.17g,%.17g\n".__mod__, rows)))
+        fh.write(_table_text(np.column_stack((prof.x, prof.N_tilde, prof.E_tilde))))
 
 
 def ensure_dir(path: str) -> None:

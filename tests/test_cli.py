@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import interp1d
 
 from semihydro import cli, io
-from semihydro.config import parse_config
+from semihydro.config import ConfigError, parse_config
 from semihydro.field import DopingProfile
 from semihydro.gas import GasModel
 from semihydro.solver import BlowupError, run
@@ -391,6 +391,36 @@ def test_commands_use_the_profiles_parse_config_validated(tmp_path):
     assert cli.cmd_stationary(copy, str(tmp_path / "after"), True, False) == 0
     assert ((tmp_path / "after" / "stationary.csv").read_bytes()
             == (tmp_path / "before" / "stationary.csv").read_bytes())
+
+
+def test_relative_table_paths_resolve_against_the_config_directory(tmp_path, monkeypatch):
+    # a config and its tables in one directory, run from another: the
+    # relative table: paths are the config file's, absolute ones are kept
+    configs, elsewhere = tmp_path / "configs", tmp_path / "elsewhere"
+    (configs / "tables").mkdir(parents=True)
+    elsewhere.mkdir()
+    (configs / "tables" / "doping.csv").write_text("0.0,1.0\n0.5,1.5\n1.0,1.0\n")
+    (configs / "tables" / "n0.csv").write_text("0.0,1.2\n1.0,0.9\n")
+    # the short run's decay fit would refuse; the mass record is advisory here
+    checks = "[diagnostics]\nchecks = mass\n"
+    relative = EQUILIBRIUM.replace("constant:1", "table:tables/doping.csv")
+    (configs / "relative.ini").write_text(
+        relative + checks + "[initial]\nn0 = table:tables/n0.csv\n")
+    absolute = EQUILIBRIUM.replace("constant:1", f"table:{configs / 'tables' / 'doping.csv'}")
+    (elsewhere / "absolute.ini").write_text(
+        absolute + checks + f"[initial]\nn0 = table:{configs / 'tables' / 'n0.csv'}\n")
+    monkeypatch.chdir(elsewhere)
+    for config, out in ((str(configs / "relative.ini"), "a"), ("../configs/relative.ini", "b"),
+                        ("absolute.ini", "c")):
+        assert cli.main(["run", config, "--out-dir", out, "--quiet"]) == 0
+    for name in ("snapshots.ndjson", "series.csv", "reports.ndjson"):
+        expected = (elsewhere / "c" / name).read_bytes()
+        assert (elsewhere / "a" / name).read_bytes() == expected
+        assert (elsewhere / "b" / name).read_bytes() == expected
+    # the config's text alone knows no directory: the working directory's
+    with pytest.raises(ConfigError, match="cannot read profile table"):
+        parse_config((configs / "relative.ini").read_text())
+    assert parse_config((configs / "relative.ini").read_text(), str(configs)).doping(0.5) == 1.5
 
 
 def test_doping_match_initial_current_is_the_doping(tmp_path):
@@ -970,7 +1000,8 @@ def test_snapshot_line_has_the_bytes_of_fmt(sizes, data):
         t = data.draw(_ANY_FLOAT)
         n, J, E = (data.draw(hnp.arrays(np.float64, size, elements=_ANY_FLOAT))
                    for _ in range(3))
-        assert io._snapshot_line(t, n, J, E) == _line_by_fmt(t, n, J, E)
+        assert io._snapshot_lines(np.array([t]), n[None], J[None], E[None]) == [
+            _line_by_fmt(t, n, J, E)]
 
 
 @settings(max_examples=60, deadline=None)

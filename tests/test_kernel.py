@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import semihydro as sh
-from semihydro import _kernel, solver, stationary
+from semihydro import _kernel, io, solver, stationary
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -129,18 +129,20 @@ def test_without_the_kernel_run_falls_back_silently_with_the_same_bytes(
     assert [p.suffix for p in cache.iterdir()] == [".so"]
 
 
-def _callers_of_the_library():
+def _callers_of_the_library(root):
     """A run, the forced runs of mms (at gamma = 2, the forcing the C step
-    evaluates, and at 1.5, whose closures it copies) and a steady solve,
-    each as its module calls it."""
+    evaluates, and at 1.5, whose closures it copies), a steady solve and
+    the writer of its profile into directory root, each as its module
+    calls it."""
     _scenario_run()
     for gamma in (2.0, 1.5):
         cfg = solver.SolverConfig(gamma=gamma, epsilon=0.02, N=16, T_final=0.01)
         solver.mms_convergence(cfg, [16, 32, 64])
-    stationary.solve_stationary(sh.DopingProfile.sine(1.0, 0.5, 1.0), sh.GasModel(2.0), 64)
+    prof = stationary.solve_stationary(sh.DopingProfile.sine(1.0, 0.5, 1.0), sh.GasModel(2.0), 64)
+    io.write_stationary(os.path.join(root, "stationary.csv"), prof)
 
 
-def test_patching_load_alone_sends_every_caller_down_its_fallback(monkeypatch):
+def test_patching_load_alone_sends_every_caller_down_its_fallback(monkeypatch, tmp_path):
     _require_linux()
     lib = _kernel.load()
     assert lib is not None
@@ -151,20 +153,21 @@ def test_patching_load_alone_sends_every_caller_down_its_fallback(monkeypatch):
             return function(*args)
         monkeypatch.setattr(lib, name, counted)
     fallbacks = []
-    for module, name in ((solver, "_advance"), (stationary, "_integrate_python")):
+    for module, name in ((solver, "_advance"), (stationary, "_integrate_python"),
+                         (io, "_percent_text")):
         def recorded(*args, name=name, function=getattr(module, name)):
             fallbacks.append(name)
             return function(*args)
         monkeypatch.setattr(module, name, recorded)
 
-    _callers_of_the_library()
-    assert {"semihydro_step", "semihydro_shoot"} <= set(calls)
+    _callers_of_the_library(tmp_path)
+    assert {"semihydro_step", "semihydro_shoot", "semihydro_format"} <= set(calls)
     assert fallbacks == []
     calls.clear()
     monkeypatch.setattr(_kernel, "load", lambda: None)
-    _callers_of_the_library()
+    _callers_of_the_library(tmp_path)
     assert calls == []
-    assert set(fallbacks) == {"_advance", "_integrate_python"}
+    assert set(fallbacks) == {"_advance", "_integrate_python", "_percent_text"}
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
@@ -214,7 +217,8 @@ def test_signatures_name_exactly_the_functions_the_source_exports():
         name for name, found in static.items() if found}
     exported = {name for name, found in static.items() if not found}
     assert exported == set(_kernel._SIGNATURES) == {
-        "semihydro_step", "semihydro_sum", "semihydro_shoot", "semihydro_band_solve"}
+        "semihydro_step", "semihydro_sum", "semihydro_shoot", "semihydro_band_solve",
+        "semihydro_format"}
 
 
 CLONES = '#define STEP_CLONES __attribute__((target_clones("avx2", "default")))'

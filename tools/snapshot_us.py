@@ -10,7 +10,10 @@ io.SNAPSHOT_CHUNK rows as the writer process of `semihydro run` gets them
 (E computed in the chunk, the first chunk opening the file), --repeats
 times in this process. It prints one line per N: the snapshot rows, the
 file's size, and the best pass's CPU time (time.process_time) per row, in
-microseconds, and the megabytes it wrote per CPU second.
+microseconds, and the megabytes it wrote per CPU second. Its header names
+the formatter that made the text: the C library's semihydro_format, or
+Python's % operator when the library is unavailable. The library is built,
+if needed, before anything is timed.
 
 The package is imported from the src directory of the checkout that holds
 this script, so a copy of the script in another checkout measures that
@@ -30,7 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from semihydro import cli, io, solver  # noqa: E402
+from semihydro import _kernel, cli, io, solver  # noqa: E402
 from semihydro.config import parse_config  # noqa: E402
 
 SCENARIO = os.path.join(ROOT, "configs", "scenario_sine.ini")
@@ -71,8 +74,9 @@ def main(argv=None) -> int:
     sizes = [int(v) for v in args.N.split(",")]
     with open(SCENARIO) as fh:
         base = parse_config(fh.read())
+    formatter = "C" if _kernel.load() is not None else "Python % (no C library)"
     print(f"# {os.path.relpath(SCENARIO, ROOT)}: CPU us per snapshot row, best of "
-          f"{args.repeats} passes, chunks of {io.SNAPSHOT_CHUNK} rows")
+          f"{args.repeats} passes, chunks of {io.SNAPSHOT_CHUNK} rows, {formatter} formatter")
     with tempfile.TemporaryDirectory() as tmp:
         for N in sizes:
             rows, size, us = snapshot_us(dataclasses.replace(base, N=N), args.repeats,
