@@ -14,7 +14,9 @@ sums as np.sum does (semihydro_sum).
 The library also holds the shooting trial and the banded Newton solve of
 the stationary module, and semihydro_format, which io's writers take for
 the text of their float tables: each value with the bytes of Python's
-"%.17g" % x, without printf for the doubles the program writes.
+"%.17g" % x, formed exactly in integer arithmetic for zeros and
+1e-22 <= |x| < 1e17, the range of every double the program writes; it
+declines any other table, which io then writes by Python's %.
 load() returns it, or None when it is unavailable: no C compiler (cc) on
 PATH, a failed build, a cache directory that cannot be written, or a
 library that does not load. Each caller then runs its numpy or Python
@@ -32,7 +34,12 @@ this module was imported, so the library matches the Grid and Forcing
 layouts below even if the file changes later: load() writes those bytes
 to a temporary file in the cache and compiles that. The compiler writes
 a temporary library, which os.replace moves into place, so processes
-that build at the same moment each load a whole library.
+that build at the same moment each load a whole library. Libraries built
+from earlier sources stay in the cache on purpose: two checkouts of
+different sources can share one cache (a parent and a change compared
+side by side, or two virtualenvs), and if each build pruned the others,
+each checkout would delete the other's library and compile again inside
+its timed runs. Removing the cache directory frees them.
 
 Importing this module reads _step.c but neither builds nor loads the
 library, and does not import subprocess; load() does, on the first call
@@ -136,7 +143,7 @@ class Grid(ctypes.Structure):
 
     _fields_ = [("N", ctypes.c_long),
                 *((name, ctypes.c_double)
-                  for name in ("eps", "dx", "floor", "cfl", "n_lo", "n_hi")),
+                  for name in ("eps", "dx", "floor", "cfl")),
                 *((name, ctypes.c_int) for name in ("rusanov", "float_walls")),
                 *((name, ctypes.c_void_p)
                   for name in ("state", "d", "p", "lam1", "lam2", "fn", "fJ",

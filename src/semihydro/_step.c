@@ -56,19 +56,17 @@
 
    semihydro_format writes a table of doubles as the text io writes:
    each value with the bytes of Python's "%.17g" % x. It forms the 17
-   digits of the doubles the program writes exactly in integer
-   arithmetic, without printf or the locale; it returns -1, and io then
-   formats the table by Python's %, for a non-finite value, or where a
-   rare value that needs snprintf meets a decimal point other than '.'.
+   digits exactly in integer arithmetic, for zeros and for the range
+   1e-22 <= |x| < 1e17 that holds every double the program writes, and
+   declines any other table: it returns -1, and io formats the table by
+   Python's % instead.
 
    Build: cc -o _step.so _step.c -O3 -fPIC -shared -ffp-contract=off -lm
 */
 
 #include <float.h>
-#include <locale.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <string.h>
 
 #if FLT_EVAL_METHOD != 0
@@ -147,7 +145,6 @@ struct step_grid {
     long N;                     /* cells; every node array holds N + 1 */
     double eps, dx, floor;
     double cfl;                 /* cfl_safety */
-    double n_lo, n_hi;          /* the wall densities of dirichlet walls */
     int rusanov, float_walls;
     double *state;              /* n, J of pair 0, then n, J of pair 1 */
     const double *d;            /* doping on the nodes */
@@ -330,8 +327,9 @@ advance(struct step_grid *g, const double *restrict n, const double *restrict J,
         nn[0] = n[0] - dt * flux_lo / (dx / 2.0);
         nn[N] = n[N] + dt * flux_hi / (dx / 2.0);
     } else {
-        nn[0] = g->n_lo;
-        nn[N] = g->n_hi;
+        /* dirichlet walls hold the state's own wall densities */
+        nn[0] = n[0];
+        nn[N] = n[N];
     }
     JJ[0] = 0.0;
     JJ[N] = 0.0;
@@ -405,7 +403,7 @@ int semihydro_step(struct step_grid *g)
     double *src = g->state + 2 * size * g->k, *dst = g->state + 2 * size * (1 - g->k);
     double hi0 = lam2[0], hi1 = lam2[0], lo0 = lam1[0], lo1 = lam1[0];
     double hi, lo, speed, dt, bound;
-    int nan_hi = isnan(lam2[0]), nan_lo = isnan(lam1[0]), last, status;
+    int hi_nan = isnan(lam2[0]), lo_nan = isnan(lam1[0]), last, status;
     long i, steps;
 
     for (i = 1; i < N; i += 2) {
@@ -413,17 +411,17 @@ int semihydro_step(struct step_grid *g)
         hi1 = lam2[i + 1] > hi1 ? lam2[i + 1] : hi1;
         lo0 = lam1[i] < lo0 ? lam1[i] : lo0;
         lo1 = lam1[i + 1] < lo1 ? lam1[i + 1] : lo1;
-        nan_hi |= isnan(lam2[i]) | isnan(lam2[i + 1]);
-        nan_lo |= isnan(lam1[i]) | isnan(lam1[i + 1]);
+        hi_nan |= isnan(lam2[i]) | isnan(lam2[i + 1]);
+        lo_nan |= isnan(lam1[i]) | isnan(lam1[i + 1]);
     }
     if (i == N) {                                       /* N odd: node N is left */
         hi0 = lam2[N] > hi0 ? lam2[N] : hi0;
         lo0 = lam1[N] < lo0 ? lam1[N] : lo0;
-        nan_hi |= isnan(lam2[N]);
-        nan_lo |= isnan(lam1[N]);
+        hi_nan |= isnan(lam2[N]);
+        lo_nan |= isnan(lam1[N]);
     }
-    hi = nan_hi ? NAN : hi1 > hi0 ? hi1 : hi0;
-    lo = nan_lo ? NAN : lo1 < lo0 ? lo1 : lo0;
+    hi = hi_nan ? NAN : hi1 > hi0 ? hi1 : hi0;
+    lo = lo_nan ? NAN : lo1 < lo0 ? lo1 : lo0;
     speed = -lo > hi ? -lo : hi;                        /* Python's max(hi, -lo) */
     dt = dx / speed;
     bound = dx * dx / (2.0 * g->eps);
@@ -587,28 +585,26 @@ int semihydro_band_solve(long n, long kl, long ku, double *ab, double *b)
 /* semihydro_format: the rows x cols doubles at v (C order) as text, each
    value with the bytes of Python's "%.17g" % x, the values of a row
    joined by ',' and each row ended by '\n', into out, which holds cap
-   bytes. Returns the number of bytes written, or -1 for a non-finite
-   value, a decimal point other than '.' where snprintf is needed, or text
-   that would not fit in cap (FORMAT_CELL bytes a value always do).
+   bytes. Returns the number of bytes written, or -1, having declined the
+   table, for a value outside zero and 1e-22 <= |x| < 1e17 (a non-finite
+   one among them, and every nonzero one without __SIZEOF_INT128__), or for
+   text that would not fit in cap (FORMAT_CELL bytes a value always do).
 
-   A normal double with 1e-22 <= |x| < 1e17 takes no printf and no
-   locale: with x = m 2^e and k = floor(log10 |x|), D = m 10^(16 - k) 2^e
-   is formed exactly in three 64-bit limbs (10^(16 - k) <= 10^38 fits an
-   unsigned __int128) and rounded to an integer half to even, from a round
-   and a sticky bit; D then holds the 17 significant digits that Python's
-   correctly rounded conversion gives. k is estimated from the binary
-   exponent and the mantissa, which may miss it by one next to a power of
-   ten, so k is corrected while the unrounded D lies outside
-   [10^16, 10^17), and a rounding carry to 10^17 becomes 10^16 at k + 1.
-   The digits are laid out as %g lays them out at precision 17: the
-   exponent form for k < -4 or k >= 17, with a sign and two exponent
-   digits, the fixed form otherwise, trailing zeros and a bare '.'
-   dropped. Any other finite value goes through snprintf("%.17g"), which
-   also rounds correctly, while localeconv() reports '.' as the decimal
-   point; so does every value without __SIZEOF_INT128__. */
+   A value in the range takes no printf and no locale: with x = m 2^e and
+   k = floor(log10 |x|), D = m 10^(16 - k) 2^e is formed exactly in three
+   64-bit limbs (10^(16 - k) <= 10^38 fits an unsigned __int128) and
+   rounded to an integer half to even, from a round and a sticky bit; D
+   then holds the 17 significant digits that Python's correctly rounded
+   conversion gives. k is estimated from the binary exponent and the
+   mantissa, which may miss it by one next to a power of ten, so k is
+   corrected while the unrounded D lies outside [10^16, 10^17), and a
+   rounding carry to 10^17 becomes 10^16 at k + 1. The digits are laid
+   out as %g lays them out at precision 17: the exponent form for k < -4
+   or k >= 17, with a sign and two exponent digits, the fixed form
+   otherwise, trailing zeros and a bare '.' dropped. */
 
-/* the longest text of a value, -2.2250738585072014e-308, and its ',' or '\n' */
-enum { FORMAT_CELL = 25 };
+/* the longest text of a value written, -1.2345678901234568e-22, and its ',' or '\n' */
+enum { FORMAT_CELL = 24 };
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
@@ -621,7 +617,7 @@ static inline uint64_t limb_bits(const uint64_t *w, int pos)
 }
 
 /* D and k of a normal double 1e-22 <= a < 1e17, a ~ D 10^(k - 16) with
-   D in [10^16, 10^17); 0 if k leaves [-22, 16] (then snprintf runs) */
+   D in [10^16, 10^17); 0 if k leaves [-22, 16] (the table is then declined) */
 static int digits17(double a, const u128 *pow10, uint64_t *D, int *k_out)
 {
     const uint64_t lo17 = 10000000000000000ULL, hi17 = 100000000000000000ULL;
@@ -749,7 +745,6 @@ long semihydro_format(const double *v, long rows, long cols, char *out, long cap
 {
     char *o = out;
     const char *const end = out + cap;
-    int point = 0;                                      /* '.' checked */
     long i, j;
 #ifdef __SIZEOF_INT128__
     u128 pow10[39];
@@ -763,36 +758,23 @@ long semihydro_format(const double *v, long rows, long cols, char *out, long cap
         for (j = 0; j < cols; j++) {
             const double x = v[i * cols + j];
             const double a = fabs(x);
-            int n;
-            if (end - o < FORMAT_CELL || !isfinite(x))
+            if (end - o < FORMAT_CELL)
                 return -1;
             if (a == 0.0) {
                 if (signbit(x))
                     *o++ = '-';
                 *o++ = '0';
-                *o++ = j + 1 < cols ? ',' : '\n';
-                continue;
-            }
+            } else {
 #ifdef __SIZEOF_INT128__
-            if (a >= 1e-22 && a < 1e17) {
                 uint64_t D;
                 int k;
-                if (digits17(a, pow10, &D, &k)) {
-                    o = format_fast(o, x, D, k);
-                    *o++ = j + 1 < cols ? ',' : '\n';
-                    continue;
-                }
-            }
-#endif
-            if (!point) {
-                if (strcmp(localeconv()->decimal_point, ".") != 0)
+                if (!(a >= 1e-22 && a < 1e17 && digits17(a, pow10, &D, &k)))
                     return -1;
-                point = 1;
-            }
-            n = snprintf(o, (size_t)(end - o), "%.17g", x);
-            if (n < 0 || n >= FORMAT_CELL)
+                o = format_fast(o, x, D, k);
+#else
                 return -1;
-            o += n;
+#endif
+            }
             *o++ = j + 1 < cols ? ',' : '\n';
         }
     }

@@ -7,12 +7,12 @@ One byte contract, two paths. Every float table the program writes (the
 snapshots' n, J and E rows, series.csv, sweep.csv and stationary.csv)
 becomes text in _table_text: each value with the bytes of "%.17g" % x,
 the values of a row joined by "," and each row ended by "\n". It takes
-the C library's semihydro_format when _kernel.load() gives the library
-and the call succeeds, and Python's % operator otherwise (_percent_text):
-without the library, for a table that holds a non-finite value, or where
-C's locale has a decimal point other than ".". Both paths give the same
-bytes. _snapshot_lines is the one place snapshot lines are made, for the
-writer process, the caller's tail and library callers.
+the C library's semihydro_format, which writes zeros and the values
+1e-22 <= |x| < 1e17 exactly and declines any other table. Python's %
+operator (_percent_text) is the one fallback: for a declined table,
+non-finite values among them, and without the library. Both paths give
+the same bytes. _snapshot_lines is the one place snapshot lines are
+made, for the writer process, the caller's tail and library callers.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .field import _efield
 
 # snapshot rows that SnapshotStream collects before it writes them as one chunk
 SNAPSHOT_CHUNK = 64
-# the most bytes a value takes in _table_text: -2.2250738585072014e-308 and its "," or "\n"
-_CELL = 25
+# the most bytes semihydro_format writes for a value: -1.2345678901234568e-22 and its "," or "\n"
+_CELL = 24
 
 
 def fmt(v) -> str:
@@ -61,7 +61,8 @@ def _table_text(table) -> str:
     it, the values of a row joined by "," and each row ended by "\n".
 
     The C library's semihydro_format writes it when the library loads and
-    the call succeeds; _percent_text otherwise, with the same bytes.
+    does not decline the table; _percent_text otherwise, with the same
+    bytes.
     """
     table = np.ascontiguousarray(table, dtype=float)
     lib = _kernel.load()

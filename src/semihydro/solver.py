@@ -16,7 +16,9 @@ first-order local Lax-Friedrichs (Rusanov) hyperbolic flux as a variant.
 Time integration is explicit Euler under a three-way CFL bound
 (hyperbolic, parabolic, relaxation). Wall densities are held (dirichlet)
 or advanced as zero-flux half cells (float), which keeps the trapezoid
-mass to rounding.
+mass to rounding. A held wall is the state's own wall density, copied by
+each step, so a wall that starts below the floor is clamped on the first
+step and then holds the floor.
 
 The run loop takes each step in C when it can: _step.c, built by the
 system C compiler on the first run and loaded through ctypes (see the
@@ -341,7 +343,7 @@ def _rhs(n, J, E, t, m, cfg, dx, forcing):
     return rhs_n, rhs_J - J[1:-1], wall_flux
 
 
-def _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing):
+def _advance(n, J, t, dt, m, cfg, d_grid, dx, forcing):
     """One explicit step on raw arrays; returns (n, J, clamped_cells)."""
     E = cumulative_trapezoid(n - d_grid, dx)
     rhs_n, rhs_J, (flux_lo, flux_hi) = _rhs(n, J, E, t, m, cfg, dx, forcing)
@@ -351,7 +353,7 @@ def _advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, forcing):
     nn[1:-1] = n[1:-1] + rhs_n * dt                     # n + dt * rhs_n
     JJ[1:-1] = J[1:-1] + rhs_J * dt                     # J + dt * rhs_J
     if cfg.boundary == "dirichlet":
-        nn[0], nn[-1] = bvals
+        nn[0], nn[-1] = n.item(0), n.item(-1)
     else:
         # zero-flux half cells of width dx/2: the trapezoid mass telescopes
         nn[0] = n.item(0) - dt * flux_lo / (dx / 2.0)
@@ -435,10 +437,11 @@ class _KernelStep(_Records):
     buffers.
     """
 
-    def __init__(self, lib, m, cfg, d_grid, dx, bvals, forcing):
+    def __init__(self, lib, cfg, d_grid, forcing):
         N = cfg.N
+        dx = 1.0 / N
         self._lib = lib
-        self._m = m
+        self._m = cfg.model()
         self._forcing = forcing
         super().__init__(dx)
         # every array the kernel reads or writes, kept alive here
@@ -464,7 +467,7 @@ class _KernelStep(_Records):
                                                  *(f.ctypes.data for f in forcing.factors))
             library_forcing = ctypes.addressof(self._forcing_grid)
             self._fill = self._fill_library
-        self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety, *bvals,
+        self._grid = _kernel.Grid(N, cfg.epsilon, dx, cfg.floor, cfg.cfl_safety,
                                   cfg.scheme == "rusanov", cfg.boundary == "float",
                                   *(a.ctypes.data for a in (self._state, self._d, self._p,
                                                             self._lam1, self._lam2)),
@@ -546,13 +549,14 @@ class _NumpyStep(_Records):
     """The explicit step by _dt and _advance: _stepper's stepper when the C
     library does not load."""
 
-    def __init__(self, m, cfg, d_grid, dx, bvals, forcing):
+    def __init__(self, cfg, d_grid, forcing):
+        dx = 1.0 / cfg.N
         super().__init__(dx)
-        self._args = (m, cfg, d_grid, dx, bvals, forcing)
+        self._args = (cfg.model(), cfg, d_grid, dx, forcing)
         self.steps = 0
 
     def march(self, n, J, t, T, stride):
-        m, cfg, _, dx, _, _ = self._args
+        m, cfg, _, dx, _ = self._args
         self._first(n, t)
         while t < T - 1e-13:
             dt = _dt(m, n, J, cfg, dx)
@@ -572,7 +576,7 @@ class _NumpyStep(_Records):
                 yield n, J, t, clamped, due
 
 
-def _stepper(m, cfg, d_grid, dx, bvals, forcing):
+def _stepper(cfg, d_grid, forcing):
     """The explicit step, by the C kernel if it loads, else by numpy's
     _dt and _advance. Both give the same bits and raise the same
     BlowupError. The stepper has:
@@ -592,8 +596,8 @@ def _stepper(m, cfg, d_grid, dx, bvals, forcing):
     """
     lib = _kernel.load()
     if lib is not None:
-        return _KernelStep(lib, m, cfg, d_grid, dx, bvals, forcing)
-    return _NumpyStep(m, cfg, d_grid, dx, bvals, forcing)
+        return _KernelStep(lib, cfg, d_grid, forcing)
+    return _NumpyStep(cfg, d_grid, forcing)
 
 
 def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float) -> State:
@@ -613,8 +617,7 @@ def step(state: State, cfg: SolverConfig, D: DopingProfile, dt: float) -> State:
     n = np.asarray(state.n, dtype=float)
     J = np.asarray(state.J, dtype=float)
     with np.errstate(all="ignore"):
-        n, J, _ = _advance(n, J, state.t, dt, cfg.model(), cfg, d_grid, dx,
-                           (n.item(0), n.item(-1)), None)
+        n, J, _ = _advance(n, J, state.t, dt, cfg.model(), cfg, d_grid, dx, None)
         return State(state.t + dt, n, J, _efield(n - d_grid, dx))
 
 
@@ -638,13 +641,15 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
     given data verbatim instead (the manufactured-solution checks, or a
     caller that prepared initial_data itself).
 
+    Dirichlet walls hold the state's own wall densities: a wall that
+    starts below the floor is clamped on the first step, which counts it,
+    and holds the floor from then on.
+
     The steps ignore numpy's floating-point warnings: a state that turns
     non-finite raises a BlowupError that names the cell.
     """
-    m = cfg.model()
     N = cfg.N
     x = np.linspace(0.0, 1.0, N + 1)
-    dx = 1.0 / N
     d_grid = D(x)
     n = np.asarray(n0, dtype=float).copy()
     J = np.asarray(J0, dtype=float).copy()
@@ -653,7 +658,6 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
 
     if mollify:
         n, J = initial_data(cfg, D, n, J)
-    bvals = (float(n[0]), float(n[-1]))
     J[0] = 0.0
     J[-1] = 0.0
 
@@ -666,7 +670,7 @@ def run(cfg: SolverConfig, D: DopingProfile, n0, J0, forcing=None,
         if on_snapshot is not None:
             on_snapshot(*row)
 
-    stepper = _stepper(m, cfg, d_grid, dx, bvals, forcing)
+    stepper = _stepper(cfg, d_grid, forcing)
     record(0.0, n, J)
     total_clamped = 0
     with np.errstate(all="ignore"):

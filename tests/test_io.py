@@ -1,13 +1,13 @@
 """The text of the float tables the program writes (semihydro.io): the C
-library's semihydro_format against Python's "%.17g" % x, byte for byte."""
+library's semihydro_format against Python's "%.17g" % x, byte for byte.
+The C text covers zeros and 1e-22 <= |x| < 1e17 and declines any other
+table, which io then writes by %."""
 
-import locale
 import math
 import os
 import re
 import struct
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,23 +60,54 @@ def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _in_range(values):
+    """The values semihydro_format writes: zeros and 1e-22 <= |x| < 1e17."""
+    a = np.abs(np.asarray(values, dtype=float))
+    return (a == 0.0) | ((a >= 1e-22) & (a < 1e17))
+
+
 # any finite double: hypothesis's floats and raw 64-bit patterns, whose
 # exponents spread evenly over the whole range
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite))
+# the doubles of the C text's range: raw 64-bit patterns from 1e-22 to the
+# double below 1e17 (the bits of positive doubles ascend with their
+# values), either sign, and signed zeros
+_POSITIVE_IN_RANGE = st.integers(_bits(1e-22), _bits(1e17) - 1).map(_double)
+_IN_RANGE = st.one_of(_POSITIVE_IN_RANGE, _POSITIVE_IN_RANGE.map(lambda x: -x),
+                      st.sampled_from([0.0, -0.0]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.data())
-def test_c_text_is_the_percent_text_of_any_finite_table(rows, cols, data):
+def test_c_text_is_the_percent_text_of_any_table_in_its_range(rows, cols, data):
+    table = data.draw(hnp.arrays(np.float64, (rows, cols), elements=_IN_RANGE))
+    assert _in_range(table).all()
+    text = _c_text(table)
+    assert text is not None, "semihydro_format declined a table in its range"
+    _assert_same_text(text, _percent(table))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_any_finite_table_is_written_as_percent_writes_it(rows, cols, data):
+    # the C text declines a table with a value out of its range, or matches
     table = data.draw(hnp.arrays(np.float64, (rows, cols), elements=_FINITE))
-    _assert_same_text(_c_text(table), _percent(table))
+    c_text = _c_text(table)
+    if c_text is not None:
+        _assert_same_text(c_text, _percent(table))
+    assert (c_text is None) == (not _in_range(table).all())
+    _assert_same_text(io._table_text(table), _percent(table))
 
 
 def _targets():
     """Powers of ten and their neighbouring doubles, the %g switch points,
     the integers 2^52 to 2^53 (their ends and a sample between), signed
-    zeros and values outside the C fast range."""
+    zeros and values outside the C text's range."""
     values = [1e-5, 1e-4, 1e16, 1e17, 0.0, -0.0, 5e-324, 1e300,
               # parses to 1e17, the first value past the fast range
               9.9999999999999999e16,
@@ -98,13 +129,26 @@ def _targets():
 
 
 def test_c_text_of_the_targeted_values():
-    values = _targets()
-    _assert_same_text(_c_text(values[:, None]), _percent(values[:, None]))
-    row = values[None, :]
-    _assert_same_text(_c_text(row), _percent(row))
-    assert _c_text(np.array([[1e-14, 1e16, 1e17]])) == "1e-14,10000000000000000,1e+17\n"
+    targets = _targets()
+    values = targets[_in_range(targets)]
+    for table in (values[:, None], values[None, :]):
+        text = _c_text(table)
+        assert text is not None
+        _assert_same_text(text, _percent(table))
+    assert _c_text(np.array([[1e-14, 1e16]])) == "1e-14,10000000000000000\n"
     assert _c_text(np.array([[0.0, -0.0, 1e-5, 1e-4]])) == (
         "0,-0,1.0000000000000001e-05,0.0001\n")
+
+
+def test_targeted_values_out_of_range_are_declined_and_written_by_percent():
+    targets = _targets()
+    outside = targets[~_in_range(targets)]
+    assert {1e17, 9.9999999999999999e16, 5e-324, 1e300} <= set(outside.tolist())
+    for x in outside:
+        # each value declines a table of in-range values around it
+        table = np.array([[0.5, x, -0.0]])
+        assert _c_text(table) is None
+        assert io._table_text(table) == _percent(table)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -117,7 +161,8 @@ def test_a_non_finite_value_sends_the_whole_table_to_percent(bad):
 
 def test_a_table_that_would_overflow_cap_is_refused():
     lib = _library()
-    table = np.full((2, 3), -2.2250738585072014e-308)
+    # the longest text of a value in the range, 23 bytes and a separator
+    table = np.full((2, 3), -1.2345678901234568e-22)
     out = np.empty(table.size * io._CELL, dtype=np.uint8)
     assert lib.semihydro_format(table.ctypes.data, 2, 3, out.ctypes.data, out.size) == out.size
     assert lib.semihydro_format(table.ctypes.data, 2, 3, out.ctypes.data, out.size - 1) == -1
@@ -141,8 +186,7 @@ def _write_all(root):
     io.write_stationary(files["stationary.csv"],
                         stationary.solve_stationary(D, sh.GasModel(2.0), 200))
     K = traj.times.size
-    io.write_series_csv(files["series.csv"], ["t", "mass", "edge"],
-                        [traj.times, traj.mass[:K], np.resize([5e-324, -0.0, 1e300, 1e-14], K)])
+    io.write_series_csv(files["series.csv"], ["t", "mass"], [traj.times, traj.mass[:K]])
     contents = {}
     for name, path in files.items():
         with open(path, "rb") as fh:
@@ -159,46 +203,13 @@ def test_the_four_writers_give_the_same_bytes_without_the_library(tmp_path, monk
     with_library = _write_all(tmp_path / "c")
     assert calls == []
     assert with_library["whole.ndjson"] == with_library["chunks.ndjson"]
+    # a column out of the C text's range goes to %, with %'s bytes
+    edge = [5e-324, -0.0, 1e300]
+    io.write_series_csv(str(tmp_path / "edge.csv"), ["edge"], [edge])
+    assert calls == [(3, 1)]
+    assert (tmp_path / "edge.csv").read_text() == "edge\n" + _percent(np.array(edge)[:, None])
     monkeypatch.setattr(_kernel, "load", lambda: None)
     without = _write_all(tmp_path / "python")
     # the names of the files that differ, not pytest's diff of their bytes
     assert [name for name in with_library if without[name] != with_library[name]] == []
     assert calls
-
-
-# a locale whose decimal point is "," in C's localeconv, if one is installed
-_COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
-                  "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8", "es_ES.UTF-8", "it_IT.UTF-8")
-
-
-@pytest.fixture
-def comma_locale():
-    saved = locale.setlocale(locale.LC_NUMERIC)
-    for name in _COMMA_LOCALES:
-        try:
-            locale.setlocale(locale.LC_NUMERIC, name)
-        except locale.Error:
-            continue
-        if locale.localeconv()["decimal_point"] != ".":
-            break
-        locale.setlocale(locale.LC_NUMERIC, saved)
-    else:
-        pytest.skip("no installed locale has a decimal point other than '.'")
-    try:
-        yield
-    finally:
-        locale.setlocale(locale.LC_NUMERIC, saved)
-
-
-def test_another_decimal_point_sends_a_printf_value_to_percent(comma_locale, tmp_path):
-    # the fast path takes no locale; a value that needs snprintf is refused
-    assert _c_text(np.array([[0.5, 1e16]])) == "0.5,10000000000000000\n"
-    for slow in (1e300, 5e-324, 1e17):
-        assert _c_text(np.array([[0.5, slow]])) is None
-    prof = SimpleNamespace(x=np.array([0.0, 0.5, 1.0]), N_tilde=np.array([1.0, 1e300, 2.0]),
-                           E_tilde=np.array([0.0, 5e-324, -0.0]), shoot_residual=1e-17,
-                           iterations=3)
-    io.write_stationary(str(tmp_path / "stationary.csv"), prof)
-    lines = (tmp_path / "stationary.csv").read_text().splitlines()
-    assert lines[2:] == ["0,1,0", "0.5,1.0000000000000001e+300,4.9406564584124654e-324",
-                         "1,2,-0"]

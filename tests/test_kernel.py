@@ -1,5 +1,6 @@
 """The C library's build, cache and fallback (semihydro._kernel)."""
 
+import ctypes
 import itertools
 import os
 import re
@@ -221,6 +222,35 @@ def test_signatures_name_exactly_the_functions_the_source_exports():
         "semihydro_format"}
 
 
+# the ctypes type of each base type the structs of _step.c use; any pointer is c_void_p
+_CTYPES = {"long": ctypes.c_long, "double": ctypes.c_double, "int": ctypes.c_int}
+
+
+def _struct_members(source, name):
+    """(member, ctypes type) of struct name in the C source, in order."""
+    body = re.search(rb"\bstruct " + name.encode() + rb"\s*\{(.*?)\};", source, re.S)[1]
+    members = []
+    for statement in body.decode().split(";")[:-1]:
+        base, declarators = re.fullmatch(r"\s*(?:const\s+)?(struct\s+\w+|\w+)(.*)",
+                                         statement, re.S).groups()
+        for declarator in declarators.split(","):
+            star, member = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
+            members.append((member, ctypes.c_void_p if star else _CTYPES[base]))
+    return members
+
+
+@pytest.mark.parametrize("struct, mirror", [("step_grid", _kernel.Grid),
+                                            ("forcing_grid", _kernel.Forcing)])
+def test_the_ctypes_structs_mirror_the_source_field_by_field(struct, mirror):
+    # a dropped or reordered field would make ctypes mis-wire every field
+    # after it without an error: each member of the struct in _step.c has
+    # its name, order and type in the mirror
+    source = re.sub(rb"/\*.*?\*/", b"", _kernel._SOURCE_BYTES, flags=re.S)
+    members = _struct_members(source, struct)
+    assert len(members) > 5
+    assert [(name, kind) for name, kind in mirror._fields_] == members
+
+
 CLONES = '#define STEP_CLONES __attribute__((target_clones("avx2", "default")))'
 
 
@@ -229,8 +259,6 @@ def single_copy(tmp_path_factory):
     """The library built from a copy of _step.c whose STEP_CLONES is
     empty, with the shipped flags: one copy of each function, the build
     of a host without the loader's dispatch."""
-    import ctypes
-
     _require_linux()
     cc = shutil.which("cc")
     if cc is None:
@@ -260,8 +288,7 @@ def _kernel_steps(lib, cfg, forced, steps=25):
     n = 1.0 + 0.4 * np.cos(np.pi * x) + 0.05 * np.sin(7.0 * np.pi * x)
     J = 0.2 * np.sin(np.pi * x)
     forcing = solver.manufactured_forcing(m, cfg.epsilon, x[1:-1]) if forced else None
-    stepper = solver._KernelStep(lib, m, cfg, sh.DopingProfile.sine(1.0, 0.5, 1.0)(x),
-                                 1.0 / N, (n[0], n[-1]), forcing)
+    stepper = solver._KernelStep(lib, cfg, sh.DopingProfile.sine(1.0, 0.5, 1.0)(x), forcing)
     with np.errstate(all="ignore"):
         # a snapshot is due on every step, so march yields each one
         states = [(n.tobytes(), J.tobytes(), count) for n, J, _, count, _ in

@@ -438,8 +438,8 @@ def _assert_forcing_is_plain(m, eps, x, ts):
     if np.ndim(x) == 1 and x.dtype == np.float64 and x.size >= 15:
         _require_kernel()
         N = x.size + 1
-        stepper = solver._KernelStep(_kernel.load(), m, _cfg(N=N, epsilon=eps, gamma=m.gamma),
-                                     np.ones(N + 1), 1.0 / N, (1.0, 1.0), forcing)
+        stepper = solver._KernelStep(_kernel.load(), _cfg(N=N, epsilon=eps, gamma=m.gamma),
+                                     np.ones(N + 1), forcing)
         # the C step evaluates the pair itself only where its power is its base
         library = m.gamma - 1.0 == 1.0
         assert (stepper._forcing_grid is not None) == library
@@ -609,7 +609,7 @@ def _march_both(cfg, D, n, J, forcing=None, steps=40, plain_forcing=None):
     dx = 1.0 / cfg.N
     d_grid = D(x)
     bvals = (float(n[0]), float(n[-1]))
-    marcher = solver._stepper(m, cfg, d_grid, dx, bvals, forcing)
+    marcher = solver._stepper(cfg, d_grid, forcing)
     t = 0.0
     total_clamped = 0
     for k in range(steps):
@@ -671,6 +671,27 @@ def test_step_matches_plain_step_while_clamping():
         for scheme in ("central", "rusanov"):
             cfg = _cfg(N=64, n_floor=0.6, boundary="float", scheme=scheme)
             assert _march_both(cfg, D, D(x), np.zeros(65), steps=10) > 0
+
+
+def test_a_dirichlet_wall_below_the_floor_is_clamped_on_the_first_step_only():
+    # a dirichlet wall holds the state's own density: the first step clamps
+    # the wall that starts below the floor, and from then on it holds the
+    # floor. N = 1000 keeps that one clamp within run's budget of
+    # 1e-3 * N clamps per step. Both paths give the same bits.
+    N = 1000
+    cfg = _cfg(N=N, epsilon=2e-3, n_floor=0.5, T_final=0.01, output_stride=20)
+    n = np.ones(N + 1)
+    n[0] = 0.25
+    runs = []
+    for _ in _both_paths():
+        traj = solver.run(cfg, D1, n, np.zeros(N + 1), mollify=False)
+        assert traj.n_steps > 20
+        assert traj.clamp_counts[0] == 1 and not traj.clamp_counts[1:].any()
+        assert (traj.n[1:, 0] == 0.5).all() and (traj.n[:, -1] == 1.0).all()
+        runs.append([getattr(traj, f) for f in ("times", "n", "J", "E", "step_times", "mass",
+                                                 "clamp_counts")])
+    for kernel, numpy in zip(*runs):
+        assert _same_bits(kernel, numpy)
 
 
 @pytest.mark.parametrize("scheme", ["central", "rusanov"])

@@ -37,7 +37,6 @@ def _plain_run(cfg, D, n0, J0):
     d_grid = D(x)
     n, J = solver.mollify_initial(n0, J0, cfg.epsilon, dx)
     n = project_neutral(n, d_grid, dx)
-    bvals = (float(n[0]), float(n[-1]))
     J[0] = 0.0
     J[-1] = 0.0
     states = [State(0.0, n, J, _efield(n - d_grid, dx))]
@@ -50,7 +49,7 @@ def _plain_run(cfg, D, n0, J0):
         last = t + dt >= T - 1e-13
         if last:
             dt = T - t
-        n, J, clamped = solver._advance(n, J, t, dt, m, cfg, d_grid, dx, bvals, None)
+        n, J, clamped = solver._advance(n, J, t, dt, m, cfg, d_grid, dx, None)
         t = T if last else t + dt
         k += 1
         total_clamped += clamped
