@@ -83,13 +83,14 @@ def _check_positive(n, what: str = "density"):
     return n
 
 
-def pressure(m: GasModel, n):
-    """p(n) = p0 * n**gamma. Rejects negative density."""
+def pressure(m: GasModel, n, out=None):
+    """p(n) = p0 * n**gamma. Rejects negative density. With out, an array
+    of n's shape, p is written into it and out is returned."""
     n = np.asarray(n, dtype=float)
     least = _least(n)
     if least < 0.0:
         raise ValueError(f"negative density: min = {least}")
-    return m.p0 * n**m.gamma
+    return np.multiply(m.p0, n**m.gamma, out=out)
 
 
 def pressure_derivative(m: GasModel, n):
@@ -101,13 +102,19 @@ def pressure_derivative(m: GasModel, n):
     return m.p0 * m.gamma * n ** (m.gamma - 1.0)
 
 
-def eigenvalues(m: GasModel, n, J):
-    """Characteristic speeds (lam1, lam2) = J/n -+ theta * n**theta."""
+def eigenvalues(m: GasModel, n, J, out=None):
+    """Characteristic speeds (lam1, lam2) = J/n -+ theta * n**theta.
+
+    With out, a pair of arrays (lam1, lam2) of n's shape, the speeds are
+    written into them, the same bits, and out is returned.
+    """
     n = _check_positive(n)
     J = np.asarray(J, dtype=float)
-    u = J / n
-    c = m.theta * n**m.theta
-    return u - c, u + c
+    lam1, lam2 = (None, None) if out is None else out
+    u = np.divide(J, n, out=lam2)
+    c = n**m.theta
+    c *= m.theta
+    return np.subtract(u, c, out=lam1), np.add(u, c, out=lam2)
 
 
 def to_invariants(m: GasModel, n, J) -> RiemannPair:

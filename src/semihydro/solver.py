@@ -34,7 +34,7 @@ count, from which the Trajectory takes step_times, mass and
 clamp_counts. Its status tells Python when to act: a blowup, a step that
 clamped (the clamp budget is checked then), a snapshot due, or full
 records, which Python doubles. Otherwise a step in Python is the two gas
-calls, their copies into the grid's buffers and the C call. The loop
+calls, which write into the grid's buffers, and the C call. The loop
 itself stays in Python, one call per step: a loop over a whole stride
 between snapshots would have to take the powers in C as well, and the
 benchmark counts two gas calls, eigenvalues and pressure, per step
@@ -305,42 +305,45 @@ def _rhs(n, J, E, t, m, cfg, dx, forcing):
     and the density fluxes h - eps (n[i+1] - n[i]) / dx through the faces
     next to the walls, the ones rhs_n differences at nodes 1 and N-1.
 
-    forcing, if given, is a pair (f_n, f_J) of functions of t that return
-    the N-1 interior values; the -J relaxation is the last term of rhs_J.
-    The steady solver in the stationary module evaluates the same stencil.
-    Each expression is that of _step.c's advance, operand for operand: the
-    same bits.
+    n, J and E may carry leading axes, (..., N+1): the stencil runs along
+    the last one, and each row of a stack gets the bits its own 1-D call
+    gives (the steady solver's Jacobian evaluates its coloured differences
+    so, in one call). forcing, if given, is a pair (f_n, f_J) of functions
+    of t that return the N-1 interior values; the -J relaxation is the last
+    term of rhs_J. The steady solver in the stationary module evaluates the
+    same stencil. Each expression is that of _step.c's advance, operand for
+    operand: the same bits.
     """
     eps = cfg.epsilon
     f2 = J * J / n + pressure(m, n)
     if cfg.scheme == "central":
-        div_n = (J[2:] - J[:-2]) / (2.0 * dx)
-        div_J = (f2[2:] - f2[:-2]) / (2.0 * dx)
-        h_lo = (J.item(0) + J.item(1)) / 2.0
-        h_hi = (J.item(-2) + J.item(-1)) / 2.0
+        div_n = (J[..., 2:] - J[..., :-2]) / (2.0 * dx)
+        div_J = (f2[..., 2:] - f2[..., :-2]) / (2.0 * dx)
+        h_lo = (J[..., 0] + J[..., 1]) / 2.0
+        h_hi = (J[..., -2] + J[..., -1]) / 2.0
     else:
         # Rusanov interface fluxes with the local spectral radius
         radius = np.abs(J / n) + m.theta * n**m.theta
-        a = np.maximum(radius[:-1], radius[1:])
-        hat1 = 0.5 * (J[:-1] + J[1:]) - 0.5 * a * (n[1:] - n[:-1])
-        hat2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * a * (J[1:] - J[:-1])
-        div_n = (hat1[1:] - hat1[:-1]) / dx
-        div_J = (hat2[1:] - hat2[:-1]) / dx
-        h_lo, h_hi = hat1.item(0), hat1.item(-1)
-    wall_flux = (h_lo - eps * (n.item(1) - n.item(0)) / dx,
-                 h_hi - eps * (n.item(-1) - n.item(-2)) / dx)
+        a = np.maximum(radius[..., :-1], radius[..., 1:])
+        hat1 = 0.5 * (J[..., :-1] + J[..., 1:]) - 0.5 * a * (n[..., 1:] - n[..., :-1])
+        hat2 = 0.5 * (f2[..., :-1] + f2[..., 1:]) - 0.5 * a * (J[..., 1:] - J[..., :-1])
+        div_n = (hat1[..., 1:] - hat1[..., :-1]) / dx
+        div_J = (hat2[..., 1:] - hat2[..., :-1]) / dx
+        h_lo, h_hi = hat1[..., 0], hat1[..., -1]
+    wall_flux = (h_lo - eps * (n[..., 1] - n[..., 0]) / dx,
+                 h_hi - eps * (n[..., -1] - n[..., -2]) / dx)
 
     # rhs_n = -div_n + eps * lap_n,  lap_n = (n[2:] - 2 n[1:-1] + n[:-2]) / dx^2
-    rhs_n = (n[2:] - n[1:-1] * 2.0 + n[:-2]) / (dx * dx) * eps - div_n
+    rhs_n = (n[..., 2:] - n[..., 1:-1] * 2.0 + n[..., :-2]) / (dx * dx) * eps - div_n
     # rhs_J = -div_J + eps * lap_J + n E - 2 eps grad_n,  grad_n = (n[2:] - n[:-2]) / (2 dx)
-    grad_n = (n[2:] - n[:-2]) / (2.0 * dx)
-    rhs_J = ((J[2:] - J[1:-1] * 2.0 + J[:-2]) / (dx * dx) * eps - div_J
-             + n[1:-1] * E[1:-1] - grad_n * (2.0 * eps))
+    grad_n = (n[..., 2:] - n[..., :-2]) / (2.0 * dx)
+    rhs_J = ((J[..., 2:] - J[..., 1:-1] * 2.0 + J[..., :-2]) / (dx * dx) * eps - div_J
+             + n[..., 1:-1] * E[..., 1:-1] - grad_n * (2.0 * eps))
     if forcing is not None:
         f_n, f_J = forcing
         rhs_n = rhs_n + f_n(t)
         rhs_J = rhs_J + f_J(t)
-    return rhs_n, rhs_J - J[1:-1], wall_flux
+    return rhs_n, rhs_J - J[..., 1:-1], wall_flux
 
 
 def _advance(n, J, t, dt, m, cfg, d_grid, dx, forcing):
@@ -520,16 +523,17 @@ class _KernelStep(_Records):
         grid.k = 0
         grid.t, grid.T, grid.stride = t, T, stride
         m, pairs, fill = self._m, self._pairs, self._fill
-        lam1, lam2, p = self._lam1, self._lam2, self._p
+        speeds, p = (self._lam1, self._lam2), self._p
         step = self._lib.semihydro_step
         while True:
             n, J = pairs[grid.k]
             # eigenvalues and pressure as this module's globals, so that a
-            # wrapper bound to either sees each call; the speeds first, in
-            # the order of _dt and _advance, so that a bad density raises
-            # the same error on both paths
-            lam1[...], lam2[...] = eigenvalues(m, n, J)
-            p[...] = pressure(m, n)
+            # wrapper bound to either sees each call, and their out buffers
+            # passed positionally, so that a *args wrapper forwards them; the
+            # speeds first, in the order of _dt and _advance, so that a bad
+            # density raises the same error on both paths
+            eigenvalues(m, n, J, speeds)
+            pressure(m, n, p)
             if fill is not None:
                 fill(grid.t)
             status = step(grid)

@@ -18,7 +18,8 @@ viscous scheme, which carries a current J ~ eps N_x and sits O(eps) away
 from the inviscid profile; solve_viscous_stationary computes it by Newton
 iteration on the scheme's own residual. That residual takes its unknowns
 and gives its rows node by node, so its Jacobian is banded, and is found
-in _KL + _KU + 1 evaluations whatever the grid.
+from one evaluation, on a stack of _KL + _KU + 1 coloured copies of the
+unknowns, whatever the grid.
 
 Both inner loops run in the package's C library when it loads (see the
 _kernel module): a shooting trial is semihydro_shoot, a Newton step's
@@ -32,6 +33,7 @@ port of scipy's brentq, so it makes the same trials.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 from math import copysign, inf, isfinite
 
@@ -346,28 +348,41 @@ def _node_fields(v):
     """n, J and E on the nodes, from the unknowns v of _viscous_residual.
 
     v holds (n_0, E_0), then (n_i, J_i, E_i) at each interior node, then
-    (n_N, E_N); J is zero at the walls. The copy makes each field
-    contiguous, as the step takes it.
+    (n_N, E_N); J is zero at the walls. v may carry leading axes,
+    (..., M), and the fields then do too, (..., N+1). The copy makes each
+    field contiguous, as the step takes it.
     """
-    return np.insert(v, (1, v.size - 1), 0.0).reshape(-1, 3).T.copy()
+    lead = v.shape[:-1]
+    nodes = np.zeros(lead + (v.shape[-1] + 2,))
+    nodes[..., 0] = v[..., 0]
+    nodes[..., 2:-2] = v[..., 1:-1]
+    nodes[..., -1] = v[..., -1]
+    return np.moveaxis(nodes.reshape(*lead, -1, 3), -1, 0).copy()
 
 
 def _viscous_residual(v, cfg, m, d_grid, dx, E_end):
     """Steady residual of the time step under the float closure, node by node.
 
-    The unknowns v are those of _node_fields. The rows follow them: node 0
-    holds the zero density flux through the face next to x = 0, E(0) = 0
-    and the trapezoid recursion from E_0 to E_1; interior node i holds the
-    density equation rhs_n = 0, the current equation rhs_J = 0 and the
-    recursion from E_i to E_i+1; the last row is E(1) = E_end, which fixes
-    the mass. Zero flux at the face next to x = 1 follows by conservation.
+    The unknowns v are those of _node_fields, of shape (..., M), and the
+    residual has v's shape. The rows follow the unknowns: node 0 holds the
+    zero density flux through the face next to x = 0, E(0) = 0 and the
+    trapezoid recursion from E_0 to E_1; interior node i holds the density
+    equation rhs_n = 0, the current equation rhs_J = 0 and the recursion
+    from E_i to E_i+1; the last row is E(1) = E_end, which fixes the mass.
+    Zero flux at the face next to x = 1 follows by conservation. Each row
+    of a stack of unknowns gets the bits of its own 1-D call.
     """
     n, J, E = _node_fields(v)
     rhs_n, rhs_J, (flux_lo, _) = _rhs(n, J, E, 0.0, m, cfg, dx, None)
     y = n - d_grid
-    by_node = np.stack((np.concatenate(([flux_lo], rhs_n)), np.concatenate(([E[0]], rhs_J)),
-                        E[1:] - E[:-1] - dx * (y[1:] + y[:-1]) / 2.0), axis=1)
-    return np.append(by_node, E[-1] - E_end)
+    f = np.empty(v.shape)
+    f[..., 0] = flux_lo
+    f[..., 3:-1:3] = rhs_n
+    f[..., 1] = E[..., 0]
+    f[..., 4:-1:3] = rhs_J
+    f[..., 2:-1:3] = E[..., 1:] - E[..., :-1] - dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    f[..., -1] = E[..., -1] - E_end
+    return f
 
 
 # The Jacobian's bandwidths in node order. A row depends only on unknowns
@@ -376,27 +391,52 @@ def _viscous_residual(v, cfg, m, d_grid, dx, E_end):
 _KL, _KU = 5, 3
 
 
-def _banded_jacobian(F, u, f0):
-    """Forward-difference Jacobian of F at u in _KL + _KU + 1 evaluations
-    of F, in the band storage _band_solve takes, with bandwidths (_KL, _KU).
+@functools.lru_cache(maxsize=8)
+def _band_scatter(size: int):
+    """The index arrays of _banded_jacobian on `size` unknowns, which
+    depend on nothing else. Copy c of the w = _KL + _KU + 1 stacked copies
+    of u perturbs the columns j = c mod w, and row r's difference in it
+    belongs to the one such column in r - _KL ... r + _KU. The arrays are:
 
-    Columns _KL + _KU + 1 apart share no row of a banded matrix (Curtis,
-    Powell and Reid, 1974), so one evaluation perturbs every column of a
-    group j = c mod (_KL + _KU + 1) at once, and row r's difference belongs
-    to the one column of the group in r - _KL ... r + _KU. The differences
-    outside the band are exactly zero, and are left out.
+    - perturbed: each column's entry in the flattened (w, size) stack;
+    - source: each band entry's difference (copy c, row r), flattened;
+    - column: its column j;
+    - target: its slot in the flattened band storage, ab[j, _KL + _KU + r - j].
     """
     w = _KL + _KU + 1
-    ab = np.zeros((u.size, 2 * _KL + _KU + 1))
-    row = np.arange(u.size)
+    row = np.tile(np.arange(size), w)
+    colour = np.repeat(np.arange(w), size)
+    column = row - _KL + (colour - row + _KL) % w
+    inside = (column >= 0) & (column < size)
+    row, colour, column = row[inside], colour[inside], column[inside]
+    every = np.arange(size)
+    arrays = ((every % w) * size + every, colour * size + row, column,
+              column * (2 * _KL + _KU + 1) + _KL + _KU + row - column)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _banded_jacobian(F, u, f0):
+    """Forward-difference Jacobian of F at u from one evaluation of F, in
+    the band storage _band_solve takes, with bandwidths (_KL, _KU).
+
+    Columns w = _KL + _KU + 1 apart share no row of a banded matrix
+    (Curtis, Powell and Reid, 1974), so one difference perturbs every
+    column of a group j = c mod w at once, and row r's difference belongs
+    to the one column of the group in r - _KL ... r + _KU. F takes a
+    leading axis: it is called once, on the w perturbed copies of u
+    stacked as rows, and row c of its result must have the bits of F on
+    that row alone. The differences outside the band are exactly zero, and
+    are left out.
+    """
+    perturbed, source, column, target = _band_scatter(u.size)
     h = 1.5e-8 * np.maximum(1.0, np.abs(u))
-    for c in range(w):
-        up = u.copy()
-        up[c::w] += h[c::w]
-        df = F(up) - f0
-        j = row - _KL + (c - row + _KL) % w
-        r = np.nonzero((j >= 0) & (j < u.size))[0]
-        ab[j[r], _KL + _KU + r - j[r]] = df[r] / h[j[r]]
+    U = np.tile(u, _KL + _KU + 1)
+    U[perturbed] += h
+    df = F(U.reshape(-1, u.size)) - f0
+    ab = np.zeros((u.size, 2 * _KL + _KU + 1))
+    ab.ravel()[target] = df.ravel()[source] / h[column]
     return ab
 
 

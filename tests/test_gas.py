@@ -138,6 +138,29 @@ def test_eigenvalues_order_and_values(m2):
     assert np.all(lam1 < lam2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.sampled_from([1.5, 2.0, 3.0]), gamma_free=st.floats(1.0, 3.0, exclude_min=True),
+       n=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(1e-3, 1e3)),
+       data=st.data())
+def test_speeds_and_pressure_are_the_plain_expressions_with_and_without_out(gamma, gamma_free,
+                                                                           n, data):
+    # the C step's gas calls write into its buffers: the bits of the plain
+    # expressions either way, and the buffers themselves come back
+    J = data.draw(hnp.arrays(np.float64, n.shape, elements=st.floats(-1e3, 1e3)))
+    for m in (GasModel(gamma), GasModel(gamma_free)):
+        u = J / n
+        c = m.theta * n**m.theta
+        want = (u - c, u + c)
+        speeds = (np.full(n.shape, np.nan), np.full(n.shape, np.nan))
+        got = gas.eigenvalues(m, n, J, speeds)
+        assert got[0] is speeds[0] and got[1] is speeds[1]
+        for a, b, w in zip(speeds, gas.eigenvalues(m, n, J), want):
+            assert a.tobytes() == b.tobytes() == w.tobytes()
+        p = np.full(n.shape, np.nan)
+        assert gas.pressure(m, n, p) is p
+        assert p.tobytes() == gas.pressure(m, n).tobytes() == (m.p0 * n**m.gamma).tobytes()
+
+
 def test_invariants_simple_values(m2):
     w, z = gas.to_invariants(m2, 1.0, -1.0)
     assert w == 0.0 and z == -2.0

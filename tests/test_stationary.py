@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
@@ -279,17 +280,19 @@ def test_banded_jacobian_is_the_dense_forward_difference(scheme, monkeypatch):
 
 def _banded_function(n, rng):
     """A generic smooth F on n unknowns whose row r depends on exactly the
-    columns r - _KL ... r + _KU, elementwise, and the number of its calls."""
+    columns r - _KL ... r + _KU, elementwise along the last axis of u, and
+    the shapes of the arguments of its calls."""
     kl, ku = stationary._KL, stationary._KU
     a = rng.standard_normal((kl + ku + 1, n))
     calls = []
 
     def F(u):
-        calls.append(1)
-        pad = np.concatenate((np.zeros(kl), u, np.zeros(ku)))
+        calls.append(u.shape)
+        lead = u.shape[:-1]
+        pad = np.concatenate((np.zeros(lead + (kl,)), u, np.zeros(lead + (ku,))), axis=-1)
         f = u**3
         for k in range(kl + ku + 1):
-            f = f + a[k] * np.sin(pad[k:k + n])
+            f = f + a[k] * np.sin(pad[..., k:k + n])
         return f
     return F, calls
 
@@ -297,8 +300,9 @@ def _banded_function(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 23, 40])
 def test_banded_jacobian_of_a_generic_band_function(n):
     # fewer unknowns than colours, and rows that the band cuts at both ends:
-    # the band holds the column-by-column forward differences bit for bit,
-    # and every other slot of the storage stays zero
+    # one call of F on the stack of the coloured copies of u, and the band
+    # holds the column-by-column forward differences bit for bit, and every
+    # other slot of the storage stays zero
     kl, ku = stationary._KL, stationary._KU
     rng = np.random.default_rng(n)
     F, calls = _banded_function(n, rng)
@@ -306,7 +310,7 @@ def test_banded_jacobian_of_a_generic_band_function(n):
     f0 = F(u)
     calls.clear()
     ab = stationary._banded_jacobian(F, u, f0)
-    assert len(calls) == kl + ku + 1
+    assert calls == [(kl + ku + 1, n)]
     want = np.zeros((n, 2 * kl + ku + 1))
     h = 1.5e-8 * np.maximum(1.0, np.abs(u))
     for q in range(n):
@@ -317,6 +321,45 @@ def test_banded_jacobian_of_a_generic_band_function(n):
         want[q, kl + ku + band - q] = column[band]
         assert np.all(np.delete(column, band) == 0.0), q
     assert ab.tobytes() == want.tobytes()
+
+
+def _assert_rows_are_the_1d_calls(stacked, rows):
+    """Each array of the result of a call on a stack equals, bit for bit,
+    the stack of that array's results of the row-by-row calls."""
+    for got, *want in zip(stacked, *rows):
+        assert np.shape(got) == (len(rows), *np.shape(want[0]))
+        assert np.asarray(got).tobytes() == np.stack(want).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 9]), st.sampled_from(["central", "rusanov"]),
+       st.sampled_from([1.5, 2.0, 3.0]), st.booleans(), st.integers(16, 48), st.data())
+def test_rhs_and_viscous_residual_of_a_stack_are_its_rows_calls(B, scheme, gamma, forced, N,
+                                                                data):
+    # the Jacobian evaluates its coloured differences in one call on a
+    # (B, .) stack: each row has the bits of its own 1-D call
+    cfg = _float_config(gamma, N=N, scheme=scheme)
+    m = cfg.model()
+    dx = 1.0 / N
+    x = np.linspace(0.0, 1.0, N + 1)
+    density = st.floats(0.1, 10.0)
+    signed = st.floats(-10.0, 10.0)
+    n = data.draw(hnp.arrays(np.float64, (B, N + 1), elements=density))
+    J, E = (data.draw(hnp.arrays(np.float64, (B, N + 1), elements=signed)) for _ in "JE")
+    forcing = sh.manufactured_forcing(m, cfg.epsilon, x[1:-1]) if forced else None
+    rows = [_rhs(n[b], J[b], E[b], 0.25, m, cfg, dx, forcing) for b in range(B)]
+    rhs_n, rhs_J, flux = _rhs(n, J, E, 0.25, m, cfg, dx, forcing)
+    _assert_rows_are_the_1d_calls((rhs_n, rhs_J, *flux),
+                                  [(r_n, r_J, *f) for r_n, r_J, f in rows])
+
+    M = 3 * N + 1
+    v = data.draw(hnp.arrays(np.float64, (B, M), elements=signed))
+    v[:, 0] = n[:, 0]
+    v[:, 2:-2:3] = n[:, 1:-1]
+    v[:, -2] = n[:, -1]
+    args = (cfg, m, SINE(x), dx, -0.125)
+    want = [(stationary._viscous_residual(v[b], *args),) for b in range(B)]
+    _assert_rows_are_the_1d_calls((stationary._viscous_residual(v, *args),), want)
 
 
 def _spsolve_band(ab, kl, ku, b):
